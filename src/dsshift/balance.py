@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import as_matrix
+from .graphs import _require_finite_nonnegative, _require_square, _row, as_matrix
 
 __all__ = [
     "BalanceResult",
@@ -56,11 +56,8 @@ class DSOperator:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be square, got shape {m.shape}")
-        data = m.data if sp.issparse(m) else m
-        if data.size and data.min() < 0:
-            raise ValueError("operator entries must be nonnegative")
+        _require_square(m, "operator")
+        _require_finite_nonnegative(m, "operator entries")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -68,9 +65,7 @@ class DSOperator:
         return self.matrix.shape[0]
 
     def row(self, m: int) -> np.ndarray:
-        if sp.issparse(self.matrix):
-            return self.matrix.getrow(m).toarray().ravel()
-        return np.asarray(self.matrix[m])
+        return _row(self.matrix, m)
 
     def dense(self) -> np.ndarray:
         if sp.issparse(self.matrix):
@@ -106,8 +101,7 @@ class DSDiagnostics:
 def verify_doubly_stochastic(S, tol: float = 1e-8) -> DSDiagnostics:
     """Check row sums, column sums, and nonnegativity of ``S`` against ``tol``."""
     m = as_matrix(S)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    _require_square(m)
     row_res = float(np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0).max())
     col_res = float(np.abs(np.asarray(m.sum(axis=0)).ravel() - 1.0).max())
     min_entry = float(m.data.min()) if sp.issparse(m) and m.nnz else float(m.min())
@@ -132,7 +126,8 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
     and stops once every row and column sum of ``diag(r) @ W @ diag(c)``
     is within ``tol`` of one.
 
-    Raises UnbalanceableError for an all-zero row or column, and
+    Raises ValueError for non-finite or negative weights, before any
+    sweep; UnbalanceableError for an all-zero row or column; and
     NotConvergedError (carrying the last residual) when ``max_iter``
     sweeps do not reach ``tol``, which signals a matrix with support but
     no total support.
@@ -143,13 +138,9 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
         raise ValueError(f"max_iter must be positive, got {max_iter}")
 
     w = as_matrix(weights)
-    n = w.shape[0]
-    if w.shape[0] != w.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {w.shape}")
+    n = _require_square(w)
+    _require_finite_nonnegative(w, "weights")
     sparse = sp.issparse(w)
-    data = w.data if sparse else w
-    if data.size and data.min() < 0:
-        raise ValueError("weights must be nonnegative")
 
     row_sums = np.asarray(w.sum(axis=1)).ravel()
     col_sums = np.asarray(w.sum(axis=0)).ravel()
@@ -165,9 +156,10 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
 
     wt = w.T.tocsr() if sparse else w.T
     r = np.ones(n)
+    wtr = np.asarray(wt @ r).ravel()
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        c = 1.0 / np.asarray(wt @ r).ravel()
+        c = 1.0 / wtr
         wc = np.asarray(w @ c).ravel()
         r = 1.0 / wc
         if min(r.min(), c.min()) < _UNDERFLOW_FLOOR:
@@ -176,10 +168,12 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
                 residual=float(residual),
                 iterations=iteration,
             )
+        # Reused by the next sweep's column update: two matvecs per sweep.
+        wtr = np.asarray(wt @ r).ravel()
         # Residuals of S = diag(r) W diag(c): rows are exact by construction
         # of r; columns carry the remaining error.
         row_res = float(np.abs(r * wc - 1.0).max())
-        col_res = float(np.abs(c * np.asarray(wt @ r).ravel() - 1.0).max())
+        col_res = float(np.abs(c * wtr - 1.0).max())
         residual = max(row_res, col_res)
         if residual <= tol:
             break
@@ -196,6 +190,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
         s = sp.diags(r) @ w @ sp.diags(c)
         s = s.tocsr()
     else:
-        s = r[:, None] * w * c[None, :]
+        s = r[:, None] * w
+        s *= c
     operator = DSOperator(s, tolerance_achieved=residual, iterations_used=iteration)
     return BalanceResult(operator=operator, row_scaling=r, col_scaling=c)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .balance import verify_doubly_stochastic
-from .graphs import as_matrix
+from .graphs import _require_square, as_matrix
 
 __all__ = [
     "BirkhoffDecomposition",
@@ -71,9 +71,7 @@ def perfect_matching(support) -> np.ndarray | None:
     perfect matching exists.
     """
     mask = np.asarray(support, dtype=bool)
-    n = mask.shape[0]
-    if mask.shape[0] != mask.shape[1]:
-        raise ValueError(f"support must be square, got shape {mask.shape}")
+    n = _require_square(mask, "support")
     adjacency = [np.flatnonzero(mask[m]) for m in range(n)]
     col_owner = np.full(n, -1, dtype=np.int64)
     row_match = np.full(n, -1, dtype=np.int64)

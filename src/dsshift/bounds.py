@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graphs import Neighborhood, as_matrix
+from .graphs import Neighborhood, _row, as_matrix
 
 __all__ = [
     "LocalBounds",
@@ -95,11 +94,7 @@ class ShiftStats:
 
 
 def _positive_row(S, m: int) -> np.ndarray:
-    a = as_matrix(S)
-    n = a.shape[0]
-    if not (0 <= m < n):
-        raise ValueError(f"vertex id {m} out of range [0, {n})")
-    row = a.getrow(m).toarray().ravel() if sp.issparse(a) else np.asarray(a[m])
+    row = _row(as_matrix(S), m)
     positive = row[row > 0]
     if positive.size == 0:
         raise ValueError(f"row {m} has no positive entries")
@@ -241,7 +236,7 @@ def monte_carlo_shift_stats(
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
     a = as_matrix(S)
-    row = a.getrow(m).toarray().ravel() if sp.issparse(a) else np.asarray(a[m])
+    row = _row(a, m)
     members = np.flatnonzero(row > 0)
     if members.size == 0:
         raise ValueError(f"row {m} has no positive entries")

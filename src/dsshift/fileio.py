@@ -9,12 +9,13 @@ with the offending line number.
 from __future__ import annotations
 
 import json
+from array import array
 
 import numpy as np
 import scipy.sparse as sp
 
 from .birkhoff import BirkhoffDecomposition
-from .graphs import DENSE_LIMIT, Graph, VertexGeometry, as_matrix
+from .graphs import Graph, VertexGeometry, _stored, as_matrix
 
 __all__ = [
     "FileFormatError",
@@ -81,12 +82,13 @@ def load_matrix_market(path):
     """Read a Matrix Market coordinate (real) matrix.
 
     Supports the ``general`` and ``symmetric`` storage qualifiers;
-    symmetric files are expanded to full storage.  Returns a dense array
-    for small matrices and CSR above the package's dense size limit.
+    symmetric files are expanded to full storage.  Entries are gathered in
+    coordinate form, never in a dense N x N, and returned dense when N <= 512
+    or at least a quarter are nonzero, CSR otherwise.  Duplicates are rejected.
     """
     header = None
     size = None
-    entries = []
+    entries = array("d")  # row, col, value, line per entry (ints are exact in float64)
     count = 0
     with open(path, encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -130,7 +132,7 @@ def load_matrix_market(path):
             count += 1
             if count > nnz:
                 _fail(path, lineno, f"more than the declared {nnz} entries")
-            entries.append((i - 1, j - 1, v))
+            entries.extend((i - 1, j - 1, v, lineno))
     if header is None:
         raise FileFormatError(f"{path}:1: empty file")
     if size is None:
@@ -139,14 +141,18 @@ def load_matrix_market(path):
     if count < nnz:
         raise FileFormatError(f"{path}: expected {nnz} entries, found {count}")
 
-    dense = np.zeros((rows, cols))
-    for i, j, v in entries:
-        dense[i, j] = v
-        if header == "symmetric" and i != j:
-            dense[j, i] = v
-    if max(rows, cols) > DENSE_LIMIT:
-        return sp.csr_matrix(dense)
-    return dense
+    e = np.frombuffer(entries).reshape(-1, 4)
+    i, j, v = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2]
+    # A coordinate build would sum duplicates; report the first repeat instead.
+    key = i * cols + j
+    first = np.unique(key, return_index=True)[1]
+    if first.size < key.size:
+        k = np.setdiff1d(np.arange(key.size), first)[0]
+        _fail(path, int(e[k, 3]), f"duplicate entry ({i[k] + 1}, {j[k] + 1})")
+    if header == "symmetric":
+        off = i != j
+        i, j, v = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[v, v[off]]
+    return _stored(sp.coo_matrix((v, (i, j)), shape=(rows, cols)))
 
 
 def save_edge_csv(path, graph: Graph) -> None:
@@ -163,7 +169,8 @@ def load_edge_csv(path, n_vertices: int | None = None) -> Graph:
 
     Vertex ids are 0-based; ``n_vertices`` defaults to one more than the
     largest id seen.  Nonpositive weights and duplicate edges are
-    rejected with the offending line number.
+    rejected with the offending line number.  Storage follows the rule of
+    :func:`load_matrix_market`.
     """
     edges = {}
     max_id = -1
@@ -196,12 +203,9 @@ def load_edge_csv(path, n_vertices: int | None = None) -> Graph:
     n = (max_id + 1) if n_vertices is None else n_vertices
     if max_id >= n:
         raise FileFormatError(f"{path}: vertex id {max_id} exceeds n_vertices={n}")
-    w = np.zeros((n, n))
-    for (s, d), v in edges.items():
-        w[d, s] = v
-    if n > DENSE_LIMIT:
-        return Graph(sp.csr_matrix(w))
-    return Graph(w)
+    src, dst = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    w = np.fromiter(edges.values(), dtype=float, count=len(edges))
+    return Graph(_stored(sp.coo_matrix((w, (dst, src)), shape=(n, n))))
 
 
 def save_signal_csv(path, values) -> None:
@@ -213,14 +217,18 @@ def save_signal_csv(path, values) -> None:
 
 
 def load_signal_csv(path) -> np.ndarray:
-    """Read a single-column CSV of signal values."""
+    """Read a single-column CSV of signal values; NaN and infinities are
+    rejected with the offending line number."""
     values = []
     with open(path, encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            values.append(_parse_float(line, path, lineno, "signal value"))
+            v = _parse_float(line, path, lineno, "signal value")
+            if not np.isfinite(v):
+                _fail(path, lineno, f"non-finite signal value {line!r}")
+            values.append(v)
     if not values:
         raise FileFormatError(f"{path}:1: empty signal file")
     return np.asarray(values)

@@ -28,7 +28,7 @@ __all__ = [
 # Mean Earth radius in meters, used when projecting geographic coordinates.
 EARTH_RADIUS_M = 6_371_000.0
 
-# Graphs larger than this are stored sparse, smaller ones dense.
+# Matrices up to this size are always stored dense (see _stored).
 DENSE_LIMIT = 512
 
 
@@ -51,10 +51,45 @@ def as_matrix(obj):
     return a
 
 
-def _require_square(a):
+def _require_square(a, what: str = "matrix"):
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+        raise ValueError(f"{what} must be square, got shape {a.shape}")
     return a.shape[0]
+
+
+def _require_finite_nonnegative(a, what: str) -> None:
+    data = a.data if sp.issparse(a) else a
+    if data.size and not np.isfinite(data).all():
+        raise ValueError(f"{what} must be finite")
+    if data.size and data.min() < 0:
+        raise ValueError(f"{what} must be nonnegative")
+
+
+def _stored(w):
+    """The one storage rule for matrices the package builds or loads: dense
+    when at most ``DENSE_LIMIT`` on a side or at least a quarter full (where
+    a CSR matvec costs as much as a dense one), CSR otherwise.  Explicit
+    zeros of a sparse input are dropped; the input's storage may be reused."""
+    if sp.issparse(w):
+        w = w.tocsr()
+        w.eliminate_zeros()
+        nnz = w.nnz
+    else:
+        nnz = np.count_nonzero(w)
+    rows, cols = w.shape
+    if max(rows, cols) <= DENSE_LIMIT or 4 * nnz >= rows * cols:
+        return w.toarray() if sp.issparse(w) else w
+    return w if sp.issparse(w) else sp.csr_matrix(w)
+
+
+def _row(a, m: int) -> np.ndarray:
+    """Row ``m`` of a dense or CSR matrix as a dense 1-D array."""
+    if not (0 <= m < a.shape[0]):
+        raise ValueError(f"vertex id {m} out of range [0, {a.shape[0]})")
+    if not sp.issparse(a):
+        return np.asarray(a[m])
+    lo, hi = a.indptr[m], a.indptr[m + 1]
+    return np.bincount(a.indices[lo:hi], weights=a.data[lo:hi], minlength=a.shape[1])
 
 
 class Graph:
@@ -70,16 +105,10 @@ class Graph:
         if sp.issparse(w):
             w = w.copy()
             w.eliminate_zeros()
-            data = w.data
         else:
             w = np.array(w, dtype=float)
-            data = w
-        if data.size and not np.all(np.isfinite(data)):
-            raise ValueError("weights must be finite")
-        if data.size and (data < 0).any():
-            raise ValueError("weights must be nonnegative")
-        if not sp.issparse(w):
             w.setflags(write=False)
+        _require_finite_nonnegative(w, "weights")
         self._weights = w
         self._n = n
 
@@ -187,10 +216,16 @@ class VertexGeometry:
         return np.column_stack([x, y, self.alt])
 
     def pairwise_distances(self, radius: float = EARTH_RADIUS_M) -> np.ndarray:
-        """Symmetric matrix of Euclidean distances in the projected frame."""
+        """Symmetric matrix of Euclidean distances in the projected frame,
+        summed axis by axis in row blocks (no N x N x 3 temporary)."""
         p = self.project(radius)
-        diff = p[:, None, :] - p[None, :, :]
-        return np.sqrt((diff**2).sum(axis=-1))
+        out = np.empty((p.shape[0], p.shape[0]))
+        for lo in range(0, p.shape[0], 256):  # temporaries stay 256 x N
+            q, block = p[lo : lo + 256], out[lo : lo + 256]
+            np.square(q[:, 0, None] - p[:, 0], out=block)
+            for axis in (1, 2):
+                block += np.square(q[:, axis, None] - p[:, axis])
+        return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -222,7 +257,9 @@ def build_weight_matrix(
     Weights are ``W[m, n] = exp(-(r_mn / scale)**2)`` with ``r_mn`` the
     projected pairwise distance; entries strictly below ``threshold`` are
     pruned to exact zeros.  The diagonal is 1 when ``self_loops`` is set
-    and 0 otherwise.
+    and 0 otherwise.  The kernel is evaluated in place in one N x N
+    buffer, then stored dense when N <= 512 or at least a quarter of the
+    entries are nonzero, and as CSR otherwise.
 
     Raises ValueError for fewer than 2 vertices or a nonpositive scale.
     Distinct vertices at identical coordinates get weight 1 and trigger a
@@ -235,10 +272,9 @@ def build_weight_matrix(
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
 
-    r = geometry.pairwise_distances(radius)
-    n = r.shape[0]
-    off_diag = ~np.eye(n, dtype=bool)
-    n_dupes = int(np.count_nonzero((r == 0) & off_diag)) // 2
+    w = geometry.pairwise_distances(radius)
+    zeros = w.size - np.count_nonzero(w)
+    n_dupes = (zeros - int(np.count_nonzero(np.diagonal(w) == 0))) // 2
     if n_dupes:
         warnings.warn(
             f"{n_dupes} vertex pair(s) share identical coordinates; "
@@ -246,12 +282,11 @@ def build_weight_matrix(
             stacklevel=2,
         )
 
-    w = np.exp(-((r / scale) ** 2))
+    w /= scale  # then exp(-w**2), in place in the distance buffer
+    np.exp(np.negative(np.square(w, out=w), out=w), out=w)
     w[w < threshold] = 0.0
     np.fill_diagonal(w, 1.0 if self_loops else 0.0)
-    if n > DENSE_LIMIT:
-        return Graph(sp.csr_matrix(w))
-    return Graph(w)
+    return Graph(_stored(w))
 
 
 def incoming_neighborhood(graph, m: int) -> Neighborhood:
@@ -260,14 +295,8 @@ def incoming_neighborhood(graph, m: int) -> Neighborhood:
     Accepts a Graph, an operator, or a raw matrix.
     """
     w = as_matrix(graph)
-    n = _require_square(w)
-    if not (0 <= m < n):
-        raise ValueError(f"vertex id {m} out of range [0, {n})")
-    if sp.issparse(w):
-        row = w.getrow(m).toarray().ravel()
-    else:
-        row = w[m]
-    members = np.flatnonzero(row > 0)
+    _require_square(w)
+    members = np.flatnonzero(_row(w, m) > 0)
     return Neighborhood(center=m, members=members, size=int(members.size))
 
 
@@ -277,13 +306,9 @@ def validate_weights(graph) -> WeightDiagnostics:
     Pure report, never raises: zero rows/columns, negative entries,
     asymmetry, and support statistics.  Accepts a Graph or a raw matrix.
     """
-    if hasattr(graph, "weights"):
-        w = graph.weights
-    else:
-        w = graph
+    w = as_matrix(graph)
     if sp.issparse(w):
         w = w.toarray()
-    w = np.asarray(w, dtype=float)
     n = _require_square(w)
 
     row_sums = w.sum(axis=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import as_matrix
+from .graphs import _require_square, as_matrix
 
 __all__ = [
     "DiffusionResult",
@@ -29,8 +29,7 @@ __all__ = [
 
 def _operator_and_signal(S, x):
     a = as_matrix(S)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"operator must be square, got shape {a.shape}")
+    _require_square(a, "operator")
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.shape[0] != a.shape[0]:
         raise ValueError(
@@ -126,8 +125,7 @@ def matrix_norm(A, p) -> float:
     1e-10.
     """
     a = as_matrix(A)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    _require_square(a)
     if p == 1:
         return float(np.asarray(abs(a).sum(axis=0)).ravel().max())
     if p == np.inf or p == float("inf"):
@@ -178,9 +176,7 @@ def wss_check(S, mean, covariance, tol: float) -> WSSDiagnostics:
     a = as_matrix(S)
     mu = np.asarray(mean, dtype=float)
     sigma = np.asarray(covariance, dtype=float)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"operator must be square, got shape {a.shape}")
+    n = _require_square(a, "operator")
     if mu.shape != (n,):
         raise ValueError(f"mean of shape {mu.shape} does not match operator size {n}")
     if sigma.shape != (n, n):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dsshift import sinkhorn_knopp
+from dsshift import VertexGeometry, sinkhorn_knopp
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
@@ -17,6 +17,14 @@ def balanced_operator(n, seed, low=0.5, high=1.5, tol=1e-12):
     rng = np.random.default_rng(seed)
     w = rng.uniform(low, high, (n, n))
     return sinkhorn_knopp(w, tol=tol).operator
+
+
+def random_geometry(n, seed, span=0.1):
+    """Sites spread over a ``span``-degree square near 45 N, 7 E."""
+    rng = np.random.default_rng(seed)
+    return VertexGeometry(
+        lat=45 + span * rng.random(n), lon=7 + span * rng.random(n), alt=rng.random(n)
+    )
 
 
 @pytest.fixture

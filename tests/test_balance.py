@@ -123,6 +123,43 @@ class TestSparsePipeline:
         assert abs(y.sum() - x.sum()) <= n * 1e-10
 
 
+    def test_dense_and_csr_storage_balance_alike(self):
+        import scipy.sparse as sp
+
+        from dsshift import VertexGeometry, build_weight_matrix
+
+        rng = np.random.default_rng(3)
+        n = 1000
+        geo = VertexGeometry(
+            lat=45 + 0.09 * rng.random(n), lon=7 + 0.127 * rng.random(n),
+            alt=280 * rng.random(n),
+        )
+        w = build_weight_matrix(geo, scale=1800.0, threshold=1e-4, self_loops=True)
+        assert not sp.issparse(w.weights)
+        dense = sinkhorn_knopp(w.weights, tol=1e-10)
+        csr = sinkhorn_knopp(sp.csr_matrix(w.weights), tol=1e-10)
+        assert dense.operator.iterations_used == csr.operator.iterations_used
+        diff = np.abs(dense.operator.dense() - csr.operator.dense()).max()
+        assert diff <= 1e-12
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sinkhorn_rejects_before_sweeping(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            sinkhorn_knopp(np.array([[1.0, bad], [2.0, 1.0]]))
+
+    def test_sinkhorn_rejects_sparse_nan(self):
+        import scipy.sparse as sp
+
+        with pytest.raises(ValueError, match="finite"):
+            sinkhorn_knopp(sp.csr_matrix(np.array([[1.0, np.nan], [0.0, 1.0]])))
+
+    def test_operator_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            DSOperator(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+
+
 class TestVerifyDoublyStochastic:
     def test_identity_passes_with_zero_residual(self):
         d = verify_doubly_stochastic(np.eye(3), tol=1e-12)
@@ -155,3 +192,14 @@ class TestDSOperator:
         op = DSOperator(np.array([[0.25, 0.75], [0.75, 0.25]]))
         assert op.row(1).tolist() == [0.75, 0.25]
         assert op.n == 2
+
+    def test_row_accessor_sparse_matches_dense(self):
+        import scipy.sparse as sp
+
+        a = np.array([[0.0, 0.25, 0.75], [1.0, 0.0, 0.0], [0.0, 0.75, 0.25]])
+        op = DSOperator(sp.csr_matrix(a))
+        for m in range(3):
+            assert op.row(m).tolist() == a[m].tolist()
+        for m in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                op.row(m)

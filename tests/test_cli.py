@@ -56,6 +56,13 @@ class TestBalanceCommand:
         assert rc == 3
         assert "convergence" in capsys.readouterr().err
 
+    def test_nan_weights_exit_2_before_balancing(self, tmp_path, capsys):
+        w = tmp_path / "W.mtx"
+        save_matrix_market(w, np.array([[1.0, np.nan], [2.0, 1.0]]))
+        rc = run(["balance", "--input", w, "--output", tmp_path / "S.mtx"])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_file_exits_4(self, tmp_path):
         rc = run(["balance", "--input", tmp_path / "none.mtx", "--output", tmp_path / "S.mtx"])
         assert rc == 4

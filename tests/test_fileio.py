@@ -17,6 +17,8 @@ from dsshift.fileio import (
     save_signal_csv,
 )
 
+from conftest import random_geometry
+
 
 class TestMatrixMarket:
     def test_round_trip_is_exact(self, tmp_path):
@@ -94,6 +96,62 @@ class TestMatrixMarket:
         assert a[0, 1] == 0.25
 
 
+    def test_duplicate_entry_names_line(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 3\n1 2 0.5\n2 1 1.0\n1 2 0.75\n"
+        )
+        with pytest.raises(FileFormatError, match=r"bad\.mtx:5: duplicate entry \(1, 2\)"):
+            load_matrix_market(path)
+
+    def test_symmetric_duplicate_names_line(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "3 3 3\n2 1 5.0\n3 3 1.0\n2 1 5.0\n"
+        )
+        with pytest.raises(FileFormatError, match=r"bad\.mtx:5: duplicate entry \(2, 1\)"):
+            load_matrix_market(path)
+
+    def test_symmetric_mirror_rejected(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "2 2 2\n2 1 5.0\n1 2 5.0\n"
+        )
+        with pytest.raises(FileFormatError, match=r"bad\.mtx:4: symmetric entries"):
+            load_matrix_market(path)
+
+    def test_large_diagonal_loads_without_dense_buffer(self, tmp_path):
+        import tracemalloc
+
+        n = 5000
+        path = tmp_path / "diag.mtx"
+        save_matrix_market(path, sp.identity(n, format="csr"))
+        tracemalloc.start()
+        try:
+            a = load_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.issparse(a) and a.nnz == n
+        assert peak < 20e6  # a dense N x N would need 200 MB
+
+    @pytest.mark.parametrize("scale, dense", [(3000.0, True), (800.0, False)])
+    def test_loaders_follow_the_storage_rule(self, tmp_path, scale, dense):
+        from dsshift import build_weight_matrix
+
+        g = build_weight_matrix(random_geometry(600, 0), scale=scale, threshold=1e-3)
+        assert sp.issparse(g.weights) != dense
+        save_matrix_market(tmp_path / "w.mtx", g)
+        save_edge_csv(tmp_path / "w.csv", g)
+        loaded = load_matrix_market(tmp_path / "w.mtx"), load_edge_csv(tmp_path / "w.csv")
+        for w in (loaded[0], loaded[1].weights):
+            assert sp.issparse(w) != dense
+            assert np.array_equal(w if dense else w.toarray(), g.dense())
+
+
 class TestEdgeCSV:
     def test_round_trip(self, tmp_path):
         w = np.array([[0.0, 0.5, 0.0], [0.25, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -142,6 +200,13 @@ class TestSignalCSV:
         path = tmp_path / "x.csv"
         path.write_text("1.0\nfoo\n")
         with pytest.raises(FileFormatError, match=r"x\.csv:2: non-numeric"):
+            load_signal_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, bad):
+        path = tmp_path / "x.csv"
+        path.write_text(f"1.0\n2.0\n{bad}\n")
+        with pytest.raises(FileFormatError, match=r"x\.csv:3: non-finite"):
             load_signal_csv(path)
 
     def test_empty_file(self, tmp_path):

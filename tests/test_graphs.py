@@ -10,6 +10,8 @@ from dsshift import (
     validate_weights,
 )
 
+from conftest import random_geometry
+
 
 def geometry_at_altitudes(alts):
     """Vertices stacked at one location so distances equal altitude gaps."""
@@ -97,6 +99,29 @@ class TestBuildWeightMatrix:
             build_weight_matrix(geometry_at_altitudes([0.0]), scale=1.0)
 
 
+class TestStorageRule:
+    def test_quarter_full_kernel_above_limit_is_dense(self):
+        g = build_weight_matrix(random_geometry(600, 0), scale=3000.0, threshold=1e-3)
+        assert g.n_edges >= 600 * 600 / 4
+        assert isinstance(g.weights, np.ndarray)
+
+    def test_small_sparse_kernel_is_dense(self):
+        g = build_weight_matrix(random_geometry(300, 0), scale=100.0, threshold=1e-3)
+        assert g.n_edges < 300 * 300 / 4
+        assert isinstance(g.weights, np.ndarray)
+
+    @pytest.mark.parametrize("extra, dense", [(0, True), (-1, False)])
+    def test_threshold_is_a_quarter_of_the_entries(self, extra, dense):
+        from dsshift.graphs import _stored
+
+        n = 600
+        w = np.zeros((n, n))
+        w.flat[: n * n // 4 + extra] = 1.0
+        for stored in (_stored(w.copy()), _stored(sp.coo_matrix(w))):
+            assert isinstance(stored, np.ndarray) == dense
+            assert np.array_equal(stored if dense else stored.toarray(), w)
+
+
 class TestIncomingNeighborhood:
     def test_single_edge(self):
         w = np.zeros((3, 3))
@@ -179,6 +204,22 @@ class TestVertexGeometry:
         assert np.all(np.diag(r) == 0)
         off = r[~np.eye(6, dtype=bool)]
         assert np.all(off > 0)
+
+    def test_distances_match_full_difference_array(self):
+        # Reference: the N x N x 3 difference array the blocked sum replaces.
+        geo = random_geometry(700, 5)
+        p = geo.project()
+        ref = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=-1))
+        assert np.array_equal(geo.pairwise_distances(), ref)
+
+    def test_kernel_matches_out_of_place_formula(self):
+        geo = random_geometry(300, 6)
+        r = geo.pairwise_distances()
+        ref = np.exp(-((r / 800.0) ** 2))
+        ref[ref < 1e-3] = 0.0
+        np.fill_diagonal(ref, 1.0)
+        g = build_weight_matrix(geo, scale=800.0, threshold=1e-3, self_loops=True)
+        assert np.array_equal(g.dense(), ref)
 
     def test_projection_units(self):
         # one degree of latitude spans R * pi / 180 meters in the projection
