@@ -1,11 +1,13 @@
 """Decompose a doubly stochastic matrix into a convex combination of
 permutation matrices, and reconstruct it.
 
-Greedy extraction: repeatedly find a perfect matching on the bipartite
-graph of positive entries, subtract the minimum matched entry times the
-corresponding permutation, and stop when the residual mass is negligible.
-Every extraction zeroes at least one entry, so the process terminates; for
-an N x N input it needs at most (N-1)**2 + 1 terms.
+Greedy extraction: repeatedly find a perfect matching (Hopcroft-Karp) on
+the bipartite graph of residual entries above ``zero_tol``, and subtract
+the minimum matched entry times the corresponding permutation.  When no
+matching is left, every residual entry must be rounding dust: at most
+``zero_tol`` plus machine epsilon per term extracted.  Every extraction
+zeroes at least one entry, so the process terminates; for an N x N input
+it needs at most (N-1)**2 + 1 terms.
 """
 
 from __future__ import annotations
@@ -65,56 +67,35 @@ class BirkhoffDecomposition:
 def perfect_matching(support) -> np.ndarray | None:
     """Perfect matching of rows to columns on a boolean support matrix.
 
-    Kuhn's augmenting-path algorithm with rows processed, and candidate
-    columns scanned, in ascending order, so the result is deterministic.
-    Returns the image array (row -> matched column) or None when no
-    perfect matching exists.
+    Hopcroft-Karp, as scipy's iterative
+    ``scipy.sparse.csgraph.maximum_bipartite_matching``: deterministic, and
+    no recursion limits the size.  Returns the image array (row -> matched
+    column) or None when no perfect matching exists.
     """
+    # Imported here: at module level it adds about a third to ``import dsshift``.
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     mask = np.asarray(support, dtype=bool)
-    n = _require_square(mask, "support")
-    adjacency = [np.flatnonzero(mask[m]) for m in range(n)]
-    col_owner = np.full(n, -1, dtype=np.int64)
-    row_match = np.full(n, -1, dtype=np.int64)
-
-    # Greedy seed: each row claims its lowest free column.
-    for m in range(n):
-        for c in adjacency[m]:
-            if col_owner[c] == -1:
-                col_owner[c] = m
-                row_match[m] = c
-                break
-
-    def augment(m: int, visited: np.ndarray) -> bool:
-        for c in adjacency[m]:
-            if not visited[c]:
-                visited[c] = True
-                if col_owner[c] == -1 or augment(col_owner[c], visited):
-                    col_owner[c] = m
-                    row_match[m] = c
-                    return True
-        return False
-
-    for m in range(n):
-        if row_match[m] == -1 and not augment(m, np.zeros(n, dtype=bool)):
-            return None
-    return row_match
+    _require_square(mask, "support")
+    image = maximum_bipartite_matching(sp.csr_matrix(mask), perm_type="column")
+    return None if (image < 0).any() else image.astype(np.int64)
 
 
 def birkhoff_decompose(S, zero_tol: float = 1e-12) -> BirkhoffDecomposition:
     """Greedy Birkhoff extraction of a doubly stochastic matrix.
 
-    Residual entries at or below ``zero_tol`` are treated as structural
-    zeros, which absorbs floating-point dust that would otherwise prevent
-    termination.  Coefficients are renormalized to sum exactly to 1 once
-    the residual mass drops below ``n * zero_tol``.
-
-    ``zero_tol`` should sit at or above the row/column-sum residual of the
-    input: a matrix balanced to 1e-10 carries leftover imbalance near that
-    scale, which only counts as dust when ``zero_tol`` covers it.
+    Each step matches rows to columns on the residual entries above
+    ``zero_tol`` and subtracts the smallest matched entry times that
+    permutation.  When no perfect matching is left, every residual entry
+    must be at most ``zero_tol + k * eps`` after ``k`` terms: ``k * eps``
+    bounds the rounding that ``k`` subtractions can leave in one entry, so
+    ``zero_tol`` only has to cover the input's own imbalance (a matrix
+    balanced to 1e-10 needs ``zero_tol`` near 1e-10).  Coefficients are
+    then renormalized to sum exactly to 1.
 
     Raises ValueError when ``S`` is not doubly stochastic to 1e-8, and
-    DecompositionError if no perfect matching exists while the residual
-    mass is still above ``n * zero_tol``.
+    DecompositionError when a residual entry above that bound has no
+    perfect matching to carry it.
     """
     if zero_tol <= 0:
         raise ValueError(f"zero_tol must be positive, got {zero_tol}")
@@ -130,30 +111,26 @@ def birkhoff_decompose(S, zero_tol: float = 1e-12) -> BirkhoffDecomposition:
             f"min entry {check.min_entry:.3e})"
         )
 
-    n = a.shape[0]
     residual = a.copy()
-    rows = np.arange(n)
+    rows = np.arange(a.shape[0])
     coefficients = []
     permutations = []
-    # Hard cap: every extraction zeroes at least one of the n*n entries.
-    for _ in range(n * n + 1):
-        residual[residual <= zero_tol] = 0.0
-        mass = float(residual.sum())
-        if mass <= n * zero_tol:
-            break
-        image = perfect_matching(residual > 0)
-        if image is None:
-            raise DecompositionError(
-                f"no perfect matching on the positive support with residual "
-                f"mass {mass:.3e} remaining; input is not doubly stochastic "
-                "to working tolerance"
-            )
+    # Each extraction takes the smallest matched entry to exactly 0, so the
+    # support shrinks every step and the loop ends within n*n steps.
+    while (image := perfect_matching(residual > zero_tol)) is not None:
         weight = float(residual[rows, image].min())
         coefficients.append(weight)
         permutations.append(image)
         residual[rows, image] -= weight
-    else:
-        raise DecompositionError("extraction failed to terminate")
+    dust = zero_tol + len(coefficients) * np.finfo(float).eps
+    largest = float(residual.max())
+    if largest > dust:
+        raise DecompositionError(
+            f"no perfect matching on the residual support, whose largest "
+            f"entry {largest:.3e} exceeds the dust bound {dust:.3e} after "
+            f"{len(coefficients)} terms; input is not doubly stochastic "
+            "to working tolerance"
+        )
 
     coeffs = np.asarray(coefficients, dtype=float)
     coeffs /= coeffs.sum()

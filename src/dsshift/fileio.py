@@ -3,12 +3,13 @@ single-column signal CSV, geometry CSV, and JSON reports.
 
 All writers render floats at 17 significant digits, so save/load round
 trips reproduce values bit for bit.  All parsers raise FileFormatError
-with the offending line number.
+with the offending line number, also for NaN and infinite values.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from array import array
 
 import numpy as np
@@ -46,9 +47,12 @@ def _fail(path, lineno: int, message: str):
 
 def _parse_float(token: str, path, lineno: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         _fail(path, lineno, f"non-numeric {what} {token!r}")
+    if not math.isfinite(value):
+        _fail(path, lineno, f"non-finite {what} {token!r}")
+    return value
 
 
 def _parse_int(token: str, path, lineno: int, what: str) -> int:
@@ -217,18 +221,14 @@ def save_signal_csv(path, values) -> None:
 
 
 def load_signal_csv(path) -> np.ndarray:
-    """Read a single-column CSV of signal values; NaN and infinities are
-    rejected with the offending line number."""
+    """Read a single-column CSV of signal values."""
     values = []
     with open(path, encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            v = _parse_float(line, path, lineno, "signal value")
-            if not np.isfinite(v):
-                _fail(path, lineno, f"non-finite signal value {line!r}")
-            values.append(v)
+            values.append(_parse_float(line, path, lineno, "signal value"))
     if not values:
         raise FileFormatError(f"{path}:1: empty signal file")
     return np.asarray(values)

@@ -304,21 +304,23 @@ def validate_weights(graph) -> WeightDiagnostics:
     """Report structural problems that would break doubly stochastic balancing.
 
     Pure report, never raises: zero rows/columns, negative entries,
-    asymmetry, and support statistics.  Accepts a Graph or a raw matrix.
+    asymmetry, and support statistics.  Accepts a Graph or a raw matrix;
+    CSR input is inspected in its stored form, never densified.
     """
     w = as_matrix(graph)
-    if sp.issparse(w):
-        w = w.toarray()
     n = _require_square(w)
 
-    row_sums = w.sum(axis=1)
-    col_sums = w.sum(axis=0)
+    row_sums = np.asarray(w.sum(axis=1)).ravel()
+    col_sums = np.asarray(w.sum(axis=0)).ravel()
     zero_rows = tuple(int(i) for i in np.flatnonzero(row_sums == 0))
     zero_cols = tuple(int(j) for j in np.flatnonzero(col_sums == 0))
-    negative = int(np.count_nonzero(w < 0))
-    symmetric = bool(np.array_equal(w, w.T))
-    positive = w[w > 0]
-    n_edges = int(np.count_nonzero(w))
+    if sp.issparse(w):
+        values, symmetric = w.data, (w != w.T).nnz == 0
+    else:
+        values, symmetric = w, bool(np.array_equal(w, w.T))
+    negative = int(np.count_nonzero(values < 0))
+    positive = values[values > 0]
+    n_edges = int(np.count_nonzero(values))
 
     issues = []
     for i in zero_rows:
@@ -338,7 +340,7 @@ def validate_weights(graph) -> WeightDiagnostics:
         negative_entries=negative,
         symmetric=symmetric,
         min_positive=float(positive.min()) if positive.size else 0.0,
-        max_weight=float(w.max()) if w.size else 0.0,
+        max_weight=float(w.max()) if n else 0.0,
         density=n_edges / (n * n) if n else 0.0,
         balanceable=not zero_rows and not zero_cols and negative == 0,
         issues=tuple(issues),

@@ -10,7 +10,7 @@ from dsshift import (
     sinkhorn_knopp,
 )
 
-from conftest import balanced_operator
+from conftest import balanced_operator, demo_kernel_operator
 
 
 class TestPerfectMatching:
@@ -46,6 +46,15 @@ class TestPerfectMatching:
         first = perfect_matching(support)
         for _ in range(3):
             assert np.array_equal(perfect_matching(support), first)
+
+    def test_long_chain_needs_no_recursion(self):
+        # every augmenting path runs the length of the chain
+        n = 3000
+        support = np.zeros((n, n), dtype=bool)
+        i = np.arange(n - 1)
+        support[i, i] = support[i, i + 1] = True
+        support[n - 1, 0] = True
+        assert np.array_equal(perfect_matching(support), (np.arange(n) + 1) % n)
 
 
 class TestBirkhoffDecompose:
@@ -108,6 +117,24 @@ class TestBirkhoffDecompose:
         s = np.array([[0.5, 0.5], [0.5, 0.5 + 1e-9]])
         with pytest.raises(DecompositionError, match="no perfect matching"):
             birkhoff_decompose(s, zero_tol=1e-14)
+
+    # Demo kernels balanced to 1e-13 need thousands of terms; what those
+    # subtractions leave must count as dust at the default zero_tol.
+    @staticmethod
+    def _decomposes_at_default_tolerance(s):
+        d = birkhoff_decompose(s)
+        assert d.n_terms <= max_terms(s.n)
+        assert np.abs(reconstruct(d) - s.dense()).max() <= 1e-10
+
+    def test_default_tolerance_on_demo_kernel_grid(self):
+        # one site per cell of an 8 x 12 grid, n=96
+        i, j = np.meshgrid(np.arange(8), np.arange(12), indexing="ij")
+        s = demo_kernel_operator((j.ravel() + 0.5) / 12, (i.ravel() + 0.5) / 8)
+        self._decomposes_at_default_tolerance(s)
+
+    def test_default_tolerance_on_demo_kernel_random_sites(self):
+        u, v = np.random.default_rng(0).uniform(0.0, 1.0, (2, 150))
+        self._decomposes_at_default_tolerance(demo_kernel_operator(u, v))
 
     def test_zero_tol_validation(self):
         with pytest.raises(ValueError, match="zero_tol"):

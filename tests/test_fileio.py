@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -238,6 +240,28 @@ class TestGeometryCSV:
         path.write_text("id,lat,lon,alt\n0,45.0,7.0,0.0\n0,45.2,7.2,20.0\n")
         with pytest.raises(FileFormatError, match=r"geo\.csv:3: duplicate"):
             load_geometry_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "name, text, lineno, load",
+    [
+        (
+            "w.mtx",
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 {}\n",
+            4,
+            load_matrix_market,
+        ),
+        ("g.csv", "src,dst,weight\n0,1,0.5\n1,0,{}\n", 3, load_edge_csv),
+        ("geo.csv", "id,lat,lon,alt\n0,45.0,7.0,0.0\n1,45.1,{},10.0\n", 3, load_geometry_csv),
+    ],
+    ids=["mtx", "edge-csv", "geometry-csv"],
+)
+def test_non_finite_value_names_line(tmp_path, name, text, lineno, load, bad):
+    path = tmp_path / name
+    path.write_text(text.format(bad))
+    with pytest.raises(FileFormatError, match=rf"{re.escape(name)}:{lineno}: non-finite"):
+        load(path)
 
 
 class TestBirkhoffJSON:

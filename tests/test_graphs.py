@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -189,6 +191,26 @@ class TestValidateWeights:
         d = validate_weights(np.array([[1.0, -2.0], [3.0, 1.0]]))
         assert d.negative_entries == 1
         assert not d.balanceable
+
+    def test_csr_and_dense_report_alike(self):
+        w = np.triu(np.arange(1.0, 26.0).reshape(5, 5))
+        w[1, 3] = -2.0
+        w[:, 2] = 0.0
+        for m in (w, np.abs(w), w + w.T, np.zeros((3, 3))):
+            assert validate_weights(sp.csr_matrix(m)) == validate_weights(m)
+
+    def test_csr_input_is_not_densified(self):
+        n = 5000
+        w = sp.diags([np.ones(n - 1), np.full(n, 2.0), np.ones(n - 1)], [-1, 0, 1], format="csr")
+        tracemalloc.start()
+        try:
+            d = validate_weights(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6  # a dense copy alone takes 200 MB
+        assert d.symmetric and d.balanceable and d.n_edges == 3 * n - 2
+        assert (d.min_positive, d.max_weight) == (1.0, 2.0)
 
 
 class TestVertexGeometry:
