@@ -131,6 +131,8 @@ def birkhoff_decompose(S, zero_tol: float = 1e-12) -> BirkhoffDecomposition:
             f"{len(coefficients)} terms; input is not doubly stochastic "
             "to working tolerance"
         )
+    if not coefficients:
+        raise DecompositionError(f"no perfect matching on entries above zero_tol={zero_tol:g}")
 
     coeffs = np.asarray(coefficients, dtype=float)
     coeffs /= coeffs.sum()

@@ -1,16 +1,19 @@
 """File formats: Matrix Market coordinate matrices, edge-list CSV,
 single-column signal CSV, geometry CSV, and JSON reports.
 
-All writers render floats at 17 significant digits, so save/load round
-trips reproduce values bit for bit.  All parsers raise FileFormatError
-with the offending line number, also for NaN and infinite values.
+Matrix Market values are written in their shortest round-trip form and
+CSV values at 17 significant digits, so every save/load round-trips bit
+for bit.  All parsers raise FileFormatError with the offending line
+number, also for NaN and infinite values.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
-from array import array
+import warnings
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,10 +40,6 @@ class FileFormatError(ValueError):
     """Malformed input file; the message carries the file and line number."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _fail(path, lineno: int, message: str):
     raise FileFormatError(f"{path}:{lineno}: {message}")
 
@@ -63,109 +62,137 @@ def _parse_int(token: str, path, lineno: int, what: str) -> int:
 
 
 def save_matrix_market(path, matrix) -> None:
-    """Write a matrix in Matrix Market coordinate (real, general) format."""
+    """Write a matrix in Matrix Market coordinate (real, general) format: two
+    header lines, then one ``row col value`` line per entry in row-major order."""
+    # Imported here: scipy.io is not needed by ``import dsshift``.
+    from scipy.io import mmwrite
+
     a = as_matrix(matrix)
-    rows, cols = a.shape
-    if sp.issparse(a):
-        coo = a.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        entries = zip(coo.row[order], coo.col[order], coo.data[order])
-        nnz = coo.nnz
-    else:
-        r, c = np.nonzero(a)
-        entries = zip(r, c, a[r, c])
-        nnz = r.size
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{rows} {cols} {nnz}\n")
-        for i, j, v in entries:
-            fh.write(f"{i + 1} {j + 1} {_fmt(v)}\n")
+    coo = a.sorted_indices().tocoo() if sp.issparse(a) else sp.coo_matrix(a)
+    buf = io.BytesIO()
+    mmwrite(buf, coo, field="real", symmetry="general")
+    banner, _comment, body = buf.getvalue().split(b"\n", 2)  # drop mmwrite's '%' line
+    with open(path, "wb") as fh:
+        fh.writelines((banner, b"\n", body))
+
+
+def _entry_lines(path, after: int):
+    """``(line number, text)`` of each entry line below line ``after``."""
+    with open(path, encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if lineno > after and line and not line.startswith("%"):
+                yield lineno, line
+
+
+def _entry_error(path, after: int, size, symmetric: bool, reason: str):
+    """Raise the error of the first bad entry below line ``after``, with its line
+    number; Python per line, so called only once numpy's parse found a fault."""
+    rows, cols, nnz = size
+    for count, (lineno, line) in enumerate(_entry_lines(path, after), start=1):
+        tokens = line.split()
+        if len(tokens) != 3:
+            _fail(path, lineno, f"entry must be 'row col value', got {line!r}")
+        i = _parse_int(tokens[0], path, lineno, "row index")
+        j = _parse_int(tokens[1], path, lineno, "column index")
+        _parse_float(tokens[2], path, lineno, "value")
+        if not (1 <= i <= rows and 1 <= j <= cols):
+            _fail(path, lineno, f"index ({i}, {j}) outside {rows} x {cols}")
+        if symmetric and i < j:
+            _fail(path, lineno, "symmetric entries must lie on or below the diagonal")
+        if count > nnz:
+            _fail(path, lineno, f"more than the declared {nnz} entries")
+    raise FileFormatError(f"{path}: {reason}")
 
 
 def load_matrix_market(path):
     """Read a Matrix Market coordinate (real) matrix.
 
     Supports the ``general`` and ``symmetric`` storage qualifiers;
-    symmetric files are expanded to full storage.  Entries are gathered in
-    coordinate form, never in a dense N x N, and returned dense when N <= 512
+    symmetric files are expanded to full storage.  numpy parses the entries
+    into coordinate arrays (never a dense N x N), returned dense when N <= 512
     or at least a quarter are nonzero, CSR otherwise.  Duplicates are rejected.
     """
-    header = None
-    size = None
-    entries = array("d")  # row, col, value, line per entry (ints are exact in float64)
-    count = 0
     with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if header is None:
-                if not line.startswith("%%MatrixMarket"):
-                    _fail(path, lineno, "missing %%MatrixMarket header")
-                fields = line.split()
-                if len(fields) != 5:
-                    _fail(path, lineno, f"malformed header {line!r}")
-                _, obj, fmt, field, symmetry = (f.lower() for f in fields)
-                if (obj, fmt, field) != ("matrix", "coordinate", "real"):
-                    _fail(path, lineno, f"unsupported type {obj}/{fmt}/{field}")
-                if symmetry not in ("general", "symmetric"):
-                    _fail(path, lineno, f"unsupported symmetry {symmetry!r}")
-                header = symmetry
-                continue
-            if not line or line.startswith("%"):
-                continue
-            tokens = line.split()
-            if size is None:
-                if len(tokens) != 3:
-                    _fail(path, lineno, "size line must be 'rows cols nnz'")
-                rows = _parse_int(tokens[0], path, lineno, "row count")
-                cols = _parse_int(tokens[1], path, lineno, "column count")
-                nnz = _parse_int(tokens[2], path, lineno, "entry count")
-                if rows < 1 or cols < 1 or nnz < 0:
-                    _fail(path, lineno, f"invalid dimensions {rows} x {cols}, nnz {nnz}")
-                size = (rows, cols, nnz)
-                continue
-            if len(tokens) != 3:
-                _fail(path, lineno, f"entry must be 'row col value', got {line!r}")
-            i = _parse_int(tokens[0], path, lineno, "row index")
-            j = _parse_int(tokens[1], path, lineno, "column index")
-            v = _parse_float(tokens[2], path, lineno, "value")
-            rows, cols, nnz = size
-            if not (1 <= i <= rows and 1 <= j <= cols):
-                _fail(path, lineno, f"index ({i}, {j}) outside {rows} x {cols}")
-            if header == "symmetric" and i < j:
-                _fail(path, lineno, "symmetric entries must lie on or below the diagonal")
-            count += 1
-            if count > nnz:
-                _fail(path, lineno, f"more than the declared {nnz} entries")
-            entries.extend((i - 1, j - 1, v, lineno))
-    if header is None:
+        banner = fh.readline()
+    if not banner:
         raise FileFormatError(f"{path}:1: empty file")
-    if size is None:
-        raise FileFormatError(f"{path}:1: missing size line")
-    rows, cols, nnz = size
-    if count < nnz:
-        raise FileFormatError(f"{path}: expected {nnz} entries, found {count}")
+    fields = banner.split()
+    if not banner.lstrip().startswith("%%MatrixMarket"):
+        _fail(path, 1, "missing %%MatrixMarket header")
+    if len(fields) != 5:
+        _fail(path, 1, f"malformed header {banner.strip()!r}")
+    _, obj, fmt, field, symmetry = (f.lower() for f in fields)
+    if (obj, fmt, field) != ("matrix", "coordinate", "real"):
+        _fail(path, 1, f"unsupported type {obj}/{fmt}/{field}")
+    if symmetry not in ("general", "symmetric"):
+        _fail(path, 1, f"unsupported symmetry {symmetry!r}")
+    symmetric = symmetry == "symmetric"
 
-    e = np.frombuffer(entries).reshape(-1, 4)
-    i, j, v = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2]
+    lineno, line = next(_entry_lines(path, 1), (1, ""))  # the size line
+    if not line:
+        raise FileFormatError(f"{path}:1: missing size line")
+    tokens = line.split()
+    if len(tokens) != 3:
+        _fail(path, lineno, "size line must be 'rows cols nnz'")
+    rows = _parse_int(tokens[0], path, lineno, "row count")
+    cols = _parse_int(tokens[1], path, lineno, "column count")
+    nnz = _parse_int(tokens[2], path, lineno, "entry count")
+    if rows < 1 or cols < 1 or nnz < 0:
+        _fail(path, lineno, f"invalid dimensions {rows} x {cols}, nnz {nnz}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body
+            # Integer columns reject "1.5" and "1e0" as indices, as int() does.
+            body = np.loadtxt(path, dtype="i8,i8,f8", comments="%", skiprows=lineno,
+                              ndmin=1, encoding="ascii")
+    except ValueError as exc:  # a token or a line numpy cannot parse
+        _entry_error(path, lineno, (rows, cols, nnz), symmetric, str(exc))
+
+    i, j, v = body["f0"], body["f1"], body["f2"]
+    bad = (i < 1) | (i > rows) | (j < 1) | (j > cols) | ~np.isfinite(v)
+    if symmetric:
+        bad |= i < j
+    bad[nnz:] = True  # more entries than declared
+    if bad.any():
+        _entry_error(path, lineno, (rows, cols, nnz), symmetric, "malformed entry")
+    if i.size < nnz:
+        raise FileFormatError(f"{path}: expected {nnz} entries, found {i.size}")
+
     # A coordinate build would sum duplicates; report the first repeat instead.
     key = i * cols + j
     first = np.unique(key, return_index=True)[1]
     if first.size < key.size:
         k = np.setdiff1d(np.arange(key.size), first)[0]
-        _fail(path, int(e[k, 3]), f"duplicate entry ({i[k] + 1}, {j[k] + 1})")
-    if header == "symmetric":
+        repeat = next(islice(_entry_lines(path, lineno), k, None))[0]
+        _fail(path, repeat, f"duplicate entry ({i[k]}, {j[k]})")
+    if symmetric:
         off = i != j
         i, j, v = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[v, v[off]]
-    return _stored(sp.coo_matrix((v, (i, j)), shape=(rows, cols)))
+    return _stored(sp.coo_matrix((v, (i - 1, j - 1)), shape=(rows, cols)))
+
+
+def _csv_rows(path, header: list):
+    """``(line number, fields)`` of each nonblank row below the ``header`` row."""
+    with open(path, encoding="ascii") as fh:
+        first = fh.readline()
+        if not first:
+            raise FileFormatError(f"{path}:1: empty file")
+        if [t.strip() for t in first.strip().split(",")] != header:
+            _fail(path, 1, f"header must be {','.join(header)!r}")
+        for lineno, raw in enumerate(fh, start=2):
+            if line := raw.strip():
+                tokens = [t.strip() for t in line.split(",")]
+                if len(tokens) != len(header):
+                    _fail(path, lineno, f"expected {len(header)} fields, got {len(tokens)}")
+                yield lineno, tokens
 
 
 def save_edge_csv(path, graph: Graph) -> None:
     """Write a graph as ``src,dst,weight`` rows with 0-based vertex ids."""
     src, dst, w = graph.edge_list()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("src,dst,weight\n")
-        for s, d, v in zip(src, dst, w):
-            fh.write(f"{int(s)},{int(d)},{_fmt(v)}\n")
+    np.savetxt(path, np.column_stack((src, dst, w)), fmt=("%d", "%d", "%.17g"),
+               delimiter=",", header="src,dst,weight", comments="")
 
 
 def load_edge_csv(path, n_vertices: int | None = None) -> Graph:
@@ -178,32 +205,18 @@ def load_edge_csv(path, n_vertices: int | None = None) -> Graph:
     """
     edges = {}
     max_id = -1
-    with open(path, encoding="ascii") as fh:
-        lines = iter(enumerate(fh, start=1))
-        try:
-            lineno, raw = next(lines)
-        except StopIteration:
-            raise FileFormatError(f"{path}:1: empty file") from None
-        if [t.strip() for t in raw.strip().split(",")] != ["src", "dst", "weight"]:
-            _fail(path, lineno, "header must be 'src,dst,weight'")
-        for lineno, raw in lines:
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = [t.strip() for t in line.split(",")]
-            if len(tokens) != 3:
-                _fail(path, lineno, f"expected 3 fields, got {len(tokens)}")
-            s = _parse_int(tokens[0], path, lineno, "src id")
-            d = _parse_int(tokens[1], path, lineno, "dst id")
-            v = _parse_float(tokens[2], path, lineno, "weight")
-            if s < 0 or d < 0:
-                _fail(path, lineno, f"vertex ids must be nonnegative, got ({s}, {d})")
-            if v <= 0:
-                _fail(path, lineno, f"weight must be positive, got {v}")
-            if (s, d) in edges:
-                _fail(path, lineno, f"duplicate edge ({s}, {d})")
-            edges[(s, d)] = v
-            max_id = max(max_id, s, d)
+    for lineno, tokens in _csv_rows(path, ["src", "dst", "weight"]):
+        s = _parse_int(tokens[0], path, lineno, "src id")
+        d = _parse_int(tokens[1], path, lineno, "dst id")
+        v = _parse_float(tokens[2], path, lineno, "weight")
+        if s < 0 or d < 0:
+            _fail(path, lineno, f"vertex ids must be nonnegative, got ({s}, {d})")
+        if v <= 0:
+            _fail(path, lineno, f"weight must be positive, got {v}")
+        if (s, d) in edges:
+            _fail(path, lineno, f"duplicate edge ({s}, {d})")
+        edges[(s, d)] = v
+        max_id = max(max_id, s, d)
     n = (max_id + 1) if n_vertices is None else n_vertices
     if max_id >= n:
         raise FileFormatError(f"{path}: vertex id {max_id} exceeds n_vertices={n}")
@@ -214,10 +227,7 @@ def load_edge_csv(path, n_vertices: int | None = None) -> Graph:
 
 def save_signal_csv(path, values) -> None:
     """Write a signal as one value per line."""
-    v = np.asarray(values, dtype=float).ravel()
-    with open(path, "w", encoding="ascii") as fh:
-        for x in v:
-            fh.write(_fmt(x) + "\n")
+    np.savetxt(path, np.asarray(values, dtype=float).ravel(), fmt="%.17g")
 
 
 def load_signal_csv(path) -> np.ndarray:
@@ -240,29 +250,15 @@ def load_geometry_csv(path) -> VertexGeometry:
     Ids must form the complete range 0..N-1 in any order.
     """
     seen = {}
-    with open(path, encoding="ascii") as fh:
-        lines = iter(enumerate(fh, start=1))
-        try:
-            lineno, raw = next(lines)
-        except StopIteration:
-            raise FileFormatError(f"{path}:1: empty file") from None
-        if [t.strip() for t in raw.strip().split(",")] != ["id", "lat", "lon", "alt"]:
-            _fail(path, lineno, "header must be 'id,lat,lon,alt'")
-        for lineno, raw in lines:
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = [t.strip() for t in line.split(",")]
-            if len(tokens) != 4:
-                _fail(path, lineno, f"expected 4 fields, got {len(tokens)}")
-            vid = _parse_int(tokens[0], path, lineno, "vertex id")
-            if vid in seen:
-                _fail(path, lineno, f"duplicate vertex id {vid}")
-            seen[vid] = (
-                _parse_float(tokens[1], path, lineno, "latitude"),
-                _parse_float(tokens[2], path, lineno, "longitude"),
-                _parse_float(tokens[3], path, lineno, "altitude"),
-            )
+    for lineno, tokens in _csv_rows(path, ["id", "lat", "lon", "alt"]):
+        vid = _parse_int(tokens[0], path, lineno, "vertex id")
+        if vid in seen:
+            _fail(path, lineno, f"duplicate vertex id {vid}")
+        seen[vid] = (
+            _parse_float(tokens[1], path, lineno, "latitude"),
+            _parse_float(tokens[2], path, lineno, "longitude"),
+            _parse_float(tokens[3], path, lineno, "altitude"),
+        )
     n = len(seen)
     if sorted(seen) != list(range(n)):
         raise FileFormatError(f"{path}: vertex ids must cover 0..{n - 1} exactly")

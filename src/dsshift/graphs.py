@@ -96,7 +96,8 @@ class Graph:
     """Directed weighted graph stored as its incoming-edge weight matrix.
 
     Entry ``weights[m, n]`` is the strength of edge ``n -> m``; zero means
-    no edge.  Immutable after construction.
+    no edge.  Immutable: the input is copied, unless it is a read-only
+    float64 array that owns its data (as ``build_weight_matrix`` passes).
     """
 
     def __init__(self, weights):
@@ -105,7 +106,7 @@ class Graph:
         if sp.issparse(w):
             w = w.copy()
             w.eliminate_zeros()
-        else:
+        elif w.flags.writeable or not w.flags.owndata:
             w = np.array(w, dtype=float)
             w.setflags(write=False)
         _require_finite_nonnegative(w, "weights")
@@ -286,6 +287,7 @@ def build_weight_matrix(
     np.exp(np.negative(np.square(w, out=w), out=w), out=w)
     w[w < threshold] = 0.0
     np.fill_diagonal(w, 1.0 if self_loops else 0.0)
+    w.setflags(write=False)  # Graph keeps this buffer instead of copying it
     return Graph(_stored(w))
 
 

@@ -140,6 +140,10 @@ class TestBirkhoffDecompose:
         with pytest.raises(ValueError, match="zero_tol"):
             birkhoff_decompose(np.eye(2), zero_tol=0.0)
 
+    def test_zero_tol_above_every_entry_fails(self):
+        with pytest.raises(DecompositionError, match="zero_tol=0.6"):
+            birkhoff_decompose(np.full((2, 2), 0.5), zero_tol=0.6)
+
 
 class TestReconstruct:
     def test_identity_single_term(self):

@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dsshift import Graph, VertexGeometry, birkhoff_decompose
 from dsshift.fileio import (
@@ -116,6 +118,35 @@ class TestMatrixMarket:
         with pytest.raises(FileFormatError, match=r"bad\.mtx:5: duplicate entry \(2, 1\)"):
             load_matrix_market(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1 1 0.5\n1.5 2 1.0\n", "non-integer row index '1.5'"),
+            ("1 1 0.5\n2 1 1.0 7\n", "entry must be 'row col value', got '2 1 1.0 7'"),
+            ("% note\n1 1 0.5\n2 2 1.0\n2 1 0.5\n", "more than the declared 2 entries"),
+        ],
+        ids=["non-integer-index", "four-tokens", "extra-entry"],
+    )
+    def test_malformed_entry_names_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n" + body)
+        lineno = body.count("\n") + 2
+        with pytest.raises(FileFormatError, match=rf"bad\.mtx:{lineno}: {re.escape(message)}$"):
+            load_matrix_market(path)
+
+    def test_written_file_has_two_header_lines_and_row_major_entries(self, tmp_path):
+        # Row 0 stores column 1 before column 0.
+        a = sp.csr_matrix(([1.0, 3.0, 2.0], [1, 0, 0], [0, 2, 3]), shape=(2, 3))
+        path = tmp_path / "a.mtx"
+        save_matrix_market(path, a)
+        assert path.read_text().splitlines() == [
+            "%%MatrixMarket matrix coordinate real general",
+            "2 3 3",
+            "1 1 3",
+            "1 2 1",
+            "2 1 2",
+        ]
+
     def test_symmetric_mirror_rejected(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_text(
@@ -152,6 +183,25 @@ class TestMatrixMarket:
         for w in (loaded[0], loaded[1].weights):
             assert sp.issparse(w) != dense
             assert np.array_equal(w if dense else w.toarray(), g.dense())
+
+
+# Extremes of float64 and values whose shortest round-trip form has 17 digits.
+_awkward = st.sampled_from(
+    [5e-324, 1.7976931348623157e308, -2.2250738585072014e-308, 0.1, 0.1 + 0.2, 1 / 3, 0.0]
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False) | _awkward
+
+
+@given(
+    a=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9), elements=_finite),
+    sparse=st.booleans(),
+)
+@settings(max_examples=60)
+def test_matrix_market_round_trip_is_bit_exact(tmp_path_factory, a, sparse):
+    path = tmp_path_factory.mktemp("mtx") / "a.mtx"
+    save_matrix_market(path, sp.csr_matrix(a) if sparse else a)
+    b = load_matrix_market(path)
+    assert np.array_equal(b.toarray() if sp.issparse(b) else b, a)
 
 
 class TestEdgeCSV:
@@ -242,7 +292,7 @@ class TestGeometryCSV:
             load_geometry_csv(path)
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "Infinity"])
 @pytest.mark.parametrize(
     "name, text, lineno, load",
     [

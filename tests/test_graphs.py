@@ -50,6 +50,16 @@ class TestGraph:
         with pytest.raises(ValueError):
             g.weights[0, 0] = 2.0
 
+    def test_callers_array_is_copied(self):
+        w = np.ones((2, 2))
+        frozen_view = w[:]
+        frozen_view.setflags(write=False)
+        for weights in (w, frozen_view):
+            g = Graph(weights)
+            assert not np.shares_memory(g.weights, w)
+        w[0, 0] = 5.0
+        assert g.weight(0, 0) == 1.0
+
     def test_sparse_storage_round_trip(self):
         w = sp.csr_matrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
         g = Graph(w)
@@ -87,6 +97,18 @@ class TestBuildWeightMatrix:
         w = build_weight_matrix(geo, scale=500.0).dense()
         assert np.array_equal(w, w.T)
         assert w.min() >= 0.0 and w.max() <= 1.0
+
+    def test_dense_kernel_keeps_its_buffer(self):
+        n = 1500
+        geo = random_geometry(n, 0)
+        tracemalloc.start()
+        try:
+            g = build_weight_matrix(geo, scale=1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not sp.issparse(g.weights)
+        assert peak < 1.6 * 8 * n * n  # a copy of the N x N buffer would make it 2x
 
     def test_self_loop_flag(self):
         geo = geometry_at_altitudes([0.0, 1.0])
