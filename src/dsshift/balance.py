@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import _require_finite_nonnegative, _require_square, _row, as_matrix
+from .graphs import _dense, _require_finite_nonnegative, _require_square, _row
 
 __all__ = [
     "BalanceResult",
@@ -45,7 +45,7 @@ class NotConvergedError(RuntimeError):
 class DSOperator:
     """A (near) doubly stochastic operator with balancing provenance.
 
-    ``matrix`` is dense or CSR; ``tolerance_achieved`` is the worst
+    ``matrix`` is dense or ``csr_array``; ``tolerance_achieved`` is the worst
     row/column-sum residual at construction and ``iterations_used`` the
     number of balancing sweeps (both zero for hand-built operators).
     """
@@ -55,8 +55,7 @@ class DSOperator:
     iterations_used: int = 0
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        _require_square(m, "operator")
+        m, _ = _require_square(self.matrix, "operator")
         _require_finite_nonnegative(m, "operator entries")
         object.__setattr__(self, "matrix", m)
 
@@ -68,9 +67,7 @@ class DSOperator:
         return _row(self.matrix, m)
 
     def dense(self) -> np.ndarray:
-        if sp.issparse(self.matrix):
-            return self.matrix.toarray()
-        return np.array(self.matrix)
+        return _dense(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +97,10 @@ class DSDiagnostics:
 
 def verify_doubly_stochastic(S, tol: float = 1e-8) -> DSDiagnostics:
     """Check row sums, column sums, and nonnegativity of ``S`` against ``tol``."""
-    m = as_matrix(S)
-    _require_square(m)
-    row_res = float(np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0).max())
-    col_res = float(np.abs(np.asarray(m.sum(axis=0)).ravel() - 1.0).max())
-    min_entry = float(m.data.min()) if sp.issparse(m) and m.nnz else float(m.min())
+    m, _ = _require_square(S)
+    row_res = float(np.abs(m.sum(axis=1) - 1.0).max())
+    col_res = float(np.abs(m.sum(axis=0) - 1.0).max())
+    min_entry = float(m.min())  # implicit zeros of CSR count, as dense zeros do
     passed = row_res <= tol and col_res <= tol and min_entry >= -tol
     return DSDiagnostics(
         max_row_residual=row_res,
@@ -137,15 +133,12 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
     if max_iter < 1:
         raise ValueError(f"max_iter must be positive, got {max_iter}")
 
-    w = as_matrix(weights)
-    n = _require_square(w)
+    w, n = _require_square(weights)
     _require_finite_nonnegative(w, "weights")
     sparse = sp.issparse(w)
 
-    row_sums = np.asarray(w.sum(axis=1)).ravel()
-    col_sums = np.asarray(w.sum(axis=0)).ravel()
-    empty_rows = np.flatnonzero(row_sums == 0)
-    empty_cols = np.flatnonzero(col_sums == 0)
+    empty_rows = np.flatnonzero(w.sum(axis=1) == 0)
+    empty_cols = np.flatnonzero(w.sum(axis=0) == 0)
     if empty_rows.size or empty_cols.size:
         parts = []
         if empty_rows.size:
@@ -156,11 +149,11 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
 
     wt = w.T.tocsr() if sparse else w.T
     r = np.ones(n)
-    wtr = np.asarray(wt @ r).ravel()
+    wtr = wt @ r
     residual = np.inf
     for iteration in range(1, max_iter + 1):
         c = 1.0 / wtr
-        wc = np.asarray(w @ c).ravel()
+        wc = w @ c
         r = 1.0 / wc
         if min(r.min(), c.min()) < _UNDERFLOW_FLOOR:
             raise NotConvergedError(
@@ -169,7 +162,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
                 iterations=iteration,
             )
         # Reused by the next sweep's column update: two matvecs per sweep.
-        wtr = np.asarray(wt @ r).ravel()
+        wtr = wt @ r
         # Residuals of S = diag(r) W diag(c): rows are exact by construction
         # of r; columns carry the remaining error.
         row_res = float(np.abs(r * wc - 1.0).max())
@@ -187,8 +180,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
         )
 
     if sparse:
-        s = sp.diags(r) @ w @ sp.diags(c)
-        s = s.tocsr()
+        s = sp.diags_array(r) @ w @ sp.diags_array(c)
     else:
         s = r[:, None] * w
         s *= c

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .balance import verify_doubly_stochastic
-from .graphs import _require_square, as_matrix
+from .graphs import _dense, _require_square
 
 __all__ = [
     "BirkhoffDecomposition",
@@ -77,7 +77,7 @@ def perfect_matching(support) -> np.ndarray | None:
 
     mask = np.asarray(support, dtype=bool)
     _require_square(mask, "support")
-    image = maximum_bipartite_matching(sp.csr_matrix(mask), perm_type="column")
+    image = maximum_bipartite_matching(sp.csr_array(mask), perm_type="column")
     return None if (image < 0).any() else image.astype(np.int64)
 
 
@@ -99,9 +99,7 @@ def birkhoff_decompose(S, zero_tol: float = 1e-12) -> BirkhoffDecomposition:
     """
     if zero_tol <= 0:
         raise ValueError(f"zero_tol must be positive, got {zero_tol}")
-    a = as_matrix(S)
-    if sp.issparse(a):
-        a = a.toarray()
+    a, n = _require_square(S)
     check = verify_doubly_stochastic(a, tol=1e-8)
     if not check.passed:
         raise ValueError(
@@ -111,8 +109,8 @@ def birkhoff_decompose(S, zero_tol: float = 1e-12) -> BirkhoffDecomposition:
             f"min entry {check.min_entry:.3e})"
         )
 
-    residual = a.copy()
-    rows = np.arange(a.shape[0])
+    residual = _dense(a)
+    rows = np.arange(n)
     coefficients = []
     permutations = []
     # Each extraction takes the smallest matched entry to exactly 0, so the

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Neighborhood, _row, as_matrix
+from .graphs import Neighborhood, _require_square, _row
 
 __all__ = [
     "LocalBounds",
@@ -58,10 +58,7 @@ class RandomSignalModel:
     rho: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
+        _check_moments(self.sigma, self.rho)
 
 
 @dataclass(frozen=True)
@@ -93,17 +90,20 @@ class ShiftStats:
     stderr_power: float
 
 
-def _positive_row(S, m: int) -> np.ndarray:
-    row = _row(as_matrix(S), m)
-    positive = row[row > 0]
-    if positive.size == 0:
+def _positive_row(S, m: int):
+    """Columns and values of the positive entries in row ``m`` of a square
+    operator."""
+    a, _ = _require_square(S, "operator")
+    row = _row(a, m)
+    members = np.flatnonzero(row > 0)
+    if members.size == 0:
         raise ValueError(f"row {m} has no positive entries")
-    return positive
+    return members, row[members]
 
 
 def local_bounds(S, m: int) -> LocalBounds:
     """Entry bounds L, U over the positive entries of row ``m``."""
-    positive = _positive_row(S, m)
+    _, positive = _positive_row(S, m)
     return LocalBounds(
         lower=float(positive.min()),
         upper=float(positive.max()),
@@ -119,7 +119,7 @@ def kantorovich_bound(S, m: int) -> float:
     1 once the neighbourhood is large enough relative to the entry spread
     (``4 L U N_m > (L + U)**2``); for a single-entry row it equals 1.
     """
-    positive = _positive_row(S, m)
+    _, positive = _positive_row(S, m)
     lower = float(positive.min())
     upper = float(positive.max())
     bound = amgm_bias_term(lower, upper) / positive.size
@@ -133,7 +133,7 @@ def kantorovich_bound(S, m: int) -> float:
 def variance_upper_bound(S, m: int, sigma: float, rho: float) -> float:
     """Pre-Kantorovich variance bound ``sigma**2 (1 + N_m rho) sum S**2``."""
     _check_moments(sigma, rho)
-    positive = _positive_row(S, m)
+    _, positive = _positive_row(S, m)
     sum_sq = float((positive**2).sum())
     return sigma**2 * (1.0 + positive.size * rho) * sum_sq
 
@@ -142,7 +142,7 @@ def exact_shift_variance(S, m: int, sigma: float, rho: float) -> float:
     """Exact variance of the shifted vertex signal under equicorrelation:
     ``sigma**2 * (sum S**2 + rho * (cross terms))``."""
     _check_moments(sigma, rho)
-    positive = _positive_row(S, m)
+    _, positive = _positive_row(S, m)
     sum_sq = float((positive**2).sum())
     cross = float(positive.sum()) ** 2 - sum_sq
     return sigma**2 * (sum_sq + rho * cross)
@@ -235,12 +235,7 @@ def monte_carlo_shift_stats(
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
-    a = as_matrix(S)
-    row = _row(a, m)
-    members = np.flatnonzero(row > 0)
-    if members.size == 0:
-        raise ValueError(f"row {m} has no positive entries")
-    weights = row[members]
+    members, weights = _positive_row(S, m)
     neighborhood = Neighborhood(center=m, members=members, size=int(members.size))
 
     gen = np.random.default_rng(seed)

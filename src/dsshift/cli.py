@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: balance, shift, filter, birkhoff, bounds, demo-sensors.
-Exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 I/O error.
+Exit codes: 0 success, 2 invalid input, 3 numerical failure (including a
+floating-point overflow, division by zero or invalid operation), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -258,11 +259,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Underflow stays silent: the Gaussian kernel underflows to 0 by design.
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            return args.func(args)
     except (FileFormatError, UnbalanceableError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (NotConvergedError, DecompositionError) as exc:
+    except (NotConvergedError, DecompositionError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

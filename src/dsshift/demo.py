@@ -12,7 +12,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -144,15 +144,7 @@ class SensorFieldConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "n_sensors": self.n_sensors,
-            "noise_sigma": self.noise_sigma,
-            "kernel_scale": self.kernel_scale,
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "shifts": self.shifts,
-            "field_generator": self.field_generator,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

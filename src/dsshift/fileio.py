@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .birkhoff import BirkhoffDecomposition
-from .graphs import Graph, VertexGeometry, _stored, as_matrix
+from .graphs import DENSE_LIMIT, Graph, VertexGeometry, _stored, as_matrix
 
 __all__ = [
     "FileFormatError",
@@ -68,7 +68,7 @@ def save_matrix_market(path, matrix) -> None:
     from scipy.io import mmwrite
 
     a = as_matrix(matrix)
-    coo = a.sorted_indices().tocoo() if sp.issparse(a) else sp.coo_matrix(a)
+    coo = a.sorted_indices().tocoo() if sp.issparse(a) else sp.coo_array(a)
     buf = io.BytesIO()
     mmwrite(buf, coo, field="real", symmetry="general")
     banner, _comment, body = buf.getvalue().split(b"\n", 2)  # drop mmwrite's '%' line
@@ -111,7 +111,9 @@ def load_matrix_market(path):
     Supports the ``general`` and ``symmetric`` storage qualifiers;
     symmetric files are expanded to full storage.  numpy parses the entries
     into coordinate arrays (never a dense N x N), returned dense when N <= 512
-    or at least a quarter are nonzero, CSR otherwise.  Duplicates are rejected.
+    or at least a quarter are nonzero, ``csr_array`` otherwise.  Duplicates
+    are rejected, and so is a size line with a dimension above
+    ``max(DENSE_LIMIT, 2 * nnz)``, which the entries could not fill.
     """
     with open(path, encoding="ascii") as fh:
         banner = fh.readline()
@@ -140,6 +142,8 @@ def load_matrix_market(path):
     nnz = _parse_int(tokens[2], path, lineno, "entry count")
     if rows < 1 or cols < 1 or nnz < 0:
         _fail(path, lineno, f"invalid dimensions {rows} x {cols}, nnz {nnz}")
+    if max(rows, cols) > max(DENSE_LIMIT, 2 * nnz):  # before any allocation of that size
+        _fail(path, lineno, f"dimensions {rows} x {cols} too large for {nnz} entries")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty body
@@ -169,7 +173,7 @@ def load_matrix_market(path):
     if symmetric:
         off = i != j
         i, j, v = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[v, v[off]]
-    return _stored(sp.coo_matrix((v, (i - 1, j - 1)), shape=(rows, cols)))
+    return _stored(sp.coo_array((v, (i - 1, j - 1)), shape=(rows, cols)))
 
 
 def _csv_rows(path, header: list):
@@ -222,7 +226,7 @@ def load_edge_csv(path, n_vertices: int | None = None) -> Graph:
         raise FileFormatError(f"{path}: vertex id {max_id} exceeds n_vertices={n}")
     src, dst = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
     w = np.fromiter(edges.values(), dtype=float, count=len(edges))
-    return Graph(_stored(sp.coo_matrix((w, (dst, src)), shape=(n, n))))
+    return Graph(_stored(sp.coo_array((w, (dst, src)), shape=(n, n))))
 
 
 def save_signal_csv(path, values) -> None:

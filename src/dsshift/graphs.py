@@ -34,31 +34,46 @@ DENSE_LIMIT = 512
 
 def as_matrix(obj):
     """Coerce a Graph, balanced operator, ndarray, or scipy sparse matrix to
-    its underlying matrix (dense float64 ndarray or CSR).
+    its underlying float64 matrix: a dense ndarray or a ``csr_array``.
 
     Accepts anything exposing a ``weights`` attribute (graphs) or a
-    ``matrix`` attribute (operators), plus raw array-likes.
+    ``matrix`` attribute (operators), plus raw array-likes.  Sparse input
+    of any format, a legacy ``csr_matrix`` included, becomes a ``csr_array``
+    that shares its storage when it can, so ``@`` and ``sum(axis=...)``
+    return 1-D ndarrays for either storage.
     """
     if hasattr(obj, "weights"):
         obj = obj.weights
     elif hasattr(obj, "matrix"):
         obj = obj.matrix
     if sp.issparse(obj):
-        return obj.tocsr()
+        return sp.csr_array(obj, dtype=float)
     a = np.asarray(obj, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     return a
 
 
-def _require_square(a, what: str = "matrix"):
+def _require_square(obj, what: str = "matrix"):
+    """``(as_matrix(obj), n)`` for an ``n x n`` input; ValueError otherwise."""
+    a = as_matrix(obj)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be square, got shape {a.shape}")
-    return a.shape[0]
+    return a, a.shape[0]
+
+
+def _values(a) -> np.ndarray:
+    """The stored entries: all of a dense matrix, the explicit ones of CSR."""
+    return a.data if sp.issparse(a) else a
+
+
+def _dense(a) -> np.ndarray:
+    """A dense copy of a dense or sparse matrix."""
+    return a.toarray() if sp.issparse(a) else np.array(a)
 
 
 def _require_finite_nonnegative(a, what: str) -> None:
-    data = a.data if sp.issparse(a) else a
+    data = _values(a)
     if data.size and not np.isfinite(data).all():
         raise ValueError(f"{what} must be finite")
     if data.size and data.min() < 0:
@@ -68,10 +83,11 @@ def _require_finite_nonnegative(a, what: str) -> None:
 def _stored(w):
     """The one storage rule for matrices the package builds or loads: dense
     when at most ``DENSE_LIMIT`` on a side or at least a quarter full (where
-    a CSR matvec costs as much as a dense one), CSR otherwise.  Explicit
-    zeros of a sparse input are dropped; the input's storage may be reused."""
+    a CSR matvec costs as much as a dense one), ``csr_array`` otherwise.
+    Explicit zeros of a sparse input are dropped; the input's storage may be
+    reused."""
     if sp.issparse(w):
-        w = w.tocsr()
+        w = sp.csr_array(w)
         w.eliminate_zeros()
         nnz = w.nnz
     else:
@@ -79,7 +95,7 @@ def _stored(w):
     rows, cols = w.shape
     if max(rows, cols) <= DENSE_LIMIT or 4 * nnz >= rows * cols:
         return w.toarray() if sp.issparse(w) else w
-    return w if sp.issparse(w) else sp.csr_matrix(w)
+    return w if sp.issparse(w) else sp.csr_array(w)
 
 
 def _row(a, m: int) -> np.ndarray:
@@ -101,8 +117,7 @@ class Graph:
     """
 
     def __init__(self, weights):
-        w = as_matrix(weights)
-        n = _require_square(w)
+        w, n = _require_square(weights)
         if sp.issparse(w):
             w = w.copy()
             w.eliminate_zeros()
@@ -115,7 +130,7 @@ class Graph:
 
     @property
     def weights(self):
-        """Weight matrix (dense ndarray or CSR, never modified)."""
+        """Weight matrix (dense ndarray or ``csr_array``, never modified)."""
         return self._weights
 
     @property
@@ -124,9 +139,7 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        if sp.issparse(self._weights):
-            return int(self._weights.nnz)
-        return int(np.count_nonzero(self._weights))
+        return int(np.count_nonzero(_values(self._weights)))
 
     def weight(self, m: int, n: int) -> float:
         """Weight of edge ``n -> m`` (0.0 when absent)."""
@@ -135,16 +148,11 @@ class Graph:
         return float(self._weights[m, n])
 
     def dense(self) -> np.ndarray:
-        if sp.issparse(self._weights):
-            return self._weights.toarray()
-        return np.array(self._weights)
+        return _dense(self._weights)
 
     def is_symmetric(self, tol: float = 0.0) -> bool:
-        if sp.issparse(self._weights):
-            d = (self._weights - self._weights.T).tocoo()
-            return bool(np.abs(d.data).max() <= tol) if d.nnz else True
         w = self._weights
-        return bool(np.abs(w - w.T).max() <= tol)
+        return bool(abs(w - w.T).max() <= tol)
 
     def edge_list(self):
         """Edges as parallel arrays ``(src, dst, weight)`` with ``src -> dst``.
@@ -296,8 +304,7 @@ def incoming_neighborhood(graph, m: int) -> Neighborhood:
 
     Accepts a Graph, an operator, or a raw matrix.
     """
-    w = as_matrix(graph)
-    _require_square(w)
+    w, _ = _require_square(graph)
     members = np.flatnonzero(_row(w, m) > 0)
     return Neighborhood(center=m, members=members, size=int(members.size))
 
@@ -309,17 +316,12 @@ def validate_weights(graph) -> WeightDiagnostics:
     asymmetry, and support statistics.  Accepts a Graph or a raw matrix;
     CSR input is inspected in its stored form, never densified.
     """
-    w = as_matrix(graph)
-    n = _require_square(w)
+    w, n = _require_square(graph)
 
-    row_sums = np.asarray(w.sum(axis=1)).ravel()
-    col_sums = np.asarray(w.sum(axis=0)).ravel()
-    zero_rows = tuple(int(i) for i in np.flatnonzero(row_sums == 0))
-    zero_cols = tuple(int(j) for j in np.flatnonzero(col_sums == 0))
-    if sp.issparse(w):
-        values, symmetric = w.data, (w != w.T).nnz == 0
-    else:
-        values, symmetric = w, bool(np.array_equal(w, w.T))
+    zero_rows = tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0))
+    zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))
+    values = _values(w)
+    symmetric = not (w != w.T).sum()
     negative = int(np.count_nonzero(values < 0))
     positive = values[values > 0]
     n_edges = int(np.count_nonzero(values))

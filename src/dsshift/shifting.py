@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graphs import _require_square, as_matrix
+from .graphs import _require_square, _values
 
 __all__ = [
     "DiffusionResult",
@@ -28,10 +27,9 @@ __all__ = [
 
 
 def _operator_and_signal(S, x):
-    a = as_matrix(S)
-    _require_square(a, "operator")
+    a, n = _require_square(S, "operator")
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.shape[0] != a.shape[0]:
+    if v.ndim != 1 or v.shape[0] != n:
         raise ValueError(
             f"signal of shape {v.shape} does not match operator of shape {a.shape}"
         )
@@ -41,7 +39,7 @@ def _operator_and_signal(S, x):
 def apply_shift(S, x) -> np.ndarray:
     """One graph shift: ``y = S @ x``."""
     a, v = _operator_and_signal(S, x)
-    return np.asarray(a @ v).ravel()
+    return a @ v
 
 
 def apply_filter(S, coefficients, x) -> np.ndarray:
@@ -56,7 +54,7 @@ def apply_filter(S, coefficients, x) -> np.ndarray:
         raise ValueError("coefficients must be a nonempty 1-D sequence")
     y = h[-1] * v
     for hk in h[-2::-1]:
-        y = hk * v + np.asarray(a @ y).ravel()
+        y = hk * v + a @ y
     return y
 
 
@@ -67,7 +65,7 @@ def diffuse(S, x, k: int) -> np.ndarray:
     a, v = _operator_and_signal(S, x)
     y = v.copy()
     for _ in range(int(k)):
-        y = np.asarray(a @ y).ravel()
+        y = a @ y
     return y
 
 
@@ -102,7 +100,7 @@ def diffusion_convergence(
     if residual <= tol:
         return DiffusionResult(True, 0, residual, "converged")
     for step in range(1, max_steps + 1):
-        y = np.asarray(a @ y).ravel()
+        y = a @ y
         residual = float(np.abs(y - target).max())
         if residual <= tol:
             return DiffusionResult(True, step, residual, "converged")
@@ -117,43 +115,28 @@ def diffusion_convergence(
 
 
 def matrix_norm(A, p) -> float:
-    """Matrix norm for ``p`` in {1, 2, inf}.
+    """Matrix norm of a square matrix for ``p`` in {1, 2, inf}.
 
     p=1 is the maximum absolute column sum, p=inf the maximum absolute row
-    sum, and p=2 the spectral norm sqrt(lambda_max(A.T @ A)), computed by
-    power iteration with a fixed-seed start vector to relative tolerance
-    1e-10.
+    sum, and p=2 the spectral norm (largest singular value), computed by
+    scipy's ``svds`` (ARPACK on ``A.T @ A``, to machine precision) from a
+    fixed-seed start vector, so the result is deterministic.  Dense and
+    sparse storage give the same norms.
     """
-    a = as_matrix(A)
-    _require_square(a)
+    a, n = _require_square(A)
     if p == 1:
-        return float(np.asarray(abs(a).sum(axis=0)).ravel().max())
+        return float(abs(a).sum(axis=0).max())
     if p == np.inf or p == float("inf"):
-        return float(np.asarray(abs(a).sum(axis=1)).ravel().max())
-    if p == 2:
-        return _spectral_norm(a)
-    raise ValueError(f"unsupported norm order {p!r}; expected 1, 2, or inf")
+        return float(abs(a).sum(axis=1).max())
+    if p != 2:
+        raise ValueError(f"unsupported norm order {p!r}; expected 1, 2, or inf")
+    if n < 2 or not _values(a).any():  # ARPACK needs n >= 2 and fails on a zero operator
+        return float(abs(a).max())
+    # Imported here: scipy.sparse.linalg is not needed by ``import dsshift``.
+    from scipy.sparse.linalg import svds
 
-
-def _spectral_norm(a, rel_tol: float = 1e-10, max_iter: int = 20_000) -> float:
-    """Largest singular value by power iteration on ``A.T @ A``."""
-    n = a.shape[0]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        av = np.asarray(a @ v).ravel()
-        sigma_new = float(np.linalg.norm(av))
-        u = np.asarray(a.T @ av).ravel()
-        norm_u = np.linalg.norm(u)
-        if norm_u == 0.0:
-            return sigma_new
-        v = u / norm_u
-        if abs(sigma_new - sigma) <= rel_tol * max(sigma_new, 1e-30):
-            return sigma_new
-        sigma = sigma_new
-    return sigma
+    v0 = np.random.default_rng(0).standard_normal(n)
+    return float(svds(a, k=1, v0=v0, return_singular_vectors=False)[0])
 
 
 @dataclass(frozen=True)
@@ -173,10 +156,9 @@ def wss_check(S, mean, covariance, tol: float) -> WSSDiagnostics:
     form; both must be within ``tol`` to pass.  The covariance must be
     symmetric (to 1e-12) and is assumed positive semidefinite.
     """
-    a = as_matrix(S)
+    a, n = _require_square(S, "operator")
     mu = np.asarray(mean, dtype=float)
     sigma = np.asarray(covariance, dtype=float)
-    n = _require_square(a, "operator")
     if mu.shape != (n,):
         raise ValueError(f"mean of shape {mu.shape} does not match operator size {n}")
     if sigma.shape != (n, n):
@@ -186,9 +168,8 @@ def wss_check(S, mean, covariance, tol: float) -> WSSDiagnostics:
     if float(np.abs(sigma - sigma.T).max()) > 1e-12:
         raise ValueError("covariance must be symmetric (tolerance 1e-12)")
 
-    ad = a.toarray() if sp.issparse(a) else a
-    mean_res = float(np.abs(ad @ mu - mu).max())
-    cov_res = float(np.abs(ad @ sigma @ ad.T - sigma).max())
+    mean_res = float(np.abs(a @ mu - mu).max())
+    cov_res = float(np.abs(a @ (a @ sigma).T - sigma).max())  # S Sigma S.T, Sigma symmetric
     return WSSDiagnostics(
         mean_residual=mean_res,
         covariance_residual=cov_res,

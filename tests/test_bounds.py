@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dsshift import (
     DSOperator,
@@ -25,6 +26,23 @@ ROW_THIRDS = DSOperator(np.array([[1 / 3, 2 / 3], [2 / 3, 1 / 3]]))
 
 def neighborhood_of(n):
     return Neighborhood(center=0, members=np.arange(n), size=n)
+
+
+@pytest.mark.parametrize("stored", [np.asarray, sp.csr_array])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: local_bounds(s, 0),
+        lambda s: kantorovich_bound(s, 0),
+        lambda s: variance_upper_bound(s, 0, 1.0, 0.5),
+        lambda s: exact_shift_variance(s, 0, 1.0, 0.5),
+        lambda s: monte_carlo_shift_stats(s, 0, RandomSignalModel(0.0, 1.0, 0.5), trials=10),
+    ],
+    ids=["local_bounds", "kantorovich", "variance_bound", "exact_variance", "monte_carlo"],
+)
+def test_non_square_operator_rejected(stored, call):
+    with pytest.raises(ValueError, match="operator must be square"):
+        call(stored(np.full((2, 3), 1 / 3)))
 
 
 class TestLocalBounds:

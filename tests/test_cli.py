@@ -102,6 +102,16 @@ class TestShiftCommand:
         rc = run(["shift", "--op", operator_file, "--signal", x, "--output", tmp_path / "y.csv"])
         assert rc == 2
 
+    def test_overflow_exits_3_without_a_record(self, tmp_path, capsys):
+        op, x = tmp_path / "I.mtx", tmp_path / "x.csv"
+        save_matrix_market(op, np.eye(2))
+        save_signal_csv(x, [1e308, 1e308])  # the L1 and L2 norms overflow
+        rc = run(["shift", "--op", op, "--signal", x])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "overflow" in captured.err
+
     def test_stdout_fallback_without_output_flag(self, tmp_path, operator_file, capsys):
         x = tmp_path / "x.csv"
         save_signal_csv(x, [3.0, 0.0])

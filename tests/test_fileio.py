@@ -87,6 +87,36 @@ class TestMatrixMarket:
         with pytest.raises(FileFormatError, match="expected 2 entries"):
             load_matrix_market(path)
 
+    def test_size_line_beyond_the_entries_names_line_2(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "bad.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "10000000000 10000000000 2\n1 1 1.0\n2 2 1.0\n"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError, match=r"bad\.mtx:2: dimensions"):
+                load_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("nnz, ok", [(299, False), (300, True)])
+    def test_size_bound_is_twice_the_entries(self, tmp_path, nnz, ok):
+        path = tmp_path / "w.mtx"
+        body = "".join(f"{k + 1} {k + 1} 1.0\n" for k in range(nnz))
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate real general\n600 600 {nnz}\n{body}"
+        )
+        if ok:
+            assert load_matrix_market(path).shape == (600, 600)
+        else:
+            with pytest.raises(FileFormatError, match=r"w\.mtx:2: dimensions 600 x 600"):
+                load_matrix_market(path)
+
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ok.mtx"
         path.write_text(
@@ -181,7 +211,7 @@ class TestMatrixMarket:
         save_edge_csv(tmp_path / "w.csv", g)
         loaded = load_matrix_market(tmp_path / "w.mtx"), load_edge_csv(tmp_path / "w.csv")
         for w in (loaded[0], loaded[1].weights):
-            assert sp.issparse(w) != dense
+            assert isinstance(w, np.ndarray if dense else sp.csr_array)
             assert np.array_equal(w if dense else w.toarray(), g.dense())
 
 

@@ -7,9 +7,15 @@ import scipy.sparse as sp
 from dsshift import (
     Graph,
     VertexGeometry,
+    apply_filter,
     build_weight_matrix,
+    diffuse,
     incoming_neighborhood,
+    matrix_norm,
+    sinkhorn_knopp,
     validate_weights,
+    verify_doubly_stochastic,
+    wss_check,
 )
 
 from conftest import random_geometry
@@ -219,7 +225,8 @@ class TestValidateWeights:
         w[1, 3] = -2.0
         w[:, 2] = 0.0
         for m in (w, np.abs(w), w + w.T, np.zeros((3, 3))):
-            assert validate_weights(sp.csr_matrix(m)) == validate_weights(m)
+            for sparse in (sp.csr_array, sp.csr_matrix):
+                assert validate_weights(sparse(m)) == validate_weights(m)
 
     def test_csr_input_is_not_densified(self):
         n = 5000
@@ -233,6 +240,43 @@ class TestValidateWeights:
         assert peak < 20e6  # a dense copy alone takes 200 MB
         assert d.symmetric and d.balanceable and d.n_edges == 3 * n - 2
         assert (d.min_positive, d.max_weight) == (1.0, 2.0)
+
+
+STORAGES = {"dense": np.asarray, "csr_array": sp.csr_array, "csr_matrix": sp.csr_matrix}
+
+
+@pytest.mark.parametrize("storage", sorted(STORAGES))
+def test_storage_gives_the_same_results(storage):
+    """Dense, csr_array and legacy csr_matrix input agree to 1e-14 in every
+    numeric routine; sparse results are csr_array."""
+    rng = np.random.default_rng(31)
+    n = 40
+    w = rng.uniform(0.5, 1.5, (n, n)) * (rng.random((n, n)) < 0.2)
+    w = w + w.T + np.eye(n)  # symmetric with a positive diagonal: total support
+    stored = STORAGES[storage]
+    assert validate_weights(stored(w)) == validate_weights(w)
+
+    ref = sinkhorn_knopp(w, tol=1e-12).operator
+    op = sinkhorn_knopp(stored(w), tol=1e-12).operator
+    assert op.iterations_used == ref.iterations_used
+    assert isinstance(op.matrix, np.ndarray if storage == "dense" else sp.csr_array)
+    x = rng.standard_normal(n)
+    h = rng.uniform(0.0, 1.0, 6)
+    a = rng.standard_normal((n, n))
+    cov = a @ a.T / n
+
+    def results(s):
+        wss, ds = wss_check(s, x, cov, 1.0), verify_doubly_stochastic(s)
+        return [
+            apply_filter(s, h, x),
+            diffuse(s, x, 7),
+            [wss.mean_residual, wss.covariance_residual, ds.residual, ds.min_entry],
+            [matrix_norm(s, p) for p in (1, 2, np.inf)],
+        ]
+
+    np.testing.assert_allclose(op.dense(), ref.dense(), rtol=0, atol=1e-14)
+    for got, want in zip(results(stored(ref.dense())), results(ref.dense())):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 class TestVertexGeometry:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dsshift import (
@@ -112,6 +113,11 @@ class TestMatrixNorm:
 
     def test_zero_matrix(self):
         assert matrix_norm(np.zeros((3, 3)), 2) == 0.0
+
+    def test_one_by_one_and_zero_csr(self):
+        assert matrix_norm(np.array([[-3.0]]), 2) == 3.0
+        assert matrix_norm(sp.csr_array(np.array([[-3.0]])), 2) == 3.0
+        assert matrix_norm(sp.csr_array((600, 600)), 2) == 0.0
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError, match="unsupported norm"):
