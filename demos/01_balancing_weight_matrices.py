@@ -1,7 +1,7 @@
 """Build a geometric weight matrix and balance it to doubly stochastic form.
 
 Walks through the first half of the pipeline: sensor geometry to Gaussian
-distance kernel, structural validation, Sinkhorn-Knopp balancing, and the
+distance kernel, structural validation, Knight-Ruiz balancing, and the
 provenance carried by the result.
 """
 
@@ -47,11 +47,11 @@ print(f"issues: {list(diag.issues) or 'none'}")
 
 print()
 print("=" * 70)
-print("3. Sinkhorn-Knopp balancing")
+print("3. Knight-Ruiz Newton balancing")
 print("=" * 70)
 result = sinkhorn_knopp(graph, tol=1e-12)
 op = result.operator
-print(f"converged in {op.iterations_used} sweeps, residual {op.tolerance_achieved:.2e}")
+print(f"converged in {op.iterations_used} Newton iterations ({result.matvecs} matvecs), residual {op.tolerance_achieved:.2e}")
 check = verify_doubly_stochastic(op, tol=1e-10)
 print(f"row-sum residual:    {check.max_row_residual:.2e}")
 print(f"column-sum residual: {check.max_col_residual:.2e}")

@@ -19,7 +19,7 @@ report = run_sensor_demo(SensorFieldConfig(seed=42))
 print(f"input SNR:  {report.input_snr_db:6.2f} dB")
 print(f"output SNR: {report.output_snr_db:6.2f} dB")
 print(f"gain:       {report.gain_db:6.2f} dB")
-print(f"balancing: {report.balance_iterations} sweeps, "
+print(f"balancing: {report.balance_iterations} Newton iterations, "
       f"residual {report.balance_residual:.2e}")
 
 print()

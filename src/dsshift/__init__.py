@@ -1,7 +1,7 @@
 """Doubly stochastic graph shift operators.
 
 Construction of doubly stochastic operators from weighted directed graphs
-by Sinkhorn-Knopp balancing, graph shifts and polynomial graph filters,
+by Knight-Ruiz Newton balancing, graph shifts and polynomial graph filters,
 Birkhoff decomposition into permutation matrices, closed-form and Monte
 Carlo statistical bounds for locally stationary random graph signals, and
 a seeded sensor-field denoising demo.

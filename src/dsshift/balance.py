@@ -1,18 +1,21 @@
-"""Doubly stochastic balancing of nonnegative matrices by Sinkhorn-Knopp.
+"""Doubly stochastic balancing of nonnegative matrices by ``bnewt``, the
+inexact Newton iteration of Knight & Ruiz (2013, "A fast algorithm for
+matrix balancing", IMA J. Numer. Anal. 33(3)).
 
-Alternating row/column normalization converges, for matrices with total
-support, to ``S = diag(r) @ W @ diag(c)`` whose rows and columns all sum
-to one.  Scaling preserves the zero pattern of ``W`` exactly.
+It solves ``x * (A @ x) = 1``: ``A`` is ``W`` if symmetric, so ``r = c =
+x``, and otherwise the embedding ``[[0, W], [W.T, 0]]``, never formed, so
+``x = (r, c)``.  For ``W`` with total support ``S = diag(r) @ W @ diag(c)``
+has unit row and column sums and exactly the zero pattern of ``W``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import _dense, _require_finite_nonnegative, _require_square, _row
+from .graphs import _dense, _require_finite_nonnegative, _require_square, _row, _values
 
 __all__ = [
     "BalanceResult",
@@ -24,8 +27,10 @@ __all__ = [
     "verify_doubly_stochastic",
 ]
 
-# Scaling entries below this signal numerical collapse (loss of support).
-_UNDERFLOW_FLOOR = 1e-300
+# Knight & Ruiz's delta and Delta: a Newton step scales each x_i by [0.1, 3].
+_DELTA = 0.1
+_BIG_DELTA = 3.0
+_SQRT_EPS = np.sqrt(np.finfo(float).eps)
 
 
 class UnbalanceableError(ValueError):
@@ -47,7 +52,7 @@ class DSOperator:
 
     ``matrix`` is dense or ``csr_array``; ``tolerance_achieved`` is the worst
     row/column-sum residual at construction and ``iterations_used`` the
-    number of balancing sweeps (both zero for hand-built operators).
+    number of balancing iterations (both zero for hand-built operators).
     """
 
     matrix: object
@@ -78,6 +83,10 @@ class BalanceResult:
     operator: DSOperator
     row_scaling: np.ndarray
     col_scaling: np.ndarray
+    #: Products with ``W``, or with its symmetric embedding (one each way).
+    matvecs: int = field(default=0, compare=False)
+    #: Worst row/column residual per iteration; the last is ``tolerance_achieved``.
+    residual_history: np.ndarray = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -114,19 +123,15 @@ def verify_doubly_stochastic(S, tol: float = 1e-8) -> DSDiagnostics:
 def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> BalanceResult:
     """Balance a nonnegative matrix to doubly stochastic form.
 
-    Each sweep updates the column scaling from the current row scaling and
-    then the row scaling from the new column scaling:
-
-        c <- 1 / (W.T @ r),   r <- 1 / (W @ c)
-
-    and stops once every row and column sum of ``diag(r) @ W @ diag(c)``
-    is within ``tol`` of one.
+    The name is kept for API stability; the algorithm is Knight & Ruiz's
+    (see the module docstring).  An iteration stops when every row and
+    column sum is within ``tol`` of one, and otherwise takes a Newton step.
 
     Raises ValueError for non-finite or negative weights, before any
-    sweep; UnbalanceableError for an all-zero row or column; and
+    iteration; UnbalanceableError for an all-zero row or column; and
     NotConvergedError (carrying the last residual) when ``max_iter``
-    sweeps do not reach ``tol``, which signals a matrix with support but
-    no total support.
+    iterations do not reach ``tol``, which signals a matrix with support
+    but no total support.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -136,53 +141,77 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
     w, n = _require_square(weights)
     _require_finite_nonnegative(w, "weights")
     sparse = sp.issparse(w)
+    # Dense: triangles compared blockwise, half the reads of array_equal(w, w.T).
+    symmetric = (w != w.T).nnz == 0 if sparse else all(
+        np.array_equal(w[i:i + 256, i:], w[i:, i:i + 256].T) for i in range(0, n, 256))
 
-    empty_rows = np.flatnonzero(w.sum(axis=1) == 0)
-    empty_cols = np.flatnonzero(w.sum(axis=0) == 0)
-    if empty_rows.size or empty_cols.size:
-        parts = []
-        if empty_rows.size:
-            parts.append(f"empty row(s) {empty_rows.tolist()}")
-        if empty_cols.size:
-            parts.append(f"empty column(s) {empty_cols.tolist()}")
+    def matvec(z):
+        return w @ z if symmetric else np.concatenate((w @ z[n:], w.T @ z[:n]))
+
+    # x * (A @ x) holds the row sums of S, then (embedding) its column sums.
+    x = np.ones(n if symmetric else 2 * n)
+    v = matvec(x)
+    matvecs = 1
+    empty = {"row": np.flatnonzero(v[:n] == 0), "column": np.flatnonzero(v[-n:] == 0)}
+    parts = [f"empty {kind}(s) {found.tolist()}" for kind, found in empty.items() if found.size]
+    if parts:
         raise UnbalanceableError("unbalanceable: " + ", ".join(parts))
-
-    wt = w.T.tocsr() if sparse else w.T
-    r = np.ones(n)
-    wtr = wt @ r
-    residual = np.inf
+    history = []
+    rold = float((1.0 - v) @ (1.0 - v))
+    floor_ratio = None
     for iteration in range(1, max_iter + 1):
-        c = 1.0 / wtr
-        wc = w @ c
-        r = 1.0 / wc
-        if min(r.min(), c.min()) < _UNDERFLOW_FLOOR:
-            raise NotConvergedError(
-                "scaling underflow during balancing (entries below 1e-300)",
-                residual=float(residual),
-                iterations=iteration,
-            )
-        # Reused by the next sweep's column update: two matvecs per sweep.
-        wtr = wt @ r
-        # Residuals of S = diag(r) W diag(c): rows are exact by construction
-        # of r; columns carry the remaining error.
-        row_res = float(np.abs(r * wc - 1.0).max())
-        col_res = float(np.abs(c * wtr - 1.0).max())
-        residual = max(row_res, col_res)
-        if residual <= tol:
+        rk = 1.0 - v
+        residual = float(np.abs(rk).max())
+        history.append(residual)
+        if residual <= tol or iteration == max_iter:
             break
-    else:
+        # Knight & Ruiz's forcing term, without their eta_old safeguard.
+        rout = float(rk @ rk)
+        eta = max(min(0.9 * rout / rold, 0.1), 0.5 * tol / np.sqrt(rout))
+        rold = rout
+        # Preconditioned CG on (diag(x) A diag(x) + diag(v)) y = 1 + v from y = 1.
+        y = np.ones_like(x)
+        p = z = rk / v
+        rho = float(rk @ z)
+        while float(rk @ rk) > max(eta**2 * rout, tol**2):
+            ap = x * matvec(x * p) + v * p
+            matvecs += 1
+            alpha = rho / float(p @ ap)
+            y_next = y + alpha * p
+            if y_next.min() <= _DELTA or y_next.max() >= _BIG_DELTA:
+                moving = p != 0  # stop where the step leaves the box
+                bound = np.where(p[moving] < 0, _DELTA, _BIG_DELTA)
+                y += ((bound - y[moving]) / (alpha * p[moving])).min() * alpha * p
+                break
+            y = y_next
+            rk = rk - alpha * ap
+            z = rk / v
+            rho, rho_old = float(rk @ z), rho
+            p = z + (rho / rho_old) * p
+        x *= y
+        # Without total support x tends to 0 and infinity; capping its spread
+        # at (spread of the weights) / sqrt(eps) makes such input stall.
+        if x.max() * _SQRT_EPS > x.min():
+            if floor_ratio is None:
+                vals = _values(w)
+                floor_ratio = vals.max() / np.min(vals, where=vals > 0, initial=np.inf) / _SQRT_EPS
+            np.maximum(x, x.max() / floor_ratio, out=x)
+        v = x * matvec(x)
+        matvecs += 1
+    if residual > tol:
         raise NotConvergedError(
             f"no convergence after {max_iter} iterations "
             f"(residual {residual:.3e} > tol {tol:.3e}); "
             "the matrix may lack total support",
-            residual=float(residual),
+            residual=residual,
             iterations=max_iter,
         )
 
+    r, c = x[:n], x[-n:]
     if sparse:
         s = sp.diags_array(r) @ w @ sp.diags_array(c)
     else:
         s = r[:, None] * w
         s *= c
     operator = DSOperator(s, tolerance_achieved=residual, iterations_used=iteration)
-    return BalanceResult(operator=operator, row_scaling=r, col_scaling=c)
+    return BalanceResult(operator, r, c, matvecs=matvecs, residual_history=np.array(history))

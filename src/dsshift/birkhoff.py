@@ -65,7 +65,8 @@ class BirkhoffDecomposition:
 
 
 def perfect_matching(support) -> np.ndarray | None:
-    """Perfect matching of rows to columns on a boolean support matrix.
+    """Perfect matching of rows to columns on the nonzero entries of a square
+    support matrix: dense, scipy sparse, or nested lists.
 
     Hopcroft-Karp, as scipy's iterative
     ``scipy.sparse.csgraph.maximum_bipartite_matching``: deterministic, and
@@ -75,9 +76,11 @@ def perfect_matching(support) -> np.ndarray | None:
     # Imported here: at module level it adds about a third to ``import dsshift``.
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    mask = np.asarray(support, dtype=bool)
-    _require_square(mask, "support")
-    image = maximum_bipartite_matching(sp.csr_array(mask), perm_type="column")
+    mask = sp.csr_array(support, dtype=bool, copy=True)
+    if len(mask.shape) != 2 or mask.shape[0] != mask.shape[1]:
+        raise ValueError(f"support must be square, got shape {mask.shape}")
+    mask.eliminate_zeros()  # csgraph would match a stored False as an edge
+    image = maximum_bipartite_matching(mask, perm_type="column")
     return None if (image < 0).any() else image.astype(np.int64)
 
 

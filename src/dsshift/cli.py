@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("balance", help="balance a weight matrix to doubly stochastic form")
     p.add_argument("--input", required=True, help="weight matrix (Matrix Market)")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--max-iter", type=int, default=10_000,
+                   help="Newton iterations before giving up (default 10000)")
     p.add_argument("--output", required=True, help="balanced operator destination")
     p.add_argument("--format", choices=["mtx", "json"], default="mtx")
     p.set_defaults(func=_cmd_balance)

@@ -27,17 +27,22 @@ def random_geometry(n, seed, span=0.1):
     )
 
 
-def demo_kernel_operator(u, v, tol=1e-13):
-    """The sensor demo's kernel on sites at unit-square positions (u east,
-    v north) of its 10 km region and altitude hill, balanced to ``tol``."""
+def demo_kernel(u, v, scale=1800.0):
+    """The sensor demo's kernel (``scale`` defaults to the demo's) on sites
+    at unit-square positions (u east, v north) of its 10 km region and
+    altitude hill."""
     lat_half = 0.045
     lon_half = lat_half / np.cos(np.radians(45.0))
     alt = 280.0 * np.exp(-(((u - 0.35) ** 2 + (v - 0.65) ** 2) / 0.4**2))
     geo = VertexGeometry(
         lat=45 + lat_half * (2 * v - 1), lon=7 + lon_half * (2 * u - 1), alt=alt
     )
-    w = build_weight_matrix(geo, scale=1800.0, threshold=1e-4, self_loops=True)
-    return sinkhorn_knopp(w, tol=tol).operator
+    return build_weight_matrix(geo, scale=scale, threshold=1e-4, self_loops=True)
+
+
+def demo_kernel_operator(u, v, tol=1e-13):
+    """The demo kernel on the given sites, balanced to ``tol``."""
+    return sinkhorn_knopp(demo_kernel(u, v), tol=tol).operator
 
 
 @pytest.fixture

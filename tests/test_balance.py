@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 from dsshift import (
     DSOperator,
     NotConvergedError,
     UnbalanceableError,
+    apply_shift,
     matrix_norm,
     sinkhorn_knopp,
     verify_doubly_stochastic,
 )
 
-from conftest import balanced_operator
+from conftest import balanced_operator, demo_kernel
 
 
 class TestSinkhornKnopp:
@@ -19,6 +22,29 @@ class TestSinkhornKnopp:
         result = sinkhorn_knopp(p)
         assert np.array_equal(result.operator.dense(), p)
         assert result.operator.iterations_used == 1
+
+    def test_permutation_counters(self):
+        # x = 1 already balances a permutation: one iteration, whose one
+        # product with the embedding finds residual 0
+        p = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        result = sinkhorn_knopp(p)
+        assert result.matvecs == 1
+        assert result.residual_history.tolist() == [0.0]
+
+    def test_counters_follow_newton_on_scaled_identity(self):
+        # On 4 I each CG solve is exact after one step, so iteration k is the
+        # scalar Newton step x <- x/2 + 1/(8x) on 4 x^2 = 1 and costs two
+        # matvecs: one CG step and one to evaluate the new iterate.
+        result = sinkhorn_knopp(4.0 * np.eye(2))
+        x, expected = 1.0, []
+        for _ in range(5):
+            expected.append(abs(4.0 * x * x - 1.0))
+            x = x / 2 + 1 / (8 * x)
+        history = result.residual_history
+        assert result.operator.iterations_used == len(history) == 6
+        assert result.matvecs == 1 + 2 * 5
+        assert history[-1] == result.operator.tolerance_achieved <= 1e-10
+        np.testing.assert_allclose(history[:5], expected, rtol=1e-12)
 
     def test_all_ones_gives_uniform(self):
         s = sinkhorn_knopp(np.ones((2, 2))).operator.dense()
@@ -98,6 +124,62 @@ class TestSinkhornKnopp:
             sinkhorn_knopp(w, max_iter=0)
         with pytest.raises(ValueError, match="nonnegative"):
             sinkhorn_knopp(np.array([[1.0, -0.1], [1.0, 1.0]]))
+
+
+def _sparse_nonsymmetric():
+    rng = np.random.default_rng(0)
+    a = sp.random_array((2000, 2000), density=0.01, rng=rng, format="csr")
+    return sp.csr_array(a + sp.eye_array(2000, format="csr"))
+
+
+class TestHardInputs:
+    """Inputs on which a Newton divergence guard could misfire."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # the scaling must spread by 1e10
+            lambda: np.diag([1e-20, 1.0]),
+            # total support through a 1e-12 diagonal: spread 1e12
+            lambda: np.array([[1e-12, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1e-12]]),
+            # 1 % fill plus identity, balanced through the embedding
+            _sparse_nonsymmetric,
+            lambda: np.random.default_rng(1).random((500, 500)),
+        ],
+        ids=["diag-1e-20", "chain-1e-12", "csr-nonsymmetric-2000", "dense-nonsymmetric-500"],
+    )
+    def test_balances_with_exact_zero_pattern(self, make):
+        w = make()
+        op = sinkhorn_knopp(w, tol=1e-10).operator
+        assert verify_doubly_stochastic(op, tol=1e-10).passed
+        dense_w = w.toarray() if sp.issparse(w) else w
+        assert np.array_equal(op.dense() == 0, dense_w == 0)
+
+
+class TestLargeNProperties:
+    """Invariants of balanced demo kernels at sizes where rounding builds up."""
+
+    @settings(max_examples=8)
+    @example(n=2000, seed=1, scale=1800.0, csr=False)
+    @example(n=2000, seed=1, scale=1800.0, csr=True)
+    @given(
+        n=st.integers(600, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([300.0, 800.0, 1800.0]),
+        csr=st.booleans(),
+    )
+    def test_balanced_demo_kernel(self, n, seed, scale, csr):
+        u, v = np.random.default_rng(seed).random((2, n))
+        w = demo_kernel(u, v, scale).weights
+        dense_w = w.toarray() if sp.issparse(w) else w
+        op = sinkhorn_knopp(sp.csr_array(dense_w) if csr else dense_w, tol=1e-10).operator
+        s = op.dense()
+        assert sp.issparse(op.matrix) == csr
+        assert verify_doubly_stochastic(op, tol=1e-10).passed
+        assert np.array_equal(s == 0, dense_w == 0)
+        assert np.abs(s - s.T).max() <= 1e-12
+        x = np.random.default_rng(seed + 1).random(n)
+        assert abs(np.abs(apply_shift(op, x)).sum() - x.sum()) <= 1e-10 * x.sum()
 
 
 class TestSparsePipeline:

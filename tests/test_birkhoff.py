@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dsshift import (
     DecompositionError,
@@ -38,6 +39,25 @@ class TestPerfectMatching:
     def test_no_matching_returns_none(self):
         support = np.array([[True, True], [False, False]])
         assert perfect_matching(support) is None
+
+    @pytest.mark.parametrize(
+        "storage", [np.asarray, sp.csr_array, sp.csr_matrix, lambda a: a.tolist()],
+        ids=["dense", "csr_array", "csr_matrix", "lists"],
+    )
+    def test_storages_agree(self, storage):
+        support = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        assert perfect_matching(storage(support)).tolist() == [2, 0, 1]
+
+    def test_stored_zero_is_no_edge(self):
+        # diag(1, 0) with the zero stored explicitly
+        csr = sp.csr_array((np.array([1.0, 0.0]), np.array([0, 1]), np.array([0, 1, 2])))
+        assert perfect_matching(csr) is None
+        assert csr.nnz == 2  # the caller's matrix is not modified
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="support must be square"):
+            perfect_matching(np.ones(shape, dtype=bool))
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
