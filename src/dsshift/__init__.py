@@ -37,7 +37,6 @@ from .bounds import (
     monte_carlo_shift_stats,
     sample_local_signal,
     shift_power_bounds,
-    validate_model_assignment,
     variance_upper_bound,
 )
 from .demo import (
@@ -112,7 +111,6 @@ __all__ = [
     "sinkhorn_knopp",
     "snr_db",
     "synthetic_true_field",
-    "validate_model_assignment",
     "validate_weights",
     "variance_upper_bound",
     "verify_doubly_stochastic",

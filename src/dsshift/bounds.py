@@ -36,7 +36,6 @@ __all__ = [
     "monte_carlo_shift_stats",
     "sample_local_signal",
     "shift_power_bounds",
-    "validate_model_assignment",
     "variance_upper_bound",
 ]
 
@@ -215,11 +214,11 @@ def sample_local_signal(
     n = neighborhood.size
     batch = () if size is None else (int(size),)
     z = gen.standard_normal(batch + (n + 1,))
-    z0 = z[..., :1]
-    zn = z[..., 1:]
-    return model.mu + model.sigma * (
-        np.sqrt(model.rho) * z0 + np.sqrt(1.0 - model.rho) * zn
-    )
+    x = np.sqrt(1.0 - model.rho) * z[..., 1:]  # the only temporary of z's size
+    x += np.sqrt(model.rho) * z[..., :1]
+    x *= model.sigma
+    x += model.mu
+    return x
 
 
 def monte_carlo_shift_stats(
@@ -261,24 +260,3 @@ def monte_carlo_shift_stats(
         stderr_variance=float(variance * np.sqrt(2.0 / (trials - 1))),
         stderr_power=float(squares.std(ddof=1) / np.sqrt(trials)),
     )
-
-
-def validate_model_assignment(assignments) -> None:
-    """Reject per-neighbourhood model assignments that disagree on shared
-    vertices.
-
-    ``assignments`` is an iterable of ``(Neighborhood, RandomSignalModel)``
-    pairs.  Overlapping neighbourhoods must carry identical moments, since
-    a vertex cannot follow two different marginal distributions.
-    """
-    seen: dict[int, tuple[RandomSignalModel, int]] = {}
-    for neighborhood, model in assignments:
-        for vertex in np.asarray(neighborhood.members).tolist():
-            if vertex in seen and seen[vertex][0] != model:
-                other_model, other_center = seen[vertex]
-                raise ValueError(
-                    f"vertex {vertex} is shared by the neighbourhoods of "
-                    f"{other_center} and {neighborhood.center} with "
-                    f"conflicting models {other_model} vs {model}"
-                )
-            seen.setdefault(vertex, (model, neighborhood.center))

@@ -207,26 +207,13 @@ def run_sensor_demo(config: SensorFieldConfig | None = None) -> ExperimentReport
     result = sinkhorn_knopp(graph, tol=1e-10, max_iter=10_000)
     operator = result.operator
 
-    if cfg.noise_sigma == 0.0:
-        return ExperimentReport(
-            input_snr_db=float("inf"),
-            output_snr_db=float("inf"),
-            gain_db=0.0,
-            balance_residual=operator.tolerance_achieved,
-            balance_iterations=operator.iterations_used,
-            true_field=truth,
-            noisy=noisy,
-            denoised=noisy.copy(),
-            config=cfg,
-        )
-
-    denoised = diffuse(operator, noisy, cfg.shifts)
+    denoised = diffuse(operator, noisy, cfg.shifts) if cfg.noise_sigma else noisy.copy()
     input_snr = snr_db(noisy, truth)
     output_snr = snr_db(denoised, truth)
     return ExperimentReport(
         input_snr_db=input_snr,
         output_snr_db=output_snr,
-        gain_db=output_snr - input_snr,
+        gain_db=output_snr - input_snr if cfg.noise_sigma else 0.0,
         balance_residual=operator.tolerance_achieved,
         balance_iterations=operator.iterations_used,
         true_field=truth,

@@ -8,6 +8,7 @@ zero; stored weights are strictly positive.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -80,22 +81,26 @@ def _require_finite_nonnegative(a, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative")
 
 
-def _stored(w):
+def _dense_storage(shape, count_nonzero) -> bool:
     """The one storage rule for matrices the package builds or loads: dense
     when at most ``DENSE_LIMIT`` on a side or at least a quarter full (where
-    a CSR matvec costs as much as a dense one), ``csr_array`` otherwise.
+    a CSR matvec costs as much as a dense one), CSR otherwise.
+    ``count_nonzero()`` is called only when the size does not decide."""
+    rows, cols = shape
+    return max(rows, cols) <= DENSE_LIMIT or 4 * count_nonzero() >= rows * cols
+
+
+def _stored(w):
+    """``w`` stored by the storage rule, as an ndarray or a ``csr_array``.
     Explicit zeros of a sparse input are dropped; the input's storage may be
     reused."""
-    if sp.issparse(w):
+    sparse = sp.issparse(w)
+    if sparse:
         w = sp.csr_array(w)
         w.eliminate_zeros()
-        nnz = w.nnz
-    else:
-        nnz = np.count_nonzero(w)
-    rows, cols = w.shape
-    if max(rows, cols) <= DENSE_LIMIT or 4 * nnz >= rows * cols:
-        return w.toarray() if sp.issparse(w) else w
-    return w if sp.issparse(w) else sp.csr_array(w)
+    if _dense_storage(w.shape, lambda: w.nnz if sparse else np.count_nonzero(w)):
+        return w.toarray() if sparse else w
+    return w if sparse else sp.csr_array(w)
 
 
 def _row(a, m: int) -> np.ndarray:
@@ -197,14 +202,14 @@ class VertexGeometry:
     alt: np.ndarray
 
     def __post_init__(self):
-        lat = np.asarray(self.lat, dtype=float)
-        lon = np.asarray(self.lon, dtype=float)
-        alt = np.asarray(self.alt, dtype=float)
+        coords = {k: np.asarray(getattr(self, k), dtype=float) for k in ("lat", "lon", "alt")}
+        lat, lon, alt = coords.values()
         if not (lat.shape == lon.shape == alt.shape) or lat.ndim != 1:
             raise ValueError("lat, lon, alt must be 1-D arrays of equal length")
-        object.__setattr__(self, "lat", lat)
-        object.__setattr__(self, "lon", lon)
-        object.__setattr__(self, "alt", alt)
+        for name, a in coords.items():
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, a)
 
     @property
     def n_vertices(self) -> int:
@@ -225,16 +230,11 @@ class VertexGeometry:
         return np.column_stack([x, y, self.alt])
 
     def pairwise_distances(self, radius: float = EARTH_RADIUS_M) -> np.ndarray:
-        """Symmetric matrix of Euclidean distances in the projected frame,
-        summed axis by axis in row blocks (no N x N x 3 temporary)."""
+        """Symmetric N x N matrix of Euclidean distances in the projected frame."""
+        from scipy.spatial.distance import cdist  # not needed by ``import dsshift``
+
         p = self.project(radius)
-        out = np.empty((p.shape[0], p.shape[0]))
-        for lo in range(0, p.shape[0], 256):  # temporaries stay 256 x N
-            q, block = p[lo : lo + 256], out[lo : lo + 256]
-            np.square(q[:, 0, None] - p[:, 0], out=block)
-            for axis in (1, 2):
-                block += np.square(q[:, axis, None] - p[:, axis])
-        return np.sqrt(out, out=out)
+        return cdist(p, p)
 
 
 @dataclass(frozen=True)
@@ -266,24 +266,30 @@ def build_weight_matrix(
     Weights are ``W[m, n] = exp(-(r_mn / scale)**2)`` with ``r_mn`` the
     projected pairwise distance; entries strictly below ``threshold`` are
     pruned to exact zeros.  The diagonal is 1 when ``self_loops`` is set
-    and 0 otherwise.  The kernel is evaluated in place in one N x N
-    buffer, then stored dense when N <= 512 or at least a quarter of the
-    entries are nonzero, and as CSR otherwise.
+    and 0 otherwise.  Storage follows the package's rule: dense when
+    N <= 512 or at least a quarter of the entries are nonzero, CSR
+    otherwise.  A pruned kernel that a k-d tree's neighbour count predicts
+    to be CSR is built from the tree's neighbour pairs and never forms an
+    N x N array; any other is evaluated in place in the N x N distance
+    buffer.  Both apply the same float operations to the same distances.
 
-    Raises ValueError for fewer than 2 vertices or a nonpositive scale.
-    Distinct vertices at identical coordinates get weight 1 and trigger a
-    warning instead of an error.
+    Raises ValueError for fewer than 2 vertices, a nonpositive or
+    non-finite scale, or a negative or NaN threshold.  Distinct vertices at
+    identical coordinates get weight 1 and trigger a warning instead of an
+    error.
     """
-    if geometry.n_vertices < 2:
+    from scipy.spatial import cKDTree  # not needed by ``import dsshift``
+
+    n = geometry.n_vertices
+    if n < 2:
         raise ValueError("geometry must contain at least 2 vertices")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if threshold < 0:
+    if not 0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
 
-    w = geometry.pairwise_distances(radius)
-    zeros = w.size - np.count_nonzero(w)
-    n_dupes = (zeros - int(np.count_nonzero(np.diagonal(w) == 0))) // 2
+    tree = cKDTree(geometry.project(radius))
+    n_dupes = (tree.count_neighbors(tree, 0.0) - n) // 2
     if n_dupes:
         warnings.warn(
             f"{n_dupes} vertex pair(s) share identical coordinates; "
@@ -291,11 +297,25 @@ def build_weight_matrix(
             stacklevel=2,
         )
 
-    w /= scale  # then exp(-w**2), in place in the distance buffer
-    np.exp(np.negative(np.square(w, out=w), out=w), out=w)
-    w[w < threshold] = 0.0
-    np.fill_diagonal(w, 1.0 if self_loops else 0.0)
-    w.setflags(write=False)  # Graph keeps this buffer instead of copying it
+    sparse = False
+    if threshold > 0:
+        # Farther pairs weigh less than threshold; the relative 1e-9 widening
+        # leaves ties to the ``w < threshold`` mask below.
+        cutoff = scale * math.sqrt(max(0.0, -math.log(threshold))) * (1 + 1e-9)
+        sparse = not _dense_storage((n, n), lambda: tree.count_neighbors(tree, cutoff))
+    if sparse:
+        w = tree.sparse_distance_matrix(tree, cutoff, output_type="coo_matrix")
+        values = w.data  # distance-0 pairs, the diagonal included, are stored
+    else:
+        w = values = geometry.pairwise_distances(radius)
+    values /= scale  # then exp(-values**2), in place
+    np.exp(np.negative(np.square(values, out=values), out=values), out=values)
+    values[values < threshold] = 0.0
+    if sparse:
+        values[w.row == w.col] = 1.0 if self_loops else 0.0
+    else:
+        np.fill_diagonal(w, 1.0 if self_loops else 0.0)
+        w.setflags(write=False)  # Graph keeps this buffer instead of copying it
     return Graph(_stored(w))
 
 

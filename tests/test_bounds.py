@@ -9,13 +9,11 @@ from dsshift import (
     amgm_bias_term,
     asymptotic_variance_bound,
     exact_shift_variance,
-    incoming_neighborhood,
     kantorovich_bound,
     local_bounds,
     monte_carlo_shift_stats,
     sample_local_signal,
     shift_power_bounds,
-    validate_model_assignment,
     variance_upper_bound,
 )
 
@@ -255,29 +253,3 @@ class TestMonteCarloShiftStats:
         model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.0)
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_shift_stats(ROW_THIRDS, 0, model, trials=1)
-
-
-class TestModelAssignment:
-    def test_conflicting_overlap_rejected(self):
-        s = balanced_operator(5, seed=74)
-        nb0 = incoming_neighborhood(s, 0)
-        nb1 = incoming_neighborhood(s, 1)
-        pairs = [
-            (nb0, RandomSignalModel(0.0, 1.0, 0.1)),
-            (nb1, RandomSignalModel(0.5, 1.0, 0.1)),
-        ]
-        with pytest.raises(ValueError, match="conflicting models"):
-            validate_model_assignment(pairs)
-
-    def test_identical_models_allowed_on_overlap(self):
-        s = balanced_operator(5, seed=75)
-        model = RandomSignalModel(0.0, 1.0, 0.1)
-        pairs = [(incoming_neighborhood(s, m), model) for m in range(5)]
-        validate_model_assignment(pairs)
-
-    def test_disjoint_neighborhoods_may_differ(self):
-        a = Neighborhood(center=0, members=np.array([0, 1]), size=2)
-        b = Neighborhood(center=2, members=np.array([2, 3]), size=2)
-        validate_model_assignment(
-            [(a, RandomSignalModel(0.0, 1.0, 0.0)), (b, RandomSignalModel(9.0, 2.0, 0.5))]
-        )

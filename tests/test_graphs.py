@@ -27,6 +27,25 @@ def geometry_at_altitudes(alts):
     return VertexGeometry(lat=np.full(n, 45.0), lon=np.full(n, 7.0), alt=np.array(alts, float))
 
 
+def geometry_with_coincident_sites(n, seed):
+    """Random sites where 0, 3 and 6 coincide, as do 1 and 4, and 2 and 5:
+    five coincident pairs."""
+    geo = random_geometry(n, seed)
+    lat, lon, alt = geo.lat.copy(), geo.lon.copy(), geo.alt.copy()
+    for a in (lat, lon, alt):
+        a[3:6] = a[0:3]
+        a[6] = a[0]
+    return VertexGeometry(lat=lat, lon=lon, alt=alt)
+
+
+def reference_kernel(geo, scale, threshold, self_loops):
+    """The kernel by its out-of-place formula on ``pairwise_distances``."""
+    ref = np.exp(-((geo.pairwise_distances() / scale) ** 2))
+    ref[ref < threshold] = 0.0
+    np.fill_diagonal(ref, 1.0 if self_loops else 0.0)
+    return ref
+
+
 class TestGraph:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -127,6 +146,69 @@ class TestBuildWeightMatrix:
             build_weight_matrix(geo, scale=0.0)
         with pytest.raises(ValueError, match="at least 2"):
             build_weight_matrix(geometry_at_altitudes([0.0]), scale=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(scale=np.nan), "scale"),
+            (dict(scale=np.inf), "scale"),
+            (dict(scale=-np.inf), "scale"),
+            (dict(scale=1.0, threshold=np.nan), "threshold"),
+            (dict(scale=1.0, threshold=-1e-3), "threshold"),
+        ],
+    )
+    def test_rejects_bad_scale_or_threshold_before_distances(self, kwargs, match, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("distance work started")
+
+        monkeypatch.setattr(VertexGeometry, "project", fail)
+        with pytest.raises(ValueError, match=match):
+            build_weight_matrix(geometry_at_altitudes([0.0, 1.0]), **kwargs)
+
+    def test_tie_with_threshold_is_kept_on_the_tree_side(self):
+        # distances 1, 2, 3, ... on a line; the weight at distance 3 equals
+        # threshold exactly, and scale * sqrt(-ln threshold) rounds below 3
+        geo = geometry_at_altitudes(np.arange(600.0))
+        threshold = np.exp(-np.square(3 / 1.4))
+        g = build_weight_matrix(geo, scale=1.4, threshold=threshold)
+        assert isinstance(g.weights, sp.csr_array)
+        assert g.weight(0, 3) == threshold and g.weight(0, 4) == 0.0
+        assert np.array_equal(g.dense(), reference_kernel(geo, 1.4, threshold, False))
+
+    @pytest.mark.parametrize("n, csr", [(300, False), (700, True)])
+    def test_coincident_sites_warn_on_both_sides(self, n, csr):
+        geo = geometry_with_coincident_sites(n, 7)
+        with pytest.warns(UserWarning, match="^5 vertex pair"):
+            g = build_weight_matrix(geo, scale=300.0, threshold=1e-3)
+        assert sp.issparse(g.weights) == csr
+        assert g.weight(0, 6) == g.weight(4, 1) == 1.0
+        assert np.array_equal(g.dense(), reference_kernel(geo, 300.0, 1e-3, False))
+
+    @pytest.mark.parametrize("n", [300, 700])
+    @pytest.mark.parametrize("threshold", [1.0, 1.5, np.inf])
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_threshold_at_least_one_keeps_only_coincident_pairs(self, n, threshold, self_loops):
+        geo = geometry_with_coincident_sites(n, 8)
+        with pytest.warns(UserWarning, match="identical coordinates"):
+            g = build_weight_matrix(geo, scale=300.0, threshold=threshold, self_loops=self_loops)
+        ref = reference_kernel(geo, 300.0, threshold, self_loops)
+        assert np.array_equal(g.dense(), ref)
+        assert g.n_edges == self_loops * n + (10 if threshold == 1.0 else 0)
+
+    def test_pruned_kernel_forms_no_dense_buffer(self):
+        n = 3000
+        geo = random_geometry(n, 9)
+        # imports scipy.spatial before tracing starts
+        build_weight_matrix(random_geometry(600, 9), scale=300.0, threshold=1e-3)
+        tracemalloc.start()
+        try:
+            g = build_weight_matrix(geo, scale=300.0, threshold=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(g.weights, sp.csr_array)
+        assert g.n_edges < 0.03 * n * n
+        assert peak < 4 * n * n  # half of one dense float64 buffer
 
 
 class TestStorageRule:
@@ -294,20 +376,19 @@ class TestVertexGeometry:
         assert np.all(off > 0)
 
     def test_distances_match_full_difference_array(self):
-        # Reference: the N x N x 3 difference array the blocked sum replaces.
+        # Reference: the N x N x 3 difference array.
         geo = random_geometry(700, 5)
         p = geo.project()
         ref = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=-1))
         assert np.array_equal(geo.pairwise_distances(), ref)
 
     def test_kernel_matches_out_of_place_formula(self):
-        geo = random_geometry(300, 6)
-        r = geo.pairwise_distances()
-        ref = np.exp(-((r / 800.0) ** 2))
-        ref[ref < 1e-3] = 0.0
-        np.fill_diagonal(ref, 1.0)
-        g = build_weight_matrix(geo, scale=800.0, threshold=1e-3, self_loops=True)
-        assert np.array_equal(g.dense(), ref)
+        # above 512 sites at about 2 % fill the kernel comes from the k-d tree
+        for n, scale, self_loops in ((300, 800.0, True), (700, 300.0, True), (700, 300.0, False)):
+            geo = random_geometry(n, 6)
+            g = build_weight_matrix(geo, scale=scale, threshold=1e-3, self_loops=self_loops)
+            assert sp.issparse(g.weights) == (n > 512)
+            assert np.array_equal(g.dense(), reference_kernel(geo, scale, 1e-3, self_loops))
 
     def test_projection_units(self):
         # one degree of latitude spans R * pi / 180 meters in the projection
@@ -318,3 +399,11 @@ class TestVertexGeometry:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             VertexGeometry(lat=np.zeros(3), lon=np.zeros(2), alt=np.zeros(3))
+
+    @pytest.mark.parametrize("name", ["lat", "lon", "alt"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coordinates(self, name, bad):
+        coords = dict(lat=np.full(3, 45.0), lon=np.full(3, 7.0), alt=np.zeros(3))
+        coords[name][1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            VertexGeometry(**coords)
