@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import _dense, _require_finite_nonnegative, _require_square, _row, _values
+from .graphs import (
+    _dense, _is_symmetric, _require_finite_nonnegative, _require_square, _row, _values,
+)
 
 __all__ = [
     "BalanceResult",
@@ -141,9 +143,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
     w, n = _require_square(weights)
     _require_finite_nonnegative(w, "weights")
     sparse = sp.issparse(w)
-    # Dense: triangles compared blockwise, half the reads of array_equal(w, w.T).
-    symmetric = (w != w.T).nnz == 0 if sparse else all(
-        np.array_equal(w[i:i + 256, i:], w[i:, i:i + 256].T) for i in range(0, n, 256))
+    symmetric = _is_symmetric(w)
 
     def matvec(z):
         return w @ z if symmetric else np.concatenate((w @ z[n:], w.T @ z[:n]))

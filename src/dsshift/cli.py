@@ -57,29 +57,19 @@ def _signal_norms(x) -> dict:
 def _emit_signal(values, args, record: dict) -> None:
     if args.output is None:
         # values on stdout, norms record on stderr
-        if args.format == "json":
-            print(json.dumps({"values": [float(v) for v in values]}, sort_keys=True))
-        else:
-            for v in values:
-                print(format(float(v), ".17g"))
+        for v in values:
+            print(format(float(v), ".17g"))
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return
-    if args.format == "json":
-        save_json(args.output, {"values": [float(v) for v in values]})
-    else:
-        save_signal_csv(args.output, values)
+    save_signal_csv(args.output, values)
     save_json(args.output + ".json", record)
     print(json.dumps(record, sort_keys=True))
 
 
 def _cmd_balance(args) -> int:
     w = load_matrix_market(args.input)
-    result = sinkhorn_knopp(w, tol=args.tol, max_iter=args.max_iter)
-    op = result.operator
-    if args.format == "json":
-        save_json(args.output, {"matrix": op.dense().tolist()})
-    else:
-        save_matrix_market(args.output, op.matrix)
+    op = sinkhorn_knopp(w, tol=args.tol, max_iter=args.max_iter).operator
+    save_matrix_market(args.output, op.matrix)
     sidecar = {"residual": op.tolerance_achieved, "iterations": op.iterations_used}
     save_json(args.output + ".json", sidecar)
     print(json.dumps(sidecar, sort_keys=True))
@@ -178,9 +168,7 @@ def _cmd_demo_sensors(args) -> int:
     )
     report = run_sensor_demo(config)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        save_json(args.output, report.to_dict())
     summary = {
         "input_snr_db": report.input_snr_db,
         "output_snr_db": report.output_snr_db,
@@ -206,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=10_000,
                    help="Newton iterations before giving up (default 10000)")
     p.add_argument("--output", required=True, help="balanced operator destination")
-    p.add_argument("--format", choices=["mtx", "json"], default="mtx")
     p.set_defaults(func=_cmd_balance)
 
     p = sub.add_parser("shift", help="apply k graph shifts to a signal")
@@ -214,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", required=True, help="signal (single-column CSV)")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--output", default=None, help="shifted signal destination (stdout when omitted)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_shift)
 
     p = sub.add_parser("filter", help="apply a polynomial graph filter")
@@ -222,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True, help="coefficients (single-column CSV)")
     p.add_argument("--signal", required=True)
     p.add_argument("--output", default=None, help="filtered signal destination (stdout when omitted)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("birkhoff", help="decompose an operator into permutations")

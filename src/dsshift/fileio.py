@@ -1,9 +1,11 @@
-"""File formats: Matrix Market coordinate matrices, edge-list CSV,
-single-column signal CSV, geometry CSV, and JSON reports.
+"""File formats, one per kind of data: Matrix Market coordinate matrices,
+single-column signal CSV, ``id,lat,lon,alt`` geometry CSV, and JSON for
+Birkhoff decompositions and reports.
 
 Matrix Market values are written in their shortest round-trip form and
-CSV values at 17 significant digits, so every save/load round-trips bit
-for bit.  All parsers raise FileFormatError with the offending line
+signal values at 17 significant digits, so every save/load round-trips bit
+for bit; the writers refuse NaN and infinite values, which the readers
+would reject.  All parsers raise FileFormatError with the offending line
 number, also for NaN and infinite values.
 """
 
@@ -19,17 +21,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .birkhoff import BirkhoffDecomposition
-from .graphs import DENSE_LIMIT, Graph, VertexGeometry, _stored, as_matrix
+from .graphs import DENSE_LIMIT, VertexGeometry, _stored, _values, as_matrix
 
 __all__ = [
     "FileFormatError",
     "load_birkhoff_json",
-    "load_edge_csv",
     "load_geometry_csv",
     "load_matrix_market",
     "load_signal_csv",
     "save_birkhoff_json",
-    "save_edge_csv",
     "save_json",
     "save_matrix_market",
     "save_signal_csv",
@@ -63,11 +63,14 @@ def _parse_int(token: str, path, lineno: int, what: str) -> int:
 
 def save_matrix_market(path, matrix) -> None:
     """Write a matrix in Matrix Market coordinate (real, general) format: two
-    header lines, then one ``row col value`` line per entry in row-major order."""
+    header lines, then one ``row col value`` line per entry in row-major order.
+    Raises ValueError for a NaN or infinite entry, before the file is opened."""
     # Imported here: scipy.io is not needed by ``import dsshift``.
     from scipy.io import mmwrite
 
     a = as_matrix(matrix)
+    if not np.isfinite(_values(a)).all():
+        raise ValueError("matrix entries must be finite")
     coo = a.sorted_indices().tocoo() if sp.issparse(a) else sp.coo_array(a)
     buf = io.BytesIO()
     mmwrite(buf, coo, field="real", symmetry="general")
@@ -192,46 +195,13 @@ def _csv_rows(path, header: list):
                 yield lineno, tokens
 
 
-def save_edge_csv(path, graph: Graph) -> None:
-    """Write a graph as ``src,dst,weight`` rows with 0-based vertex ids."""
-    src, dst, w = graph.edge_list()
-    np.savetxt(path, np.column_stack((src, dst, w)), fmt=("%d", "%d", "%.17g"),
-               delimiter=",", header="src,dst,weight", comments="")
-
-
-def load_edge_csv(path, n_vertices: int | None = None) -> Graph:
-    """Read a ``src,dst,weight`` edge list into a Graph.
-
-    Vertex ids are 0-based; ``n_vertices`` defaults to one more than the
-    largest id seen.  Nonpositive weights and duplicate edges are
-    rejected with the offending line number.  Storage follows the rule of
-    :func:`load_matrix_market`.
-    """
-    edges = {}
-    max_id = -1
-    for lineno, tokens in _csv_rows(path, ["src", "dst", "weight"]):
-        s = _parse_int(tokens[0], path, lineno, "src id")
-        d = _parse_int(tokens[1], path, lineno, "dst id")
-        v = _parse_float(tokens[2], path, lineno, "weight")
-        if s < 0 or d < 0:
-            _fail(path, lineno, f"vertex ids must be nonnegative, got ({s}, {d})")
-        if v <= 0:
-            _fail(path, lineno, f"weight must be positive, got {v}")
-        if (s, d) in edges:
-            _fail(path, lineno, f"duplicate edge ({s}, {d})")
-        edges[(s, d)] = v
-        max_id = max(max_id, s, d)
-    n = (max_id + 1) if n_vertices is None else n_vertices
-    if max_id >= n:
-        raise FileFormatError(f"{path}: vertex id {max_id} exceeds n_vertices={n}")
-    src, dst = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
-    w = np.fromiter(edges.values(), dtype=float, count=len(edges))
-    return Graph(_stored(sp.coo_array((w, (dst, src)), shape=(n, n))))
-
-
 def save_signal_csv(path, values) -> None:
-    """Write a signal as one value per line."""
-    np.savetxt(path, np.asarray(values, dtype=float).ravel(), fmt="%.17g")
+    """Write a signal as one value per line.  Raises ValueError for a NaN or
+    infinite value, before the file is opened."""
+    values = np.asarray(values, dtype=float).ravel()
+    if not np.isfinite(values).all():
+        raise ValueError("signal values must be finite")
+    np.savetxt(path, values, fmt="%.17g")
 
 
 def load_signal_csv(path) -> np.ndarray:
@@ -279,17 +249,16 @@ def save_json(path, payload: dict) -> None:
 
 def save_birkhoff_json(path, decomposition: BirkhoffDecomposition) -> None:
     """Write a decomposition as ``{"terms": [{"a": ..., "perm": [...]}]}``."""
-    payload = {
-        "terms": [
-            {"a": float(a), "perm": [int(p) for p in perm]}
-            for a, perm in decomposition.terms()
-        ]
-    }
-    save_json(path, payload)
+    coeffs = np.asarray(decomposition.coefficients, dtype=float).tolist()
+    perms = np.asarray(decomposition.permutations, dtype=np.int64).tolist()
+    save_json(path, {"terms": [{"a": a, "perm": p} for a, p in zip(coeffs, perms)]})
 
 
 def load_birkhoff_json(path) -> BirkhoffDecomposition:
-    """Read a decomposition written by :func:`save_birkhoff_json`."""
+    """Read a decomposition written by :func:`save_birkhoff_json`.  Raises
+    FileFormatError naming the path for invalid JSON, no terms, a ``perm``
+    that is not a permutation of 0..N-1 (ragged, non-integer, out of range
+    or repeated entries), and a NaN, infinite or negative coefficient."""
     with open(path, encoding="ascii") as fh:
         try:
             payload = json.load(fh)
@@ -297,8 +266,20 @@ def load_birkhoff_json(path) -> BirkhoffDecomposition:
             raise FileFormatError(f"{path}:{exc.lineno}: {exc.msg}") from None
     try:
         terms = payload["terms"]
-        coeffs = np.asarray([t["a"] for t in terms], dtype=float)
-        perms = np.asarray([t["perm"] for t in terms], dtype=np.int64)
-    except (KeyError, TypeError) as exc:
+        coeffs = np.array([t["a"] for t in terms], dtype=float)
+        perms = np.array([t["perm"] for t in terms])  # ragged lists raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed decomposition ({exc})") from None
-    return BirkhoffDecomposition(coefficients=coeffs, permutations=perms)
+    if not coeffs.size:
+        raise FileFormatError(f"{path}: decomposition has no terms")
+    if perms.ndim != 2 or perms.dtype.kind not in "iu":
+        raise FileFormatError(f"{path}: every perm must be a list of integers of one length")
+    n = perms.shape[1]
+    for bad, what in (
+        (~np.isfinite(coeffs) | (coeffs < 0), "coefficient must be finite and nonnegative"),
+        ((np.sort(perms, axis=1) != np.arange(n)).any(axis=1),
+         f"perm is not a permutation of 0..{n - 1}"),
+    ):
+        if bad.any():
+            raise FileFormatError(f"{path}: term {np.flatnonzero(bad)[0]}: {what}")
+    return BirkhoffDecomposition(coefficients=coeffs, permutations=perms.astype(np.int64))

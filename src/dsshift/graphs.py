@@ -103,6 +103,15 @@ def _stored(w):
     return w if sparse else sp.csr_array(w)
 
 
+def _is_symmetric(a) -> bool:
+    """Whether a square dense or CSR matrix equals its transpose exactly; dense
+    triangles are compared 256 rows at a time, with no N x N temporary."""
+    if sp.issparse(a):
+        return (a != a.T).nnz == 0
+    return all(np.array_equal(a[i:i + 256, i:], a[i:, i:i + 256].T)
+               for i in range(0, a.shape[0], 256))
+
+
 def _row(a, m: int) -> np.ndarray:
     """Row ``m`` of a dense or CSR matrix as a dense 1-D array."""
     if not (0 <= m < a.shape[0]):
@@ -155,23 +164,8 @@ class Graph:
     def dense(self) -> np.ndarray:
         return _dense(self._weights)
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        w = self._weights
-        return bool(abs(w - w.T).max() <= tol)
-
-    def edge_list(self):
-        """Edges as parallel arrays ``(src, dst, weight)`` with ``src -> dst``.
-
-        Row-major over the matrix, so ordering is deterministic.
-        """
-        if sp.issparse(self._weights):
-            coo = self._weights.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            dst, src, w = coo.row[order], coo.col[order], coo.data[order]
-        else:
-            dst, src = np.nonzero(self._weights)
-            w = self._weights[dst, src]
-        return src, dst, w
+    def is_symmetric(self) -> bool:
+        return _is_symmetric(self._weights)
 
     def _check_vertex(self, m: int) -> None:
         if not (0 <= m < self._n):
@@ -341,7 +335,7 @@ def validate_weights(graph) -> WeightDiagnostics:
     zero_rows = tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0))
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))
     values = _values(w)
-    symmetric = not (w != w.T).sum()
+    symmetric = _is_symmetric(w)
     negative = int(np.count_nonzero(values < 0))
     positive = values[values > 0]
     n_edges = int(np.count_nonzero(values))

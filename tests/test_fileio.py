@@ -6,16 +6,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dsshift import Graph, VertexGeometry, birkhoff_decompose
+from dsshift import VertexGeometry, birkhoff_decompose
 from dsshift.fileio import (
     FileFormatError,
     load_birkhoff_json,
-    load_edge_csv,
     load_geometry_csv,
     load_matrix_market,
     load_signal_csv,
     save_birkhoff_json,
-    save_edge_csv,
     save_json,
     save_matrix_market,
     save_signal_csv,
@@ -201,6 +199,15 @@ class TestMatrixMarket:
         assert sp.issparse(a) and a.nnz == n
         assert peak < 20e6  # a dense N x N would need 200 MB
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_writer_refuses_non_finite_entries(self, tmp_path, bad, sparse):
+        a = np.array([[1.0, 0.0], [bad, 2.0]])
+        path = tmp_path / "a.mtx"
+        with pytest.raises(ValueError, match="must be finite"):
+            save_matrix_market(path, sp.csr_array(a) if sparse else a)
+        assert not path.exists()
+
     @pytest.mark.parametrize("scale, dense", [(3000.0, True), (800.0, False)])
     def test_loaders_follow_the_storage_rule(self, tmp_path, scale, dense):
         from dsshift import build_weight_matrix
@@ -208,11 +215,9 @@ class TestMatrixMarket:
         g = build_weight_matrix(random_geometry(600, 0), scale=scale, threshold=1e-3)
         assert sp.issparse(g.weights) != dense
         save_matrix_market(tmp_path / "w.mtx", g)
-        save_edge_csv(tmp_path / "w.csv", g)
-        loaded = load_matrix_market(tmp_path / "w.mtx"), load_edge_csv(tmp_path / "w.csv")
-        for w in (loaded[0], loaded[1].weights):
-            assert isinstance(w, np.ndarray if dense else sp.csr_array)
-            assert np.array_equal(w if dense else w.toarray(), g.dense())
+        w = load_matrix_market(tmp_path / "w.mtx")
+        assert isinstance(w, np.ndarray if dense else sp.csr_array)
+        assert np.array_equal(w if dense else w.toarray(), g.dense())
 
 
 # Extremes of float64 and values whose shortest round-trip form has 17 digits.
@@ -232,42 +237,6 @@ def test_matrix_market_round_trip_is_bit_exact(tmp_path_factory, a, sparse):
     save_matrix_market(path, sp.csr_matrix(a) if sparse else a)
     b = load_matrix_market(path)
     assert np.array_equal(b.toarray() if sp.issparse(b) else b, a)
-
-
-class TestEdgeCSV:
-    def test_round_trip(self, tmp_path):
-        w = np.array([[0.0, 0.5, 0.0], [0.25, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        g = Graph(w)
-        path = tmp_path / "g.csv"
-        save_edge_csv(path, g)
-        g2 = load_edge_csv(path, n_vertices=3)
-        assert np.array_equal(g2.dense(), w)
-
-    def test_header_and_orientation(self, tmp_path):
-        path = tmp_path / "g.csv"
-        path.write_text("src,dst,weight\n0,1,0.75\n")
-        g = load_edge_csv(path)
-        # edge 0 -> 1 lands in row 1 (incoming edges of vertex 1)
-        assert g.weight(1, 0) == 0.75
-        assert g.weight(0, 1) == 0.0
-
-    def test_negative_weight_names_line(self, tmp_path):
-        path = tmp_path / "g.csv"
-        path.write_text("src,dst,weight\n0,1,0.5\n1,0,-2.0\n")
-        with pytest.raises(FileFormatError, match=r"g\.csv:3: weight must be positive"):
-            load_edge_csv(path)
-
-    def test_duplicate_edge_rejected(self, tmp_path):
-        path = tmp_path / "g.csv"
-        path.write_text("src,dst,weight\n0,1,0.5\n0,1,0.6\n")
-        with pytest.raises(FileFormatError, match=r"g\.csv:3: duplicate edge"):
-            load_edge_csv(path)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "g.csv"
-        path.write_text("a,b,c\n0,1,0.5\n")
-        with pytest.raises(FileFormatError, match="header must be"):
-            load_edge_csv(path)
 
 
 class TestSignalCSV:
@@ -296,6 +265,13 @@ class TestSignalCSV:
         path.write_text("")
         with pytest.raises(FileFormatError, match="empty signal"):
             load_signal_csv(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_writer_refuses_non_finite_values(self, tmp_path, bad):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="must be finite"):
+            save_signal_csv(path, [1.0, bad, 2.0])
+        assert not path.exists()
 
 
 class TestGeometryCSV:
@@ -332,16 +308,96 @@ class TestGeometryCSV:
             4,
             load_matrix_market,
         ),
-        ("g.csv", "src,dst,weight\n0,1,0.5\n1,0,{}\n", 3, load_edge_csv),
         ("geo.csv", "id,lat,lon,alt\n0,45.0,7.0,0.0\n1,45.1,{},10.0\n", 3, load_geometry_csv),
     ],
-    ids=["mtx", "edge-csv", "geometry-csv"],
+    ids=["mtx", "geometry-csv"],
 )
 def test_non_finite_value_names_line(tmp_path, name, text, lineno, load, bad):
     path = tmp_path / name
     path.write_text(text.format(bad))
     with pytest.raises(FileFormatError, match=rf"{re.escape(name)}:{lineno}: non-finite"):
         load(path)
+
+
+def _rejected_by(parse):
+    def rejected(token):
+        try:
+            parse(token)
+        except ValueError:
+            return True
+        return False
+
+    return rejected
+
+
+# Non-numeric and non-integer tokens are the ones float() and int() reject, as
+# in the loaders' own _parse_float and _parse_int.
+_tokens = st.text(alphabet="0123456789.eE+-_xnaifINF", min_size=1, max_size=6)
+_non_numeric = _tokens.filter(_rejected_by(float))
+_non_integer = _tokens.filter(_rejected_by(int))
+_non_finite = st.sampled_from(["nan", "-NaN", "inf", "+inf", "-Infinity", "1e400", "-1e999"])
+_blank = st.lists(st.sampled_from(["", "   "]), max_size=1)  # lines loaders skip
+
+
+def _corrupted(data, entries, sep, bad_token):
+    """Lines of ``entries`` (token lists joined by ``sep``) with drawn blank
+    lines in between, as written (good) and with one drawn token replaced by
+    a draw from ``bad_token(field)`` (bad), plus that line's 0-based index."""
+    k = data.draw(st.integers(0, len(entries) - 1), label="entry")
+    tokens = list(entries[k])
+    field = data.draw(st.integers(0, len(tokens) - 1), label="field")
+    tokens[field] = data.draw(bad_token(field), label="token")
+    good = []
+    for i, entry in enumerate(entries):
+        good += data.draw(_blank)
+        if i == k:
+            at = len(good)
+        good.append(sep.join(entry))
+    return good, good[:at] + [sep.join(tokens)] + good[at + 1:], at
+
+
+def _assert_rejection_names_line(path, load, head, good, bad, at):
+    path.write_text("\n".join(head + good) + "\n")
+    load(path)
+    path.write_text("\n".join(head + bad) + "\n")
+    with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}:{len(head) + at + 1}: "):
+        load(path)
+
+
+@given(data=st.data())
+@settings(max_examples=80)
+def test_matrix_market_rejection_names_the_line(tmp_path_factory, data):
+    n = data.draw(st.integers(2, 6), label="n")
+    cells = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                               min_size=1, max_size=12, unique=True), label="cells")
+    values = data.draw(st.lists(_finite, min_size=len(cells), max_size=len(cells)))
+    out_of_range = (st.integers(-3, 0) | st.integers(n + 1, n + 4)).map(str)
+    lines = _corrupted(data, [[str(i), str(j), repr(v)] for (i, j), v in zip(cells, values)],
+                       " ", lambda field: (_non_numeric | _non_finite if field == 2
+                                           else _non_integer | out_of_range))
+    head = ["%%MatrixMarket matrix coordinate real general", f"{n} {n} {len(cells)}"]
+    _assert_rejection_names_line(tmp_path_factory.mktemp("mtx") / "w.mtx",
+                                 load_matrix_market, head, *lines)
+
+
+@given(values=st.lists(_finite, min_size=1, max_size=10), data=st.data())
+@settings(max_examples=60)
+def test_signal_csv_rejection_names_the_line(tmp_path_factory, values, data):
+    lines = _corrupted(data, [[repr(v)] for v in values], ",",
+                       lambda field: _non_numeric | _non_finite)
+    _assert_rejection_names_line(tmp_path_factory.mktemp("signal") / "x.csv",
+                                 load_signal_csv, [], *lines)
+
+
+@given(ids=st.permutations(range(6)), data=st.data())
+@settings(max_examples=60)
+def test_geometry_csv_rejection_names_the_line(tmp_path_factory, ids, data):
+    coords = st.floats(-1e6, 1e6, allow_nan=False)
+    rows = [[str(i)] + [repr(data.draw(coords)) for _ in "xyz"] for i in ids]
+    lines = _corrupted(data, rows, ",", lambda field: (
+        _non_integer if field == 0 else _non_numeric | _non_finite))
+    _assert_rejection_names_line(tmp_path_factory.mktemp("geometry") / "geo.csv",
+                                 load_geometry_csv, ["id,lat,lon,alt"], *lines)
 
 
 class TestBirkhoffJSON:
@@ -366,6 +422,32 @@ class TestBirkhoffJSON:
         path = tmp_path / "d.json"
         path.write_text('{"terms": [')
         with pytest.raises(FileFormatError, match=r"d\.json:1"):
+            load_birkhoff_json(path)
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ("", "no terms"),
+            ('{"a": 0.5, "perm": [0, 1]}, {"a": 0.5, "perm": [1]}', "malformed decomposition"),
+            ('{"a": 1.0, "perm": [0.5, 1]}', "list of integers"),
+            ('{"a": 1.0, "perm": ["0", "1"]}', "list of integers"),
+            ('{"a": 1.0, "perm": [0, 2]}', "term 0: perm is not a permutation of 0..1"),
+            ('{"a": 1.0, "perm": [-1, 0]}', "term 0: perm is not a permutation of 0..1"),
+            ('{"a": 0.5, "perm": [0, 1]}, {"a": 0.5, "perm": [0, 0]}',
+             "term 1: perm is not a permutation of 0..1"),
+            ('{"a": NaN, "perm": [0, 1]}', "term 0: coefficient must be finite and nonnegative"),
+            ('{"a": Infinity, "perm": [0, 1]}', "term 0: coefficient must be finite"),
+            ('{"a": 1.5, "perm": [0, 1]}, {"a": -0.5, "perm": [1, 0]}',
+             "term 1: coefficient must be finite and nonnegative"),
+        ],
+        ids=["empty", "ragged", "fractional", "strings", "beyond-n", "negative-entry",
+             "repeat", "nan-a", "inf-a", "negative-a"],
+    )
+    def test_malformed_decomposition_names_path(self, tmp_path, terms, message):
+        path = tmp_path / "d.json"
+        path.write_text(f'{{"terms": [{terms}]}}')
+        pattern = rf"^{re.escape(str(path))}: .*{re.escape(message)}"
+        with pytest.raises(FileFormatError, match=pattern):
             load_birkhoff_json(path)
 
 

@@ -66,9 +66,6 @@ class TestGraph:
         g = Graph(w)
         assert g.weight(1, 0) == 0.7
         assert g.n_edges == 1
-        src, dst, vals = g.edge_list()
-        assert src.tolist() == [0] and dst.tolist() == [1]
-        assert vals.tolist() == [0.7]
 
     def test_weights_immutable(self):
         g = Graph(np.ones((2, 2)))
@@ -322,6 +319,28 @@ class TestValidateWeights:
         assert peak < 20e6  # a dense copy alone takes 200 MB
         assert d.symmetric and d.balanceable and d.n_edges == 3 * n - 2
         assert (d.min_positive, d.max_weight) == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("storage", [np.asarray, sp.csr_array], ids=["dense", "csr"])
+def test_symmetry_is_decided_alike_by_every_caller(storage):
+    """Graph.is_symmetric, validate_weights and the balancer's choice between
+    W and its embedding agree, also for one asymmetric entry in the last
+    (partial) 256-row block of the dense comparison."""
+    rng = np.random.default_rng(5)
+    n = 600
+    mask = rng.random((n, n)) < 0.02
+    mask[597, 530] = True
+    w = rng.uniform(0.5, 1.5, (n, n)) * (mask | mask.T)
+    w = w + w.T + np.eye(n)  # symmetric with a positive diagonal: total support
+    nudged = w.copy()
+    nudged[597, 530] *= 2.0
+    for m, symmetric in ((w, True), (nudged, False)):
+        stored = storage(m)
+        assert Graph(stored).is_symmetric() is symmetric
+        assert validate_weights(stored).symmetric is symmetric
+        # A symmetric W is balanced through one scaling vector, so r and c alias.
+        result = sinkhorn_knopp(stored)
+        assert np.shares_memory(result.row_scaling, result.col_scaling) is symmetric
 
 
 STORAGES = {"dense": np.asarray, "csr_array": sp.csr_array, "csr_matrix": sp.csr_matrix}
