@@ -234,17 +234,23 @@ def monte_carlo_shift_stats(
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
-    members, weights = _positive_row(S, m)
-    neighborhood = Neighborhood(center=m, members=members, size=int(members.size))
+    _, weights = _positive_row(S, m)
 
+    # The draws of sample_local_signal, block by block in the same order,
+    # but the shift is linear, so it is applied to the normals directly:
+    # sum_n w_n x_n = mu W + sigma (sqrt(rho) W z0 + sqrt(1 - rho) z @ w),
+    # with W = sum_n w_n, and no block-sized signal array is formed.
     gen = np.random.default_rng(seed)
-    block = max(1, _BLOCK_VALUES // (members.size + 1))
+    block = max(1, _BLOCK_VALUES // (weights.size + 1))
+    total = float(weights.sum())
     shifted = np.empty(trials)
     done = 0
     while done < trials:
         take = min(block, trials - done)
-        x = sample_local_signal(model, neighborhood, gen, size=take)
-        shifted[done : done + take] = x @ weights
+        z = gen.standard_normal((take, weights.size + 1))
+        shifted[done : done + take] = model.mu * total + model.sigma * (
+            np.sqrt(model.rho) * total * z[:, 0] + np.sqrt(1.0 - model.rho) * (z[:, 1:] @ weights)
+        )
         done += take
 
     mean = float(shifted.mean())

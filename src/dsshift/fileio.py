@@ -44,10 +44,14 @@ def _fail(path, lineno: int, message: str):
     raise FileFormatError(f"{path}:{lineno}: {message}")
 
 
+# float() and int() also read Python's digit separators ("1_0" is 10), which
+# the file formats do not have and numpy's parser rejects.
 def _parse_float(token: str, path, lineno: int, what: str) -> float:
     try:
         value = float(token)
     except ValueError:
+        value = None
+    if value is None or "_" in token:
         _fail(path, lineno, f"non-numeric {what} {token!r}")
     if not math.isfinite(value):
         _fail(path, lineno, f"non-finite {what} {token!r}")
@@ -56,9 +60,12 @@ def _parse_float(token: str, path, lineno: int, what: str) -> float:
 
 def _parse_int(token: str, path, lineno: int, what: str) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
+        value = None
+    if value is None or "_" in token:
         _fail(path, lineno, f"non-integer {what} {token!r}")
+    return value
 
 
 def save_matrix_market(path, matrix) -> None:
@@ -221,22 +228,30 @@ def load_signal_csv(path) -> np.ndarray:
 def load_geometry_csv(path) -> VertexGeometry:
     """Read vertex geometry from ``id,lat,lon,alt`` rows.
 
-    Ids must form the complete range 0..N-1 in any order.
+    Ids must form the complete range 0..N-1 in any order.  A negative id
+    fails on its line; with N rows known, so does the first id N or above,
+    which is where any gap in the range shows.
     """
     seen = {}
     for lineno, tokens in _csv_rows(path, ["id", "lat", "lon", "alt"]):
         vid = _parse_int(tokens[0], path, lineno, "vertex id")
+        if vid < 0:
+            _fail(path, lineno, f"negative vertex id {vid}")
         if vid in seen:
             _fail(path, lineno, f"duplicate vertex id {vid}")
-        seen[vid] = (
+        seen[vid] = lineno, (
             _parse_float(tokens[1], path, lineno, "latitude"),
             _parse_float(tokens[2], path, lineno, "longitude"),
             _parse_float(tokens[3], path, lineno, "altitude"),
         )
     n = len(seen)
-    if sorted(seen) != list(range(n)):
-        raise FileFormatError(f"{path}: vertex ids must cover 0..{n - 1} exactly")
-    coords = np.array([seen[i] for i in range(n)])
+    # N distinct nonnegative ids miss a value of 0..N-1 only if one is N or more.
+    beyond = [(lineno, vid) for vid, (lineno, _) in seen.items() if vid >= n]
+    if beyond:
+        lineno, vid = min(beyond)
+        _fail(path, lineno, f"vertex id {vid} outside 0..{n - 1}; "
+                            f"vertex ids must cover 0..{n - 1} exactly")
+    coords = np.array([seen[i][1] for i in range(n)])
     return VertexGeometry(lat=coords[:, 0], lon=coords[:, 1], alt=coords[:, 2])
 
 

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsshift import (
     DecompositionError,
@@ -163,6 +167,73 @@ class TestBirkhoffDecompose:
     def test_zero_tol_above_every_entry_fails(self):
         with pytest.raises(DecompositionError, match="zero_tol=0.6"):
             birkhoff_decompose(np.full((2, 2), 0.5), zero_tol=0.6)
+
+    def test_permutation_needs_no_repair(self):
+        # the only term frees every row, and the first has no augmenting path
+        d = birkhoff_decompose(np.eye(3)[[1, 2, 0]])
+        assert d.repairs == 0
+        assert d.dust == 0.0
+        assert d.dust_bound == 1e-12 + np.finfo(float).eps
+
+    def test_uniform_two_by_two_counts(self):
+        # identity first; each freed row is repaired by the one-edge path to
+        # its off-diagonal column; the swap then leaves nothing to match
+        d = birkhoff_decompose(np.full((2, 2), 0.5))
+        assert d.repairs == 2
+        assert d.dust == 0.0
+        assert d.dust_bound == 1e-12 + 2 * np.finfo(float).eps
+
+    def test_sparse_operator_needs_no_dense_residual(self):
+        # 0.3 I + 0.7 P with P one cycle through all n vertices; a dense
+        # residual alone would take 3.2 GB
+        n = 20_000
+        order = np.random.default_rng(0).permutation(n)
+        cycle = np.empty(n, dtype=np.int64)
+        cycle[order] = np.roll(order, -1)
+        rows = np.arange(n)
+        s = sp.csr_array((np.r_[np.full(n, 0.3), np.full(n, 0.7)],
+                          (np.r_[rows, rows], np.r_[rows, cycle])), shape=(n, n))
+        tracemalloc.start()
+        try:
+            d = birkhoff_decompose(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        terms = sorted((round(float(a), 12), p.tolist()) for a, p in d.terms())
+        assert terms == [(0.3, rows.tolist()), (0.7, cycle.tolist())]
+
+
+def _assert_round_trip(s, a, zero_tol=1e-12):
+    """Properties of the decomposition of ``s``, whose dense form is ``a``."""
+    d = birkhoff_decompose(s, zero_tol=zero_tol)
+    rebuilt = reconstruct(d)
+    assert np.abs(rebuilt - a).max() <= 1e-10
+    assert d.coefficients.min() > 0
+    assert abs(d.coefficients.sum() - 1.0) <= 1e-12
+    rows = np.arange(a.shape[0])
+    assert all((a[rows, image] > 0).all() for image in d.permutations)
+    assert d.dust <= d.dust_bound
+    # the stop condition: no perfect matching is left above zero_tol
+    assert perfect_matching(a - rebuilt > zero_tol) is None
+
+
+@given(n=st.integers(50, 300), k=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       sparse=st.booleans())
+@settings(max_examples=30)
+def test_round_trip_on_permutation_mixtures(n, k, seed, sparse):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.05, 1.0, k)
+    a = np.zeros((n, n))
+    for w in weights / weights.sum():
+        a[np.arange(n), rng.permutation(n)] += w
+    _assert_round_trip(sp.csr_array(a) if sparse else a, a)
+
+
+def test_round_trip_on_demo_kernel():
+    i, j = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
+    s = demo_kernel_operator((j.ravel() + 0.5) / 8, (i.ravel() + 0.5) / 8)
+    _assert_round_trip(s, s.dense())
 
 
 class TestReconstruct:

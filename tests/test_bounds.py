@@ -16,6 +16,7 @@ from dsshift import (
     shift_power_bounds,
     variance_upper_bound,
 )
+from dsshift.bounds import _BLOCK_VALUES
 
 from conftest import balanced_operator
 
@@ -248,6 +249,27 @@ class TestMonteCarloShiftStats:
         a = monte_carlo_shift_stats(ROW_THIRDS, 0, model, trials=5_000, seed=7)
         b = monte_carlo_shift_stats(ROW_THIRDS, 0, model, trials=5_000, seed=7)
         assert a == b
+
+    def test_equals_shifting_the_sampled_signal(self):
+        # The explicit path: draw the signals block by block with
+        # sample_local_signal, from one generator, and shift them.
+        s = balanced_operator(40, seed=74)
+        model = RandomSignalModel(mu=1.0, sigma=1.5, rho=0.3)
+        members = np.arange(40)
+        weights = s.dense()[0]
+        block = _BLOCK_VALUES // 41
+        trials = 2 * block + 17  # two full blocks and a partial one
+        gen = np.random.default_rng(8)
+        shifted = np.concatenate([
+            sample_local_signal(model, Neighborhood(0, members, 40), gen,
+                                size=min(block, trials - done)) @ weights
+            for done in range(0, trials, block)
+        ])
+        st = monte_carlo_shift_stats(s, 0, model, trials=trials, seed=8)
+        assert st.trials == trials
+        assert st.mean == pytest.approx(shifted.mean(), rel=1e-12)
+        assert st.variance == pytest.approx(shifted.var(ddof=1), rel=1e-12)
+        assert st.power == pytest.approx((shifted**2).mean(), rel=1e-12)
 
     def test_invalid_trials(self):
         model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.0)

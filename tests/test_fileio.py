@@ -69,6 +69,12 @@ class TestMatrixMarket:
         with pytest.raises(FileFormatError, match=r"bad\.mtx:3: non-numeric"):
             load_matrix_market(path)
 
+    def test_digit_separator_is_not_a_number(self, tmp_path):
+        path = tmp_path / "u.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1_0\n")
+        with pytest.raises(FileFormatError, match=r"u\.mtx:4: non-numeric value '1_0'"):
+            load_matrix_market(path)
+
     def test_out_of_range_index_names_line(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_text(
@@ -253,6 +259,12 @@ class TestSignalCSV:
         with pytest.raises(FileFormatError, match=r"x\.csv:2: non-numeric"):
             load_signal_csv(path)
 
+    def test_digit_separator_is_not_a_number(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("1.0\n1_0\n")
+        with pytest.raises(FileFormatError, match=r"x\.csv:2: non-numeric signal value '1_0'"):
+            load_signal_csv(path)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_line(self, tmp_path, bad):
         path = tmp_path / "x.csv"
@@ -291,6 +303,33 @@ class TestGeometryCSV:
         with pytest.raises(FileFormatError, match="must cover 0..1"):
             load_geometry_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,45.0,7.0,0.0\n1_0,45.2,7.2,20.0\n", r"geo\.csv:3: non-integer vertex id '1_0'"),
+            ("0,45.0,7.0,0.0\n1,45.1,7_0,10.0\n", r"geo\.csv:3: non-numeric longitude '7_0'"),
+        ],
+        ids=["id", "longitude"],
+    )
+    def test_digit_separator_is_not_a_number(self, tmp_path, rows, message):
+        path = tmp_path / "geo.csv"
+        path.write_text("id,lat,lon,alt\n" + rows)
+        with pytest.raises(FileFormatError, match=message):
+            load_geometry_csv(path)
+
+    def test_negative_id_names_line(self, tmp_path):
+        path = tmp_path / "geo.csv"
+        path.write_text("id,lat,lon,alt\n0,45.0,7.0,0.0\n-1,45.2,7.2,20.0\n1,45.1,7.1,1.0\n")
+        with pytest.raises(FileFormatError, match=r"geo\.csv:3: negative vertex id -1"):
+            load_geometry_csv(path)
+
+    def test_id_beyond_range_names_its_line(self, tmp_path):
+        # three rows: 5 and 3 are both outside 0..2; the first in the file is named
+        path = tmp_path / "geo.csv"
+        path.write_text("id,lat,lon,alt\n0,45.0,7.0,0.0\n5,45.1,7.1,1.0\n3,45.2,7.2,2.0\n")
+        with pytest.raises(FileFormatError, match=r"geo\.csv:3: vertex id 5 outside 0\.\.2"):
+            load_geometry_csv(path)
+
     def test_duplicate_id_names_line(self, tmp_path):
         path = tmp_path / "geo.csv"
         path.write_text("id,lat,lon,alt\n0,45.0,7.0,0.0\n0,45.2,7.2,20.0\n")
@@ -325,13 +364,14 @@ def _rejected_by(parse):
             parse(token)
         except ValueError:
             return True
-        return False
+        return "_" in token
 
     return rejected
 
 
-# Non-numeric and non-integer tokens are the ones float() and int() reject, as
-# in the loaders' own _parse_float and _parse_int.
+# Non-numeric and non-integer tokens are the ones float() and int() reject,
+# plus those with a digit separator, as in the loaders' own _parse_float and
+# _parse_int.
 _tokens = st.text(alphabet="0123456789.eE+-_xnaifINF", min_size=1, max_size=6)
 _non_numeric = _tokens.filter(_rejected_by(float))
 _non_integer = _tokens.filter(_rejected_by(int))
@@ -394,8 +434,9 @@ def test_signal_csv_rejection_names_the_line(tmp_path_factory, values, data):
 def test_geometry_csv_rejection_names_the_line(tmp_path_factory, ids, data):
     coords = st.floats(-1e6, 1e6, allow_nan=False)
     rows = [[str(i)] + [repr(data.draw(coords)) for _ in "xyz"] for i in ids]
+    out_of_range = (st.integers(-3, -1) | st.integers(6, 9)).map(str)
     lines = _corrupted(data, rows, ",", lambda field: (
-        _non_integer if field == 0 else _non_numeric | _non_finite))
+        _non_integer | out_of_range if field == 0 else _non_numeric | _non_finite))
     _assert_rejection_names_line(tmp_path_factory.mktemp("geometry") / "geo.csv",
                                  load_geometry_csv, ["id,lat,lon,alt"], *lines)
 
