@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import (
-    _dense, _is_symmetric, _require_finite_nonnegative, _require_square, _row, _values,
+    Graph, _dense, _is_symmetric, _require_finite_nonnegative, _require_square, _row, _values,
 )
 
 __all__ = [
@@ -141,7 +141,8 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
         raise ValueError(f"max_iter must be positive, got {max_iter}")
 
     w, n = _require_square(weights)
-    _require_finite_nonnegative(w, "weights")
+    if not isinstance(weights, Graph):  # a Graph checked its weights when built
+        _require_finite_nonnegative(w, "weights")
     sparse = sp.issparse(w)
     symmetric = _is_symmetric(w)
 
@@ -198,7 +199,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
             np.maximum(x, x.max() / floor_ratio, out=x)
         v = x * matvec(x)
         matvecs += 1
-    if residual > tol:
+    if not residual <= tol:  # NaN too, so the operator below is finite
         raise NotConvergedError(
             f"no convergence after {max_iter} iterations "
             f"(residual {residual:.3e} > tol {tol:.3e}); "
@@ -213,5 +214,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
     else:
         s = r[:, None] * w
         s *= c
-    operator = DSOperator(s, tolerance_achieved=residual, iterations_used=iteration)
+    # Positive scalings of checked weights: no second pass of DSOperator's checks.
+    operator = object.__new__(DSOperator)
+    operator.__dict__.update(matrix=s, tolerance_achieved=residual, iterations_used=iteration)
     return BalanceResult(operator, r, c, matvecs=matvecs, residual_history=np.array(history))

@@ -3,17 +3,16 @@ permutation matrices, and reconstruct it.
 
 Greedy extraction on the stored entries: the residual is the operator's
 nonzero entries in one sorted CSR, never a dense N x N array.  The first
-perfect matching (Hopcroft-Karp) is taken on the entries above
-``zero_tol``; each step subtracts the smallest matched entry times that
-permutation, frees every row whose matched entry has fallen to
-``zero_tol`` or below, and repairs the matching with one breadth-first
-augmenting path per freed row (after Dufosse & Ucar 2016, "Notes on
-Birkhoff-von Neumann decomposition of doubly stochastic matrices", LAA 497).
-Memory is O(nnz), and a step costs its augmenting searches, which mostly
-visit a few rows, instead of a new support and matching.  When a freed row
-has no augmenting path, Berge's theorem says no perfect matching is left on
-the residual support, and every residual entry must be rounding dust: at
-most ``zero_tol`` plus machine epsilon per term extracted.
+perfect matching (Hopcroft-Karp) is taken on the entries above ``_CUT``;
+each step subtracts the smallest matched entry times that permutation,
+frees every row whose matched entry has fallen to the cut or below, and
+repairs the matching with one breadth-first augmenting path per freed row
+(after Dufosse & Ucar 2016, "Notes on Birkhoff-von Neumann decomposition of
+doubly stochastic matrices", LAA 497).  Memory is O(nnz), and a step costs
+its augmenting searches, which mostly visit a few rows, instead of a new
+support and matching.  When a freed row has no augmenting path, Berge's
+theorem says no perfect matching is left above the cut, and the input's own
+imbalance bounds the mass left (see ``birkhoff_decompose``).
 
 Every extraction zeroes at least one entry, so the process terminates
 within nnz terms; for an N x N input the term count stays within
@@ -24,6 +23,7 @@ scratch (about a quarter more on the demo-kernel grids).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +40,9 @@ __all__ = [
     "perfect_matching",
     "reconstruct",
 ]
+
+# Residual entries at or below this are never matched.
+_CUT = 1e-12
 
 
 class DecompositionError(RuntimeError):
@@ -62,8 +65,8 @@ class BirkhoffDecomposition:
     ``birkhoff_decompose`` also reports its work, in fields that take no
     part in comparisons and are None on a decomposition built elsewhere
     (read from a file, say): ``repairs`` is the number of augmenting paths
-    it found, ``dust`` the largest residual entry left at the stop, and
-    ``dust_bound`` the bound that entry had to meet, ``zero_tol + k * eps``.
+    it found, ``dust`` the mass it left unextracted, ``1 - sum(a_i)`` before
+    renormalizing, and ``dust_bound`` its bound (see ``birkhoff_decompose``).
     """
 
     coefficients: np.ndarray
@@ -75,10 +78,6 @@ class BirkhoffDecomposition:
     @property
     def n_terms(self) -> int:
         return int(self.coefficients.shape[0])
-
-    @property
-    def dimension(self) -> int:
-        return int(self.permutations.shape[1])
 
     def terms(self):
         """Iterate ``(coefficient, image_array)`` pairs in extraction order."""
@@ -105,24 +104,29 @@ def perfect_matching(support) -> np.ndarray | None:
     return None if (image < 0).any() else image.astype(np.int64)
 
 
-def birkhoff_decompose(S, zero_tol: float = 1e-12) -> BirkhoffDecomposition:
-    """Greedy Birkhoff extraction of a doubly stochastic matrix.
+def birkhoff_decompose(S) -> BirkhoffDecomposition:
+    """Greedy Birkhoff extraction of a doubly stochastic matrix (see the
+    module docstring), with the coefficients renormalized to sum to 1.
 
-    Each step subtracts the smallest matched entry times the current
-    permutation, then repairs the matching on the residual entries above
-    ``zero_tol`` (see the module docstring).  When no perfect matching is
-    left, every residual entry must be at most ``zero_tol + k * eps`` after
-    ``k`` terms: ``k * eps`` bounds the rounding that ``k`` subtractions can
-    leave in one entry, so ``zero_tol`` only has to cover the input's own
-    imbalance (a matrix balanced to 1e-10 needs ``zero_tol`` near 1e-10).
-    Coefficients are then renormalized to sum exactly to 1.
+    Leftover bound.  Let ``r`` be the input's largest row or column sum
+    error (the 1e-8 gate measures it), ``sigma`` the sum of the ``k``
+    coefficients and ``E = S - sum_i a_i P_i``.  No perfect matching is left
+    above the cut, so (Frobenius-Koenig) some rows ``I`` and columns ``J``
+    with ``|I| + |J| = n + 1`` have ``E[I, J] <= cut``.  The column sums of
+    ``E`` over ``J`` minus its row sums over the other rows ``I'`` come to
+    ``sum E[I, J] - sum E[I', J']``; each is within ``r`` of ``1 - sigma``,
+    and ``|J| = |I'| + 1 <= n``, so ``1 - sigma`` is at most ``(2n - 1) r``
+    plus the two blocks.  They hold at most ``nnz`` entries, each adding at
+    most ``nu = max(cut, -min S)``: a subtraction never takes an entry below
+    0, and a negative entry is never matched.  Rounding adds ``n k eps / 2``
+    (n entries of at most ``1 + r`` per subtraction) and ``nnz eps`` (the
+    measured sums); doubling the first covers the rest.  So ``dust =
+    1 - sigma <= dust_bound = (2n - 1) r + nnz (nu + eps) + n k eps``, and
+    ``reconstruct`` is within about ``2 dust + r`` of ``S`` entrywise.
 
     Raises ValueError when ``S`` is not doubly stochastic to 1e-8, and
-    DecompositionError when a residual entry above that bound has no
-    perfect matching to carry it.
+    DecompositionError when the unextracted mass exceeds ``dust_bound``.
     """
-    if zero_tol <= 0:
-        raise ValueError(f"zero_tol must be positive, got {zero_tol}")
     a, n = _require_square(S)
     check = verify_doubly_stochastic(a, tol=1e-8)
     if not check.passed:
@@ -138,38 +142,36 @@ def birkhoff_decompose(S, zero_tol: float = 1e-12) -> BirkhoffDecomposition:
     data, indices, indptr = residual.data, residual.indices, residual.indptr
     coefficients = []
     permutations = []
-    image = perfect_matching(sp.csr_array((data > zero_tol, indices, indptr), shape=(n, n)))
-    if image is not None:
-        # pos[r]: the data index of row r's matched entry, found by one
-        # search over the row-major (row, column) keys of the stored entries.
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
-        pos = np.searchsorted(keys, np.arange(n, dtype=np.int64) * n + image)
-        augment = _Augmenter(data, indices.tolist(), indptr.tolist(), image, pos, zero_tol)
-        # Each step takes the smallest matched entry to exactly 0, which no
-        # later matching uses, so the loop ends within nnz steps.
-        while True:
-            matched = data[pos]
-            weight = float(matched.min())
-            coefficients.append(weight)
-            permutations.append(indices[pos])
-            matched -= weight
-            data[pos] = matched
-            freed = np.flatnonzero(matched <= zero_tol).tolist()
-            augment.free(freed)
-            if not all(augment(r) for r in freed):
-                break
+    # By the bound below at k = 0, an input that passes the gate with n and
+    # nnz under 2.5e7 has a first perfect matching above the cut.
+    image = perfect_matching(sp.csr_array((data > _CUT, indices, indptr), shape=(n, n)))
+    # pos[r]: the data index of row r's matched entry, found by one
+    # search over the row-major (row, column) keys of the stored entries.
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+    pos = np.searchsorted(keys, np.arange(n, dtype=np.int64) * n + image)
+    augment = _Augmenter(data, indices.tolist(), indptr.tolist(), image, pos)
+    # Each step takes the smallest matched entry to exactly 0, which no
+    # later matching uses, so the loop ends within nnz steps.
+    while True:
+        matched = data[pos]
+        weight = float(matched.min())
+        coefficients.append(weight)
+        permutations.append(indices[pos])
+        matched -= weight
+        data[pos] = matched
+        freed = np.flatnonzero(matched <= _CUT).tolist()
+        augment.free(freed)
+        if not all(augment(r) for r in freed):
+            break
 
-    bound = zero_tol + len(coefficients) * np.finfo(float).eps
-    dust = float(data.max(initial=0.0))
+    k, eps = len(coefficients), np.finfo(float).eps
+    nu = max(_CUT, -check.min_entry)
+    bound = (2 * n - 1) * check.residual + residual.nnz * (nu + eps) + n * k * eps
+    dust = 1.0 - math.fsum(coefficients)
     if dust > bound:
         raise DecompositionError(
-            f"no perfect matching on the residual support, whose largest "
-            f"entry {dust:.3e} exceeds the dust bound {bound:.3e} after "
-            f"{len(coefficients)} terms; input is not doubly stochastic "
-            "to working tolerance"
-        )
-    if not coefficients:
-        raise DecompositionError(f"no perfect matching on entries above zero_tol={zero_tol:g}")
+            f"unextracted mass {dust:.3e} after {k} terms exceeds the bound "
+            f"{bound:.3e} from the input's imbalance {check.residual:.3e}")
 
     coeffs = np.asarray(coefficients, dtype=float)
     coeffs /= coeffs.sum()
@@ -183,16 +185,15 @@ def birkhoff_decompose(S, zero_tol: float = 1e-12) -> BirkhoffDecomposition:
 
 
 class _Augmenter:
-    """Repairs a matching on the stored entries above ``zero_tol``.
+    """Repairs a matching on the stored entries above the cut.
 
     ``data`` is the residual, which the caller updates in place; ``pos``
     maps each row to the data index of its matched entry, ``owner`` each
     column to its matched row (-1 when free).  Both change in place.
     """
 
-    def __init__(self, data, indices: list, indptr: list, image, pos, zero_tol: float):
-        self.data, self.indices, self.indptr = data, indices, indptr
-        self.pos, self.zero_tol = pos, zero_tol
+    def __init__(self, data, indices: list, indptr: list, image, pos):
+        self.data, self.indices, self.indptr, self.pos = data, indices, indptr, pos
         self.repairs = 0  # augmenting paths found
         self.owner = [-1] * (len(indptr) - 1)
         for r, c in enumerate(image.tolist()):
@@ -207,7 +208,7 @@ class _Augmenter:
         """Match the free row ``root`` along a shortest augmenting path
         (breadth-first); False, with nothing changed, when there is none."""
         data, indices, indptr, owner = self.data, self.indices, self.indptr, self.owner
-        tol = self.zero_tol
+        tol = _CUT
         via = {}  # column -> (row, data index) of the entry that reached it
         queue = [root]
         for u in queue:

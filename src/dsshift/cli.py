@@ -106,13 +106,9 @@ def _cmd_filter(args) -> int:
 
 def _cmd_birkhoff(args) -> int:
     s = load_matrix_market(args.op)
-    decomposition = birkhoff_decompose(s, zero_tol=args.zero_tol)
+    decomposition = birkhoff_decompose(s)
     save_birkhoff_json(args.output, decomposition)
-    print(
-        json.dumps(
-            {"terms": decomposition.n_terms, "output": args.output}, sort_keys=True
-        )
-    )
+    print(json.dumps({"terms": decomposition.n_terms, "output": args.output}, sort_keys=True))
     return EXIT_OK
 
 
@@ -212,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("birkhoff", help="decompose an operator into permutations")
     p.add_argument("--op", required=True)
-    p.add_argument("--zero-tol", type=float, default=1e-12)
     p.add_argument("--output", required=True, help="decomposition JSON destination")
     p.set_defaults(func=_cmd_birkhoff)
 

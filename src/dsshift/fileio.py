@@ -245,6 +245,8 @@ def load_geometry_csv(path) -> VertexGeometry:
             _parse_float(tokens[3], path, lineno, "altitude"),
         )
     n = len(seen)
+    if not n:
+        _fail(path, 1, "no geometry rows below the header")
     # N distinct nonnegative ids miss a value of 0..N-1 only if one is N or more.
     beyond = [(lineno, vid) for vid, (lineno, _) in seen.items() if vid >= n]
     if beyond:

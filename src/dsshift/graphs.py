@@ -188,8 +188,7 @@ class Neighborhood:
 @dataclass(frozen=True, eq=False)
 class VertexGeometry:
     """Per-vertex geographic coordinates: latitude/longitude in degrees,
-    altitude in the same length unit as projected distances (meters when
-    the default Earth radius is used)."""
+    altitude in meters."""
 
     lat: np.ndarray
     lon: np.ndarray
@@ -209,8 +208,8 @@ class VertexGeometry:
     def n_vertices(self) -> int:
         return self.lat.shape[0]
 
-    def project(self, radius: float = EARTH_RADIUS_M) -> np.ndarray:
-        """Project to a local 3-D Cartesian frame, shape (N, 3).
+    def project(self) -> np.ndarray:
+        """Project to a local 3-D Cartesian frame in meters, shape (N, 3).
 
         Equirectangular projection about the mean latitude: longitude is
         scaled by cos(mean latitude) so east-west distances are locally
@@ -219,15 +218,15 @@ class VertexGeometry:
         lat_r = np.radians(self.lat)
         lon_r = np.radians(self.lon)
         lat0 = lat_r.mean()
-        x = radius * np.cos(lat0) * lon_r
-        y = radius * lat_r
+        x = EARTH_RADIUS_M * np.cos(lat0) * lon_r
+        y = EARTH_RADIUS_M * lat_r
         return np.column_stack([x, y, self.alt])
 
-    def pairwise_distances(self, radius: float = EARTH_RADIUS_M) -> np.ndarray:
+    def pairwise_distances(self) -> np.ndarray:
         """Symmetric N x N matrix of Euclidean distances in the projected frame."""
         from scipy.spatial.distance import cdist  # not needed by ``import dsshift``
 
-        p = self.project(radius)
+        p = self.project()
         return cdist(p, p)
 
 
@@ -253,7 +252,6 @@ def build_weight_matrix(
     scale: float,
     threshold: float = 0.0,
     self_loops: bool = False,
-    radius: float = EARTH_RADIUS_M,
 ) -> Graph:
     """Build a Gaussian-kernel weight matrix from vertex geometry.
 
@@ -282,7 +280,7 @@ def build_weight_matrix(
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
 
-    tree = cKDTree(geometry.project(radius))
+    tree = cKDTree(geometry.project())
     n_dupes = (tree.count_neighbors(tree, 0.0) - n) // 2
     if n_dupes:
         warnings.warn(
@@ -301,7 +299,7 @@ def build_weight_matrix(
         w = tree.sparse_distance_matrix(tree, cutoff, output_type="coo_matrix")
         values = w.data  # distance-0 pairs, the diagonal included, are stored
     else:
-        w = values = geometry.pairwise_distances(radius)
+        w = values = geometry.pairwise_distances()
     values /= scale  # then exp(-values**2), in place
     np.exp(np.negative(np.square(values, out=values), out=values), out=values)
     values[values < threshold] = 0.0

@@ -25,6 +25,9 @@ __all__ = [
     "wss_check",
 ]
 
+_MAX_STEPS = 1000
+_STALE_STEPS = 10
+
 
 def _operator_and_signal(S, x):
     a, n = _require_square(S, "operator")
@@ -79,17 +82,15 @@ class DiffusionResult:
     status: str
 
 
-def diffusion_convergence(
-    S, x, tol: float = 1e-6, max_steps: int = 1000, window: int = 10
-) -> DiffusionResult:
+def diffusion_convergence(S, x, tol: float = 1e-6) -> DiffusionResult:
     """Iterate shifts until ``S**k x`` is uniformly within ``tol`` of mean(x).
 
     Convergence holds for primitive operators (for instance strictly
     positive ones).  Operators with periodic structure, such as permutation
     matrices, oscillate forever: this is detected when the best residual
-    has not improved for ``window`` consecutive steps, and reported as
-    ``status="non-convergent diffusion"`` rather than looping to
-    ``max_steps``.
+    has not improved for 10 consecutive steps, and reported as
+    ``status="non-convergent diffusion"`` rather than looping to the limit
+    of 1000 steps.
     """
     a, v = _operator_and_signal(S, x)
     target = v.mean()
@@ -99,7 +100,7 @@ def diffusion_convergence(
     residual = float(np.abs(y - target).max())
     if residual <= tol:
         return DiffusionResult(True, 0, residual, "converged")
-    for step in range(1, max_steps + 1):
+    for step in range(1, _MAX_STEPS + 1):
         y = a @ y
         residual = float(np.abs(y - target).max())
         if residual <= tol:
@@ -109,9 +110,9 @@ def diffusion_convergence(
             stale = 0
         else:
             stale += 1
-            if stale >= window:
+            if stale >= _STALE_STEPS:
                 return DiffusionResult(False, step, residual, "non-convergent diffusion")
-    return DiffusionResult(False, max_steps, residual, "max steps reached")
+    return DiffusionResult(False, _MAX_STEPS, residual, "max steps reached")
 
 
 def matrix_norm(A, p) -> float:

@@ -68,8 +68,8 @@ def _tight_family_50():
 def _birkhoff_family_50():
     """50 operators with N <= 16 for the decomposition round trip.
 
-    Balanced well below the decomposition's 1e-12 structural-zero cut so
-    leftover imbalance counts as dust.
+    Balanced to 1e-14, so the reconstruction error of criterion 07 measures
+    the decomposition rather than the balancing residual.
     """
     rng = np.random.default_rng(303)
     family = []

@@ -241,6 +241,26 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             DSOperator(np.array([[np.nan, 0.5], [0.5, 0.5]]))
 
+    def test_each_matrix_checked_once(self, monkeypatch):
+        # a Graph checks its weights when built; sinkhorn_knopp checks a raw
+        # array, and neither pass is repeated on the operator it builds
+        from dsshift import Graph, balance, graphs
+
+        calls = []
+
+        def counting(a, what):
+            calls.append(what)
+            real(a, what)
+
+        real = graphs._require_finite_nonnegative
+        monkeypatch.setattr(graphs, "_require_finite_nonnegative", counting)
+        monkeypatch.setattr(balance, "_require_finite_nonnegative", counting)
+        w = np.array([[1.0, 2.0], [2.0, 1.0]])
+        sinkhorn_knopp(Graph(w))
+        assert calls == ["weights"]
+        sinkhorn_knopp(w)
+        assert calls == ["weights", "weights"]
+
 
 class TestVerifyDoublyStochastic:
     def test_identity_passes_with_zero_residual(self):

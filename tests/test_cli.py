@@ -159,6 +159,14 @@ class TestBirkhoffCommand:
         rc = run(["birkhoff", "--op", bad, "--output", tmp_path / "d.json"])
         assert rc == 2
 
+    def test_zero_tol_is_not_an_option(self, tmp_path, operator_file, capsys):
+        # the leftover bound comes from the input's measured imbalance
+        with pytest.raises(SystemExit) as exc:
+            run(["birkhoff", "--op", operator_file, "--zero-tol", "1e-9",
+                 "--output", tmp_path / "d.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --zero-tol" in capsys.readouterr().err
+
 
 class TestBoundsCommand:
     def test_report_schema_and_values(self, tmp_path, operator_file, capsys):

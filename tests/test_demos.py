@@ -1,13 +1,21 @@
-"""Every demo script and the README quickstart run to completion, so an API
-change that breaks one of them fails a test."""
+"""Every demo script, the README quickstart and the README's command-line
+block run to completion, so an API change that breaks one of them fails a
+test."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from dsshift.cli import main
+from dsshift.fileio import save_matrix_market, save_signal_csv
+
+from conftest import demo_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -30,3 +38,18 @@ def test_readme_quickstart_runs():
     readme = (ROOT / "README.md").read_text()
     block = re.search(r"## Quickstart\s+```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_command_line_exits_0(tmp_path, monkeypatch):
+    # the block's inputs: an n=64 demo-kernel W.mtx, a signal and filter taps
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\s.*?```bash\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert commands and all(argv[0] == "dsshift" for argv in commands)
+    rng = np.random.default_rng(0)
+    monkeypatch.chdir(tmp_path)
+    save_matrix_market("W.mtx", demo_kernel(*rng.uniform(0.0, 1.0, (2, 64))))
+    save_signal_csv("x.csv", rng.uniform(10.0, 20.0, 64))
+    save_signal_csv("h.csv", [0.5, 0.3, 0.2])
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)

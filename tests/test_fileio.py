@@ -336,6 +336,13 @@ class TestGeometryCSV:
         with pytest.raises(FileFormatError, match=r"geo\.csv:3: duplicate"):
             load_geometry_csv(path)
 
+    @pytest.mark.parametrize("text", ["id,lat,lon,alt", "id,lat,lon,alt\n", "id,lat,lon,alt\n\n"])
+    def test_header_only_names_line_1(self, tmp_path, text):
+        path = tmp_path / "geo.csv"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=r"geo\.csv:1: no geometry rows"):
+            load_geometry_csv(path)
+
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "Infinity"])
 @pytest.mark.parametrize(
