@@ -31,11 +31,9 @@ print("=" * 70)
 print("1. Row entry bounds and the Kantorovich chain")
 print("=" * 70)
 lb = local_bounds(op, m)
-row = op.row(m)
-sum_sq = float((row**2).sum())
 kb = kantorovich_bound(op, m)
 print(f"row {m}: L = {lb.lower:.4f}, U = {lb.upper:.4f}, N_m = {lb.size}")
-print(f"sum S^2 = {sum_sq:.4f} <= {kb:.4f} = (1/N_m)(L+U)^2/(4LU) < 1")
+print(f"sum S^2 = {lb.sum_sq:.4f} <= {kb:.4f} = (1/N_m)(L+U)^2/(4LU) < 1")
 print(f"AM/GM bias term (L+U)^2/4LU = {amgm_bias_term(lb.lower, lb.upper):.4f} (>= 1)")
 
 print()

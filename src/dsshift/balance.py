@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import (
-    Graph, _dense, _is_symmetric, _require_finite_nonnegative, _require_square, _row, _values,
+    Graph, _checked, _dense, _is_symmetric, _require_finite_nonnegative, _require_square, _row,
+    _trusted, _values,
 )
 
 __all__ = [
@@ -55,6 +56,7 @@ class DSOperator:
     ``matrix`` is dense or ``csr_array``; ``tolerance_achieved`` is the worst
     row/column-sum residual at construction and ``iterations_used`` the
     number of balancing iterations (both zero for hand-built operators).
+    A hand-built operator copies its matrix, as a Graph does.
     """
 
     matrix: object
@@ -62,9 +64,7 @@ class DSOperator:
     iterations_used: int = 0
 
     def __post_init__(self):
-        m, _ = _require_square(self.matrix, "operator")
-        _require_finite_nonnegative(m, "operator entries")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _checked(self.matrix, "operator"))
 
     @property
     def n(self) -> int:
@@ -129,13 +129,13 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
     (see the module docstring).  An iteration stops when every row and
     column sum is within ``tol`` of one, and otherwise takes a Newton step.
 
-    Raises ValueError for non-finite or negative weights, before any
-    iteration; UnbalanceableError for an all-zero row or column; and
-    NotConvergedError (carrying the last residual) when ``max_iter``
-    iterations do not reach ``tol``, which signals a matrix with support
-    but no total support.
+    Raises ValueError for non-finite or negative weights, or a ``tol`` that
+    is not positive (NaN included), before any iteration; UnbalanceableError
+    for an all-zero row or column; and NotConvergedError (carrying the last
+    residual) when ``max_iter`` iterations do not reach ``tol``, which
+    signals a matrix with support but no total support.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be positive, got {max_iter}")
@@ -215,6 +215,6 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
         s = r[:, None] * w
         s *= c
     # Positive scalings of checked weights: no second pass of DSOperator's checks.
-    operator = object.__new__(DSOperator)
-    operator.__dict__.update(matrix=s, tolerance_achieved=residual, iterations_used=iteration)
+    operator = _trusted(DSOperator, matrix=s, tolerance_achieved=residual,
+                        iterations_used=iteration)
     return BalanceResult(operator, r, c, matvecs=matvecs, residual_history=np.array(history))

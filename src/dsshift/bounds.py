@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Neighborhood, _require_square, _row
+from .graphs import Neighborhood, _positive_row, _require_square
 
 __all__ = [
     "LocalBounds",
@@ -62,11 +62,15 @@ class RandomSignalModel:
 
 @dataclass(frozen=True)
 class LocalBounds:
-    """Smallest and largest positive entry of one operator row."""
+    """The positive entries of one operator row: smallest ``lower`` (L),
+    largest ``upper`` (U), their count ``size`` (N_m), sum ``total`` and sum
+    of squares ``sum_sq``.  Every bound at the row is a formula over these."""
 
     lower: float
     upper: float
     size: int
+    total: float
+    sum_sq: float
 
 
 class PowerBounds(NamedTuple):
@@ -89,24 +93,26 @@ class ShiftStats:
     stderr_power: float
 
 
-def _positive_row(S, m: int):
-    """Columns and values of the positive entries in row ``m`` of a square
-    operator."""
+def _row_weights(S, m: int) -> np.ndarray:
+    """The positive entries of row ``m`` of a square operator; ValueError when
+    there are none, or when the row holds a NaN, infinite or negative entry."""
     a, _ = _require_square(S, "operator")
-    row = _row(a, m)
-    members = np.flatnonzero(row > 0)
-    if members.size == 0:
+    _, positive = _positive_row(a, m)
+    if positive.size == 0:
         raise ValueError(f"row {m} has no positive entries")
-    return members, row[members]
+    return positive
 
 
 def local_bounds(S, m: int) -> LocalBounds:
-    """Entry bounds L, U over the positive entries of row ``m``."""
-    _, positive = _positive_row(S, m)
+    """Entry bounds L, U, count, sum and sum of squares over the positive
+    entries of row ``m``."""
+    positive = _row_weights(S, m)
     return LocalBounds(
         lower=float(positive.min()),
         upper=float(positive.max()),
         size=int(positive.size),
+        total=float(positive.sum()),
+        sum_sq=float((positive**2).sum()),
     )
 
 
@@ -118,33 +124,26 @@ def kantorovich_bound(S, m: int) -> float:
     1 once the neighbourhood is large enough relative to the entry spread
     (``4 L U N_m > (L + U)**2``); for a single-entry row it equals 1.
     """
-    _, positive = _positive_row(S, m)
-    lower = float(positive.min())
-    upper = float(positive.max())
-    bound = amgm_bias_term(lower, upper) / positive.size
-    sum_sq = float((positive**2).sum())
-    row_sum_sq = float(positive.sum()) ** 2
+    lb = local_bounds(S, m)
+    bound = amgm_bias_term(lb.lower, lb.upper) / lb.size
     # Kantorovich inequality; can only trip on numerical damage.
-    assert sum_sq <= bound * row_sum_sq * (1 + 1e-9), (sum_sq, bound)
+    assert lb.sum_sq <= bound * lb.total**2 * (1 + 1e-9), (lb.sum_sq, bound)
     return bound
 
 
 def variance_upper_bound(S, m: int, sigma: float, rho: float) -> float:
     """Pre-Kantorovich variance bound ``sigma**2 (1 + N_m rho) sum S**2``."""
     _check_moments(sigma, rho)
-    _, positive = _positive_row(S, m)
-    sum_sq = float((positive**2).sum())
-    return sigma**2 * (1.0 + positive.size * rho) * sum_sq
+    lb = local_bounds(S, m)
+    return sigma**2 * (1.0 + lb.size * rho) * lb.sum_sq
 
 
 def exact_shift_variance(S, m: int, sigma: float, rho: float) -> float:
     """Exact variance of the shifted vertex signal under equicorrelation:
     ``sigma**2 * (sum S**2 + rho * (cross terms))``."""
     _check_moments(sigma, rho)
-    _, positive = _positive_row(S, m)
-    sum_sq = float((positive**2).sum())
-    cross = float(positive.sum()) ** 2 - sum_sq
-    return sigma**2 * (sum_sq + rho * cross)
+    lb = local_bounds(S, m)
+    return sigma**2 * (lb.sum_sq + rho * (lb.total**2 - lb.sum_sq))
 
 
 def asymptotic_variance_bound(sigma: float, rho: float, lower: float, upper: float) -> float:
@@ -234,7 +233,7 @@ def monte_carlo_shift_stats(
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
-    _, weights = _positive_row(S, m)
+    weights = _row_weights(S, m)
 
     # The draws of sample_local_signal, block by block in the same order,
     # but the shift is linear, so it is applied to the normals directly:

@@ -25,7 +25,7 @@ from .bounds import (
     shift_power_bounds,
     variance_upper_bound,
 )
-from .demo import FIELD_GENERATORS, SensorFieldConfig, run_sensor_demo
+from .demo import SensorFieldConfig, run_sensor_demo
 from .fileio import (
     FileFormatError,
     load_matrix_market,
@@ -160,7 +160,6 @@ def _cmd_demo_sensors(args) -> int:
         threshold=args.threshold,
         seed=args.seed,
         shifts=args.k,
-        field_generator=args.field,
     )
     report = run_sensor_demo(config)
     if args.output:
@@ -186,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("balance", help="balance a weight matrix to doubly stochastic form")
     p.add_argument("--input", required=True, help="weight matrix (Matrix Market)")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="largest row/column sum error accepted; must be positive")
     p.add_argument("--max-iter", type=int, default=10_000,
                    help="Newton iterations before giving up (default 10000)")
     p.add_argument("--output", required=True, help="balanced operator destination")
@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1800.0)
     p.add_argument("--threshold", type=float, default=1e-4)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--field", choices=sorted(FIELD_GENERATORS), default="bumps")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--output", default=None, help="optional report JSON destination")
     p.set_defaults(func=_cmd_demo_sensors)

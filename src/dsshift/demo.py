@@ -12,7 +12,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .shifting import diffuse
 
 __all__ = [
     "ExperimentReport",
-    "FIELD_GENERATORS",
     "FIELD_RMS",
+    "REPORT_SCHEMA",
     "SensorFieldConfig",
     "run_sensor_demo",
     "snr_db",
@@ -34,6 +34,9 @@ __all__ = [
 # default noise sigma of 2 this puts the expected input SNR at
 # 20*log10(FIELD_RMS / 2) = 14.0 dB.
 FIELD_RMS = 2.0 * 10.0 ** 0.7
+
+# Version of the report layout written by ExperimentReport.to_dict.
+REPORT_SCHEMA = 2
 
 # Sensor region: a roughly 10 km square centred at 45 N.  The longitude
 # half-span is widened by 1/cos(45 deg) so the projected box is square.
@@ -65,46 +68,22 @@ def snr_db(estimate, truth) -> float:
     return 10.0 * np.log10(truth_power / error_power)
 
 
-def _bumps_field(u, v, alt):
-    """Three smooth temperature bumps plus the altitude lapse term."""
-    f = 10.0 * np.ones_like(u)
-    f += 6.0 * np.exp(-(((u - 0.25) ** 2 + (v - 0.30) ** 2) / 0.45**2))
-    f -= 5.0 * np.exp(-(((u - 0.75) ** 2 + (v - 0.70) ** 2) / 0.50**2))
-    f += 4.0 * np.exp(-(((u - 0.60) ** 2 + (v - 0.15) ** 2) / 0.35**2))
-    f -= _LAPSE_RATE * alt
-    return f
-
-
-def _plane_field(u, v, alt):
-    """Linear horizontal gradient plus the altitude lapse term."""
-    return 12.0 + 3.0 * u - 2.0 * v - _LAPSE_RATE * alt
-
-
-FIELD_GENERATORS = {
-    "bumps": _bumps_field,
-    "plane": _plane_field,
-}
-
-
-def synthetic_true_field(geometry: VertexGeometry, generator: str = "bumps") -> np.ndarray:
-    """Evaluate a synthetic smooth field at the sensor sites, rescaled so its
-    root mean square equals :data:`FIELD_RMS`."""
-    try:
-        gen = FIELD_GENERATORS[generator]
-    except KeyError:
-        raise ValueError(
-            f"unknown field generator {generator!r}; "
-            f"choices: {sorted(FIELD_GENERATORS)}"
-        ) from None
+def synthetic_true_field(geometry: VertexGeometry) -> np.ndarray:
+    """Three smooth temperature bumps plus the altitude lapse term at the
+    sensor sites, rescaled so its root mean square equals :data:`FIELD_RMS`."""
     lat, lon = geometry.lat, geometry.lon
     lat_span = lat.max() - lat.min() or 1.0
     lon_span = lon.max() - lon.min() or 1.0
     u = (lon - lon.min()) / lon_span
     v = (lat - lat.min()) / lat_span
-    raw = gen(u, v, geometry.alt)
+    raw = 10.0 * np.ones_like(u)
+    raw += 6.0 * np.exp(-(((u - 0.25) ** 2 + (v - 0.30) ** 2) / 0.45**2))
+    raw -= 5.0 * np.exp(-(((u - 0.75) ** 2 + (v - 0.70) ** 2) / 0.50**2))
+    raw += 4.0 * np.exp(-(((u - 0.60) ** 2 + (v - 0.15) ** 2) / 0.35**2))
+    raw -= _LAPSE_RATE * geometry.alt
     rms = float(np.sqrt((raw**2).mean()))
     if rms == 0.0:
-        raise ValueError(f"field generator {generator!r} produced a zero field")
+        raise ValueError("the synthetic field is zero at every site")
     return raw * (FIELD_RMS / rms)
 
 
@@ -128,7 +107,6 @@ class SensorFieldConfig:
     threshold: float = 1e-4
     seed: int = 42
     shifts: int = 1
-    field_generator: str = "bumps"
 
     def __post_init__(self):
         if self.n_sensors < 2:
@@ -137,11 +115,6 @@ class SensorFieldConfig:
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
         if self.shifts < 0:
             raise ValueError(f"shifts must be nonnegative, got {self.shifts}")
-        if self.field_generator not in FIELD_GENERATORS:
-            raise ValueError(
-                f"unknown field generator {self.field_generator!r}; "
-                f"choices: {sorted(FIELD_GENERATORS)}"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -161,11 +134,10 @@ class ExperimentReport:
     noisy: np.ndarray
     denoised: np.ndarray
     config: SensorFieldConfig
-    schema: int = field(default=1)
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": REPORT_SCHEMA,
             "config": self.config.to_dict(),
             "input_snr_db": self.input_snr_db,
             "output_snr_db": self.output_snr_db,
@@ -195,7 +167,7 @@ def run_sensor_demo(config: SensorFieldConfig | None = None) -> ExperimentReport
     cfg = config or SensorFieldConfig()
     rng = np.random.default_rng(cfg.seed)
     geometry = _sensor_geometry(cfg.n_sensors, rng)
-    truth = synthetic_true_field(geometry, cfg.field_generator)
+    truth = synthetic_true_field(geometry)
     noisy = truth + cfg.noise_sigma * rng.standard_normal(cfg.n_sensors)
 
     graph = build_weight_matrix(

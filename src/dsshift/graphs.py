@@ -81,6 +81,30 @@ def _require_finite_nonnegative(a, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative")
 
 
+def _checked(obj, what: str):
+    """A private copy of the square matrix ``obj``, checked finite and
+    nonnegative: a read-only ndarray, or a CSR without explicit zeros.  The
+    caller's later writes to ``obj`` never reach the copy."""
+    a, _ = _require_square(obj, what)
+    if sp.issparse(a):
+        a = a.copy()
+        a.eliminate_zeros()
+    else:
+        a = np.array(a)
+        a.setflags(write=False)
+    _require_finite_nonnegative(a, what)
+    return a
+
+
+def _trusted(cls, **fields):
+    """A ``cls`` (Graph or DSOperator) holding ``fields`` unchecked and
+    uncopied: only for matrices the package has just built from checked
+    input, which would pass :func:`_checked` by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _dense_storage(shape, count_nonzero) -> bool:
     """The one storage rule for matrices the package builds or loads: dense
     when at most ``DENSE_LIMIT`` on a side or at least a quarter full (where
@@ -122,25 +146,25 @@ def _row(a, m: int) -> np.ndarray:
     return np.bincount(a.indices[lo:hi], weights=a.data[lo:hi], minlength=a.shape[1])
 
 
+def _positive_row(a, m: int):
+    """Columns and values of the positive entries in row ``m`` of ``a``, a
+    matrix from :func:`as_matrix`; ValueError when the row holds a NaN, an
+    infinite or a negative entry."""
+    row = _row(a, m)
+    _require_finite_nonnegative(row, f"row {m}")
+    members = np.flatnonzero(row)
+    return members, row[members]
+
+
 class Graph:
     """Directed weighted graph stored as its incoming-edge weight matrix.
 
     Entry ``weights[m, n]`` is the strength of edge ``n -> m``; zero means
-    no edge.  Immutable: the input is copied, unless it is a read-only
-    float64 array that owns its data (as ``build_weight_matrix`` passes).
+    no edge.  Immutable: the input is always copied (see :func:`_checked`).
     """
 
     def __init__(self, weights):
-        w, n = _require_square(weights)
-        if sp.issparse(w):
-            w = w.copy()
-            w.eliminate_zeros()
-        elif w.flags.writeable or not w.flags.owndata:
-            w = np.array(w, dtype=float)
-            w.setflags(write=False)
-        _require_finite_nonnegative(w, "weights")
-        self._weights = w
-        self._n = n
+        self._weights = _checked(weights, "weights")
 
     @property
     def weights(self):
@@ -149,7 +173,7 @@ class Graph:
 
     @property
     def n_vertices(self) -> int:
-        return self._n
+        return self._weights.shape[0]
 
     @property
     def n_edges(self) -> int:
@@ -168,12 +192,12 @@ class Graph:
         return _is_symmetric(self._weights)
 
     def _check_vertex(self, m: int) -> None:
-        if not (0 <= m < self._n):
-            raise ValueError(f"vertex id {m} out of range [0, {self._n})")
+        if not (0 <= m < self.n_vertices):
+            raise ValueError(f"vertex id {m} out of range [0, {self.n_vertices})")
 
     def __repr__(self):
         kind = "sparse" if sp.issparse(self._weights) else "dense"
-        return f"Graph(n_vertices={self._n}, n_edges={self.n_edges}, storage={kind})"
+        return f"Graph(n_vertices={self.n_vertices}, n_edges={self.n_edges}, storage={kind})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,15 +324,17 @@ def build_weight_matrix(
         values = w.data  # distance-0 pairs, the diagonal included, are stored
     else:
         w = values = geometry.pairwise_distances()
-    values /= scale  # then exp(-values**2), in place
-    np.exp(np.negative(np.square(values, out=values), out=values), out=values)
+    with np.errstate(over="ignore"):  # a distance past the float range weighs exp(-inf) = 0
+        values /= scale  # then exp(-values**2), in place
+        np.exp(np.negative(np.square(values, out=values), out=values), out=values)
     values[values < threshold] = 0.0
     if sparse:
         values[w.row == w.col] = 1.0 if self_loops else 0.0
     else:
         np.fill_diagonal(w, 1.0 if self_loops else 0.0)
-        w.setflags(write=False)  # Graph keeps this buffer instead of copying it
-    return Graph(_stored(w))
+        w.setflags(write=False)  # the Graph keeps this buffer
+    # exp of a nonpositive number: every weight is in [0, 1], nothing to check
+    return _trusted(Graph, _weights=_stored(w))
 
 
 def incoming_neighborhood(graph, m: int) -> Neighborhood:
@@ -317,7 +343,7 @@ def incoming_neighborhood(graph, m: int) -> Neighborhood:
     Accepts a Graph, an operator, or a raw matrix.
     """
     w, _ = _require_square(graph)
-    members = np.flatnonzero(_row(w, m) > 0)
+    members, _ = _positive_row(w, m)
     return Neighborhood(center=m, members=members, size=int(members.size))
 
 

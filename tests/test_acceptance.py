@@ -12,9 +12,11 @@ import numpy as np
 from dsshift import (
     RandomSignalModel,
     SensorFieldConfig,
+    amgm_bias_term,
     apply_filter,
     apply_shift,
     birkhoff_decompose,
+    build_weight_matrix,
     diffuse,
     exact_shift_variance,
     kantorovich_bound,
@@ -29,6 +31,7 @@ from dsshift import (
     variance_upper_bound,
     verify_doubly_stochastic,
 )
+from dsshift.demo import _sensor_geometry
 
 RHO_GRID = (0.0, 0.3, 0.7)
 SIGMA_GRID = (0.5, 2.0)
@@ -325,4 +328,52 @@ def test_criterion_14_sensor_demo():
         f"mean input SNR {mean_input:.2f} dB (target 14.0 +- 0.5), "
         f"mean gain {mean_gain:.2f} dB (>= 3), gain(k=50)={gain_k50:.2f} < "
         f"gain(k=1)={gain_k1:.2f}, {elapsed:.2f} s",
+    )
+
+
+def test_criterion_15_claims_on_demo_operators():
+    # The paper's three claims on the sensor demo's own operators, n = 2000,
+    # at kernel scales whose median in-neighbourhood runs from 10 to 1070.
+    start = time.monotonic()
+    geometry = _sensor_geometry(2000, np.random.default_rng(0))
+    model = RandomSignalModel(mu=1.0, sigma=1.0, rho=0.3)
+    chain_ok = variance_ok = mc_ok = True
+    worst_col = worst_z = 0.0
+    median_size, median_sum_sq = [], []
+    for scale in (130.0, 300.0, 700.0, 1800.0):
+        graph = build_weight_matrix(geometry, scale=scale, threshold=1e-4, self_loops=True)
+        op = sinkhorn_knopp(graph).operator
+        # claim iii: unit column sums preserve the mean
+        worst_col = max(worst_col, float(np.abs(op.matrix.sum(axis=0) - 1.0).max()))
+        sizes, sums_sq = [], []
+        for m in range(op.n):
+            lb = local_bounds(op, m)
+            # claim i: 1 <= N_m sum(S^2) <= (L+U)^2 / (4LU), up to the balance residual
+            spread = lb.size * lb.sum_sq
+            chain_ok &= 1 - 1e-9 <= spread <= amgm_bias_term(lb.lower, lb.upper) * (1 + 1e-9)
+            for rho in (0.0, 0.3):
+                exact = exact_shift_variance(op, m, 1.0, rho)
+                variance_ok &= exact <= variance_upper_bound(op, m, 1.0, rho) * (1 + 1e-12)
+            sizes.append(lb.size)
+            sums_sq.append(lb.sum_sq)
+        median_size.append(float(np.median(sizes)))
+        median_sum_sq.append(float(np.median(sums_sq)))
+        if scale < 1000.0:
+            st = monte_carlo_shift_stats(op, 0, model, trials=20_000, seed=15)
+            exact = exact_shift_variance(op, 0, model.sigma, model.rho)
+            z = max(abs(st.mean - model.mu) / st.stderr_mean,
+                    abs(st.variance - exact) / st.stderr_variance)
+            worst_z = max(worst_z, z)
+            mc_ok &= z <= 5.0
+    # claim ii: the i.i.d. variance sum(S^2) falls like 1 / N_m
+    slope = float(np.polyfit(np.log(median_size), np.log(median_sum_sq), 1)[0])
+    elapsed = time.monotonic() - start
+    ok = chain_ok and variance_ok and mc_ok and worst_col <= 1e-9 and -1.1 <= slope <= -0.9
+    _report(
+        15,
+        ok,
+        f"median N_m {[round(s) for s in median_size]}, Kantorovich chain and "
+        f"exact <= bound at all 8000 vertices, sum(S^2) slope {slope:.3f} (target -1 +- 0.1), "
+        f"worst column residual {worst_col:.1e}, Monte Carlo worst |z| {worst_z:.2f} "
+        f"(limit 5), {elapsed:.2f} s",
     )

@@ -13,7 +13,7 @@ from dsshift import (
     verify_doubly_stochastic,
 )
 
-from conftest import balanced_operator, demo_kernel
+from conftest import balanced_operator, demo_kernel, random_geometry
 
 
 class TestSinkhornKnopp:
@@ -241,10 +241,15 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             DSOperator(np.array([[np.nan, 0.5], [0.5, 0.5]]))
 
+    def test_nan_tol_rejected_before_iterating(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            sinkhorn_knopp(np.array([[1.0, 2.0], [2.0, 1.0]]), tol=np.nan)
+
     def test_each_matrix_checked_once(self, monkeypatch):
         # a Graph checks its weights when built; sinkhorn_knopp checks a raw
-        # array, and neither pass is repeated on the operator it builds
-        from dsshift import Graph, balance, graphs
+        # array, and neither pass is repeated on the operator it builds; the
+        # kernel is in [0, 1] by construction and is not checked at all
+        from dsshift import Graph, balance, build_weight_matrix, graphs
 
         calls = []
 
@@ -255,11 +260,15 @@ class TestNonFiniteInput:
         real = graphs._require_finite_nonnegative
         monkeypatch.setattr(graphs, "_require_finite_nonnegative", counting)
         monkeypatch.setattr(balance, "_require_finite_nonnegative", counting)
+        sinkhorn_knopp(build_weight_matrix(random_geometry(8, seed=0), scale=2000.0))
+        assert calls == []
         w = np.array([[1.0, 2.0], [2.0, 1.0]])
         sinkhorn_knopp(Graph(w))
         assert calls == ["weights"]
         sinkhorn_knopp(w)
         assert calls == ["weights", "weights"]
+        DSOperator(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert calls == ["weights", "weights", "operator"]
 
 
 class TestVerifyDoublyStochastic:
@@ -289,6 +298,22 @@ class TestDSOperator:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="nonnegative"):
             DSOperator(np.array([[1.1, -0.1], [-0.1, 1.1]]))
+
+    @pytest.mark.parametrize("stored", ["writable", "read-only owner", "csr"])
+    def test_callers_later_writes_do_not_reach_it(self, stored):
+        w = np.array([[0.25, 0.75], [0.75, 0.25]])
+        if stored == "csr":
+            w = sp.csr_array(w)
+        elif stored == "read-only owner":
+            w.setflags(write=False)
+        op = DSOperator(w)
+        if stored == "csr":
+            w.data[0] = np.nan
+        else:
+            w.setflags(write=True)
+            w[0, 0] = np.nan
+        assert op.dense().tolist() == [[0.25, 0.75], [0.75, 0.25]]
+        assert apply_shift(op, [1.0, 1.0]).tolist() == [1.0, 1.0]
 
     def test_row_accessor(self):
         op = DSOperator(np.array([[0.25, 0.75], [0.75, 0.25]]))

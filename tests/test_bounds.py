@@ -9,6 +9,7 @@ from dsshift import (
     amgm_bias_term,
     asymptotic_variance_bound,
     exact_shift_variance,
+    incoming_neighborhood,
     kantorovich_bound,
     local_bounds,
     monte_carlo_shift_stats,
@@ -44,6 +45,28 @@ def test_non_square_operator_rejected(stored, call):
         call(stored(np.full((2, 3), 1 / 3)))
 
 
+@pytest.mark.parametrize("stored", [np.asarray, sp.csr_array])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: local_bounds(s, 0),
+        lambda s: kantorovich_bound(s, 0),
+        lambda s: variance_upper_bound(s, 0, 1.0, 0.5),
+        lambda s: exact_shift_variance(s, 0, 1.0, 0.5),
+        lambda s: monte_carlo_shift_stats(s, 0, RandomSignalModel(0.0, 1.0, 0.5), trials=10),
+        lambda s: incoming_neighborhood(s, 0),
+    ],
+    ids=["local_bounds", "kantorovich", "variance_bound", "exact_variance", "monte_carlo",
+         "neighborhood"],
+)
+def test_bad_row_entry_rejected(stored, bad, call):
+    # a NaN, infinite or negative entry is not silently left out of the row
+    message = "row 0 must be nonnegative" if bad < 0 else "row 0 must be finite"
+    with pytest.raises(ValueError, match=message):
+        call(stored(np.array([[0.5, bad], [0.5, 0.5]])))
+
+
 class TestLocalBounds:
     def test_uniform_row(self):
         s = np.full((4, 4), 0.25)
@@ -55,6 +78,8 @@ class TestLocalBounds:
         lb = local_bounds(ROW_THIRDS, 0)
         assert lb.lower == pytest.approx(1 / 3)
         assert lb.upper == pytest.approx(2 / 3)
+        assert lb.total == pytest.approx(1.0)
+        assert lb.sum_sq == pytest.approx(5 / 9)
 
     def test_matches_exhaustive_scan(self):
         s = balanced_operator(10, seed=70)

@@ -56,6 +56,16 @@ class TestBalanceCommand:
         assert rc == 3
         assert "convergence" in capsys.readouterr().err
 
+    def test_nan_tol_exits_2_before_balancing(self, tmp_path, capsys):
+        w = tmp_path / "W.mtx"
+        save_matrix_market(w, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        out = tmp_path / "S.mtx"
+        rc = run(["balance", "--input", w, "--tol", "nan", "--output", out])
+        assert rc == 2
+        assert "tol must be positive" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "S.mtx.json").exists()
+
     def test_nan_weights_exit_2_before_balancing(self, tmp_path, capsys):
         w = tmp_path / "W.mtx"  # written by hand: save_matrix_market refuses NaN
         w.write_text("%%MatrixMarket matrix coordinate real general\n"
@@ -204,7 +214,7 @@ class TestDemoCommand:
         summary = json.loads(capsys.readouterr().out.strip())
         assert summary["gain_db"] > 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert len(report["true_field"]) == 64
 
     def test_invalid_sensor_count_exits_2(self):

@@ -1,8 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from dsshift import (
     Graph,
@@ -82,6 +84,14 @@ class TestGraph:
         w[0, 0] = 5.0
         assert g.weight(0, 0) == 1.0
 
+    def test_read_only_owning_array_is_copied(self):
+        w = np.ones((2, 2))
+        w.setflags(write=False)
+        g = Graph(w)
+        w.setflags(write=True)  # an array that owns its data can be made writable again
+        w[0, 0] = 5.0
+        assert g.weight(0, 0) == 1.0
+
     def test_sparse_storage_round_trip(self):
         w = sp.csr_matrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
         g = Graph(w)
@@ -99,6 +109,11 @@ class TestBuildWeightMatrix:
     def test_unit_distance_kernel_value(self):
         g = build_weight_matrix(geometry_at_altitudes([0.0, 1.0]), scale=1.0)
         assert g.weight(0, 1) == pytest.approx(np.exp(-1.0), abs=1e-15)
+
+    def test_tiny_scale_overflows_to_zero_weight(self):
+        # distance / scale passes the float range; exp(-inf) = 0 is the kernel's limit
+        g = build_weight_matrix(geometry_at_altitudes([0.0, 1.0]), scale=1e-306)
+        assert g.dense().tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_threshold_prunes_far_edge(self):
         # distances 1, 2, 3; the weight exp(-4) at distance 2 falls below exp(-2)
@@ -426,3 +441,33 @@ class TestVertexGeometry:
         coords[name][1] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             VertexGeometry(**coords)
+
+
+class TestKernelRange:
+    # build_weight_matrix returns its kernel unchecked: every weight is exp of
+    # a nonpositive number, or the 0/1 it writes, so none can be NaN, inf or
+    # negative.  Both storage paths are covered: with DENSE_LIMIT at 0 a
+    # pruned kernel below a quarter fill comes from the k-d tree.
+    @pytest.mark.parametrize("dense_limit", [512, 0])
+    @given(
+        coords=st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 3000.0)),
+            min_size=2, max_size=12,
+        ),
+        scale=st.floats(0.0, 1e308, exclude_min=True),
+        threshold=st.floats(0.0, 1e308),
+        self_loops=st.booleans(),
+    )
+    @settings(max_examples=60)
+    def test_weights_lie_in_unit_interval(self, dense_limit, coords, scale, threshold, self_loops):
+        from unittest import mock
+
+        lat, lon, alt = (np.array(c) for c in zip(*coords))
+        geo = VertexGeometry(lat=45.0 + lat, lon=7.0 + lon, alt=alt)
+        with mock.patch("dsshift.graphs.DENSE_LIMIT", dense_limit), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # coincident sites
+            g = build_weight_matrix(geo, scale=scale, threshold=threshold, self_loops=self_loops)
+        w = g.dense()
+        assert np.isfinite(w).all()
+        assert w.min() >= 0.0 and w.max() <= 1.0
