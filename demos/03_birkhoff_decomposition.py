@@ -3,8 +3,9 @@
 Every doubly stochastic matrix is a convex combination of at most
 (N-1)**2 + 1 permutation matrices.  The greedy extraction repeatedly finds
 a perfect matching on the positive support, peels off the minimum matched
-entry, and stops when no perfect matching is left; the input's own
-imbalance bounds the mass it leaves behind.  Every operator here is
+entry, and stops when no perfect matching is left.  The search that fails
+marks a Koenig block of rows and columns, which measures the mass left
+behind (``dust``) and bounds it (``dust_bound``).  Every operator here is
 balanced at sinkhorn_knopp's default tolerance.
 """
 
@@ -52,4 +53,5 @@ print("=" * 70)
 for n in (4, 8, 12, 16):
     op = sinkhorn_knopp(rng.uniform(0.5, 1.5, (n, n))).operator
     d = birkhoff_decompose(op)
-    print(f"N = {n:2d}: {d.n_terms:3d} terms (bound {max_terms(n):3d})")
+    print(f"N = {n:2d}: {d.n_terms:3d} terms (bound {max_terms(n):3d}), "
+          f"dust {d.dust:.1e} (bound {d.dust_bound:.1e})")

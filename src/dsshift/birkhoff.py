@@ -2,17 +2,15 @@
 permutation matrices, and reconstruct it.
 
 Greedy extraction on the stored entries: the residual is the operator's
-nonzero entries in one sorted CSR, never a dense N x N array.  The first
-perfect matching (Hopcroft-Karp) is taken on the entries above ``_CUT``;
-each step subtracts the smallest matched entry times that permutation,
-frees every row whose matched entry has fallen to the cut or below, and
-repairs the matching with one breadth-first augmenting path per freed row
-(after Dufosse & Ucar 2016, "Notes on Birkhoff-von Neumann decomposition of
-doubly stochastic matrices", LAA 497).  Memory is O(nnz), and a step costs
-its augmenting searches, which mostly visit a few rows, instead of a new
-support and matching.  When a freed row has no augmenting path, Berge's
-theorem says no perfect matching is left above the cut, and the input's own
-imbalance bounds the mass left (see ``birkhoff_decompose``).
+nonzero entries in one sorted CSR, never a dense N x N array.  One routine
+matches rows to entries above ``_CUT``: a breadth-first augmenting path per
+free row (after Dufosse & Ucar 2016, "Notes on Birkhoff-von Neumann
+decomposition of doubly stochastic matrices", LAA 497), from every row for
+the first matching, and after each step, which subtracts the smallest
+matched entry times that permutation, from the rows whose entry fell to the
+cut or below.  Memory is O(nnz).  When a free row has no augmenting path,
+no perfect matching is left above the cut (Berge), and the failed search
+marks the Koenig block that measures the mass left (see ``birkhoff_decompose``).
 
 Every extraction zeroes at least one entry, so the process terminates
 within nnz terms; for an N x N input the term count stays within
@@ -108,96 +106,90 @@ def birkhoff_decompose(S) -> BirkhoffDecomposition:
     """Greedy Birkhoff extraction of a doubly stochastic matrix (see the
     module docstring), with the coefficients renormalized to sum to 1.
 
-    Leftover bound.  Let ``r`` be the input's largest row or column sum
-    error (the 1e-8 gate measures it), ``sigma`` the sum of the ``k``
-    coefficients and ``E = S - sum_i a_i P_i``.  No perfect matching is left
-    above the cut, so (Frobenius-Koenig) some rows ``I`` and columns ``J``
-    with ``|I| + |J| = n + 1`` have ``E[I, J] <= cut``.  The column sums of
-    ``E`` over ``J`` minus its row sums over the other rows ``I'`` come to
-    ``sum E[I, J] - sum E[I', J']``; each is within ``r`` of ``1 - sigma``,
-    and ``|J| = |I'| + 1 <= n``, so ``1 - sigma`` is at most ``(2n - 1) r``
-    plus the two blocks.  They hold at most ``nnz`` entries, each adding at
-    most ``nu = max(cut, -min S)``: a subtraction never takes an entry below
-    0, and a negative entry is never matched.  Rounding adds ``n k eps / 2``
-    (n entries of at most ``1 + r`` per subtraction) and ``nnz eps`` (the
-    measured sums); doubling the first covers the rest.  So ``dust =
-    1 - sigma <= dust_bound = (2n - 1) r + nnz (nu + eps) + n k eps``, and
-    ``reconstruct`` is within about ``2 dust + r`` of ``S`` entrywise.
+    Leftover check.  The failed search visits rows ``I``, whose entries
+    above the cut all lie in the ``|I| - 1`` columns it reaches; ``J`` is
+    the other columns and ``I'``, ``J'`` are the complements.  Every
+    permutation has one more entry in ``I x J`` than in ``I' x J'``, so the
+    residual ``E`` measures ``dust = 1 - sum(a_i) = E[I, J] - E[I', J'] -
+    delta``, with ``delta = sum_J (colsum_j(S) - 1) - sum_I' (rowsum_i(S) -
+    1)``, up to the rounding of the ``n k`` subtractions (``eps`` each, on
+    entries below 2) and of the input's sums (``nnz eps``).  ``dust_bound``
+    is ``E[I, J] + |delta|``, plus the negative mass of ``E[I', J']`` and
+    the rounding the check measured.
 
     Raises ValueError when ``S`` is not doubly stochastic to 1e-8, and
-    DecompositionError when the unextracted mass exceeds ``dust_bound``.
+    DecompositionError when the measure misses ``dust`` by more than
+    ``(nnz + n k) eps`` or no term was found.
     """
     a, n = _require_square(S)
     check = verify_doubly_stochastic(a, tol=1e-8)
     if not check.passed:
         raise ValueError(
-            "input is not doubly stochastic to 1e-8 "
-            f"(row residual {check.max_row_residual:.3e}, "
-            f"column residual {check.max_col_residual:.3e}, "
-            f"min entry {check.min_entry:.3e})"
-        )
+            f"input is not doubly stochastic to 1e-8 (row residual {check.max_row_residual:.3e}, "
+            f"column residual {check.max_col_residual:.3e}, min entry {check.min_entry:.3e})")
+    row_excess, col_excess = a.sum(axis=1) - 1.0, a.sum(axis=0) - 1.0
 
     residual = sp.csr_array(a, copy=True)
-    residual.sum_duplicates()  # sorted indices, which the position lookup needs
+    residual.sum_duplicates()  # one stored entry per position, in column order
     data, indices, indptr = residual.data, residual.indices, residual.indptr
-    coefficients = []
-    permutations = []
-    # By the bound below at k = 0, an input that passes the gate with n and
-    # nnz under 2.5e7 has a first perfect matching above the cut.
-    image = perfect_matching(sp.csr_array((data > _CUT, indices, indptr), shape=(n, n)))
-    # pos[r]: the data index of row r's matched entry, found by one
-    # search over the row-major (row, column) keys of the stored entries.
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
-    pos = np.searchsorted(keys, np.arange(n, dtype=np.int64) * n + image)
-    augment = _Augmenter(data, indices.tolist(), indptr.tolist(), image, pos)
+    coefficients, permutations = [], []
+    augment = _Augmenter(data, indices.tolist(), indptr.tolist())
+    free = range(n)  # the first matching: every row starts free
     # Each step takes the smallest matched entry to exactly 0, which no
     # later matching uses, so the loop ends within nnz steps.
-    while True:
-        matched = data[pos]
+    while all(augment(r) for r in free):
+        matched = data[augment.pos]
         weight = float(matched.min())
         coefficients.append(weight)
-        permutations.append(indices[pos])
+        permutations.append(indices[augment.pos])
         matched -= weight
-        data[pos] = matched
-        freed = np.flatnonzero(matched <= _CUT).tolist()
-        augment.free(freed)
-        if not all(augment(r) for r in freed):
-            break
+        data[augment.pos] = matched
+        free = np.flatnonzero(matched <= _CUT).tolist()
+        augment.free(free)
 
+    in_i, in_c = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    in_i[augment.rows] = in_c[augment.cols] = True
+    entry_in_i, entry_in_c = np.repeat(in_i, np.diff(indptr)), in_c[indices]
+    e_ij = float(data[entry_in_i & ~entry_in_c].sum())
+    e_other = data[~entry_in_i & entry_in_c]  # E[I', J']
+    delta = float(col_excess[~in_c].sum() - row_excess[~in_i].sum())
     k, eps = len(coefficients), np.finfo(float).eps
-    nu = max(_CUT, -check.min_entry)
-    bound = (2 * n - 1) * check.residual + residual.nnz * (nu + eps) + n * k * eps
     dust = 1.0 - math.fsum(coefficients)
-    if dust > bound:
+    miss = dust - (e_ij - float(e_other.sum()) - delta)
+    if abs(miss) > (residual.nnz + n * k) * eps:
         raise DecompositionError(
-            f"unextracted mass {dust:.3e} after {k} terms exceeds the bound "
-            f"{bound:.3e} from the input's imbalance {check.residual:.3e}")
+            f"unextracted mass {dust:.3e} after {k} terms misses the Koenig "
+            f"block's measure by {miss:.3e}")
+    if not k:
+        raise DecompositionError("no perfect matching on the entries above the cut")
 
     coeffs = np.asarray(coefficients, dtype=float)
     coeffs /= coeffs.sum()
     return BirkhoffDecomposition(
         coefficients=coeffs,
         permutations=np.asarray(permutations, dtype=np.int64),
-        repairs=augment.repairs,
+        repairs=augment.repairs - n,  # the first matching's n paths are no repairs
         dust=dust,
-        dust_bound=bound,
+        dust_bound=e_ij + abs(delta) - float(e_other[e_other < 0].sum()) + max(miss, 0.0),
     )
 
 
 class _Augmenter:
-    """Repairs a matching on the stored entries above the cut.
+    """Builds and repairs a matching on the stored entries above the cut.
 
     ``data`` is the residual, which the caller updates in place; ``pos``
-    maps each row to the data index of its matched entry, ``owner`` each
-    column to its matched row (-1 when free).  Both change in place.
+    maps each matched row to the data index of its entry, ``owner`` each
+    column to its matched row (-1 when free).  Both change in place.  After
+    a failed search, ``rows`` and ``cols`` are the rows it visited and the
+    columns it reached.
     """
 
-    def __init__(self, data, indices: list, indptr: list, image, pos):
-        self.data, self.indices, self.indptr, self.pos = data, indices, indptr, pos
-        self.repairs = 0  # augmenting paths found
+    def __init__(self, data, indices: list, indptr: list):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.pos = np.zeros(len(indptr) - 1, dtype=np.int64)
         self.owner = [-1] * (len(indptr) - 1)
-        for r, c in enumerate(image.tolist()):
-            self.owner[c] = r
+        self.repairs = 0  # augmenting paths found
+        self.rows = self.cols = []
 
     def free(self, rows: list) -> None:
         """Unmatch ``rows`` and their columns."""
@@ -208,12 +200,11 @@ class _Augmenter:
         """Match the free row ``root`` along a shortest augmenting path
         (breadth-first); False, with nothing changed, when there is none."""
         data, indices, indptr, owner = self.data, self.indices, self.indptr, self.owner
-        tol = _CUT
         via = {}  # column -> (row, data index) of the entry that reached it
         queue = [root]
         for u in queue:
             lo = indptr[u]
-            for k in (np.flatnonzero(data[lo : indptr[u + 1]] > tol) + lo).tolist():
+            for k in (np.flatnonzero(data[lo : indptr[u + 1]] > _CUT) + lo).tolist():
                 c = indices[k]
                 if c in via:
                     continue
@@ -232,6 +223,7 @@ class _Augmenter:
                         self.repairs += 1
                         return True
                     c = indices[held]
+        self.rows, self.cols = queue, list(via)
         return False
 
 

@@ -106,9 +106,10 @@ def _cmd_filter(args) -> int:
 
 def _cmd_birkhoff(args) -> int:
     s = load_matrix_market(args.op)
-    decomposition = birkhoff_decompose(s)
-    save_birkhoff_json(args.output, decomposition)
-    print(json.dumps({"terms": decomposition.n_terms, "output": args.output}, sort_keys=True))
+    d = birkhoff_decompose(s)
+    save_birkhoff_json(args.output, d)
+    print(json.dumps({"terms": d.n_terms, "repairs": d.repairs, "dust": d.dust,
+                      "dust_bound": d.dust_bound, "output": args.output}, sort_keys=True))
     return EXIT_OK
 
 

@@ -149,11 +149,16 @@ def _row(a, m: int) -> np.ndarray:
 def _positive_row(a, m: int):
     """Columns and values of the positive entries in row ``m`` of ``a``, a
     matrix from :func:`as_matrix`; ValueError when the row holds a NaN, an
-    infinite or a negative entry."""
-    row = _row(a, m)
+    infinite or a negative entry.  A CSR row is read from its stored slice."""
+    if sp.issparse(a) and 0 <= m < a.shape[0]:  # repeats summed in storage order, as by _row
+        lo, hi = a.indptr[m], a.indptr[m + 1]
+        columns, slot = np.unique(a.indices[lo:hi].astype(np.intp), return_inverse=True)
+        row = np.bincount(slot, weights=a.data[lo:hi])
+    else:  # _row reads a dense row, or raises for a bad m
+        columns, row = np.arange(a.shape[1]), _row(a, m)
     _require_finite_nonnegative(row, f"row {m}")
     members = np.flatnonzero(row)
-    return members, row[members]
+    return columns[members], row[members]
 
 
 class Graph:
@@ -351,11 +356,14 @@ def validate_weights(graph) -> WeightDiagnostics:
     """Report structural problems that would break doubly stochastic balancing.
 
     Pure report, never raises: zero rows/columns, negative entries,
-    asymmetry, and support statistics.  Accepts a Graph or a raw matrix;
-    CSR input is inspected in its stored form, never densified.
+    asymmetry, support statistics, and the first positive entry on no
+    positive diagonal (balancing needs every positive entry on one: total
+    support).  Accepts a Graph or a raw matrix; CSR input is inspected in
+    its stored form, never densified.
     """
-    w, n = _require_square(graph)
+    from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
+    w, n = _require_square(graph)
     zero_rows = tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0))
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))
     values = _values(w)
@@ -364,15 +372,24 @@ def validate_weights(graph) -> WeightDiagnostics:
     positive = values[values > 0]
     n_edges = int(np.count_nonzero(values))
 
-    issues = []
-    for i in zero_rows:
-        issues.append(f"unbalanceable: empty row {i}")
-    for j in zero_cols:
-        issues.append(f"unbalanceable: empty column {j}")
+    issues = [f"unbalanceable: empty row {i}" for i in zero_rows]
+    issues += [f"unbalanceable: empty column {j}" for j in zero_cols]
     if negative:
         issues.append(f"{negative} negative entries")
     if not symmetric:
         issues.append("asymmetric weight matrix")
+    support = sp.csr_array(w > 0)
+    support.sum_duplicates()  # so nonzero() lists the entries in row-major order
+    image = maximum_bipartite_matching(support, perm_type="column")
+    i, j = support.nonzero()
+    if (image >= 0).all():  # else there is no positive diagonal at all
+        # Columns permuted by this matching, an entry lies on a positive
+        # diagonal exactly when its row and column share a strong component.
+        label = connected_components(support[:, image], connection="strong")[1]
+        off = label[i] != label[np.argsort(image)[j]]
+        i, j = i[off], j[off]
+    if i.size:
+        issues.append(f"unbalanceable: entry ({i[0]}, {j[0]}) is on no positive diagonal")
 
     return WeightDiagnostics(
         n_vertices=n,
@@ -384,6 +401,6 @@ def validate_weights(graph) -> WeightDiagnostics:
         min_positive=float(positive.min()) if positive.size else 0.0,
         max_weight=float(w.max()) if n else 0.0,
         density=n_edges / (n * n) if n else 0.0,
-        balanceable=not zero_rows and not zero_cols and negative == 0,
+        balanceable=not zero_rows and not zero_cols and negative == 0 and not i.size,
         issues=tuple(issues),
     )

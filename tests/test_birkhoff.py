@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsshift import (
+    DecompositionError,
+    birkhoff,
     birkhoff_decompose,
     build_weight_matrix,
     max_terms,
@@ -172,20 +176,41 @@ class TestBirkhoffDecompose:
 
     def test_permutation_needs_no_repair(self):
         # the only term frees every row, and the first has no augmenting path;
-        # bound (2n-1) r + nnz (cut + eps) + n k eps at n = 3, r = 0, nnz = 3, k = 1
+        # the residual is exactly 0, and so is the block's measure
         d = birkhoff_decompose(np.eye(3)[[1, 2, 0]])
         assert d.repairs == 0
         assert d.dust == 0.0
-        assert d.dust_bound == 3 * (1e-12 + EPS) + 3 * EPS
+        assert d.dust_bound == 0.0
 
     def test_uniform_two_by_two_counts(self):
         # identity first; each freed row is repaired by the one-edge path to
-        # its off-diagonal column; the swap then leaves nothing to match;
-        # bound at n = 2, r = 0, nnz = 4, k = 2
+        # its off-diagonal column; the swap then leaves nothing to match,
+        # and the block measures an exactly zero residual
         d = birkhoff_decompose(np.full((2, 2), 0.5))
         assert d.repairs == 2
         assert d.dust == 0.0
-        assert d.dust_bound == 4 * (1e-12 + EPS) + 4 * EPS
+        assert d.dust_bound == 0.0
+
+    def test_misrecorded_coefficient_is_caught(self, monkeypatch):
+        # a fault that records one coefficient 1e-9 above what it subtracted:
+        # far beyond the check's rounding term, though well inside the old
+        # worst-case bound (3.3e-9 on this operator)
+        g = build_weight_matrix(_sensor_geometry(64, np.random.default_rng(0)),
+                                scale=1800.0, threshold=1e-4, self_loops=True)
+        s = sinkhorn_knopp(g).operator
+        assert birkhoff_decompose(s).dust <= 1e-10
+        fsum = math.fsum
+        monkeypatch.setattr(birkhoff, "math", SimpleNamespace(
+            fsum=lambda terms: fsum([terms[0] + 1e-9] + terms[1:])))
+        with pytest.raises(DecompositionError, match="misses the Koenig block"):
+            birkhoff_decompose(s)
+
+    def test_failed_first_matching_raises(self, monkeypatch):
+        # no entry above a cut of 0.6: the first search fails, its block
+        # measures the whole mass, and no 0-term decomposition comes back
+        monkeypatch.setattr(birkhoff, "_CUT", 0.6)
+        with pytest.raises(DecompositionError, match="no perfect matching"):
+            birkhoff_decompose(np.full((2, 2), 0.5))
 
     def test_sparse_operator_needs_no_dense_residual(self):
         # 0.3 I + 0.7 P with P one cycle through all n vertices; a dense
@@ -255,16 +280,31 @@ def test_leftover_bound_on_perturbed_mixtures(n, k, seed, sparse, log_size):
 
 
 @pytest.mark.parametrize("n, seed", [(n, seed) for n in (64, 150) for seed in range(4)])
-def test_default_pipeline_on_demo_operators(n, seed):
+def test_default_pipeline_on_demo_operators(n, seed, monkeypatch):
     # the sensor demo's sites and kernel, balanced and decomposed at the defaults
     g = build_weight_matrix(_sensor_geometry(n, np.random.default_rng(seed)),
                             scale=1800.0, threshold=1e-4, self_loops=True)
     s = sinkhorn_knopp(g).operator
+    augmenters = []
+
+    class Spy(birkhoff._Augmenter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            augmenters.append(self)
+
+    monkeypatch.setattr(birkhoff, "_Augmenter", Spy)
     d = birkhoff_decompose(s)
     r = verify_doubly_stochastic(s).residual
     assert np.abs(reconstruct(d) - s.dense()).max() <= 10 * (r + d.n_terms * EPS)
     assert d.dust <= d.dust_bound
     assert d.n_terms <= max_terms(n)
+    # the failed search's Koenig block: |I| + |J| = n + 1, and the rows I
+    # hold nothing above the cut in the columns J
+    (aug,) = augmenters
+    assert len(aug.rows) + n - len(aug.cols) == n + 1
+    residual = sp.csr_array((aug.data, aug.indices, aug.indptr), shape=(n, n)).toarray()
+    outside = np.setdiff1d(np.arange(n), aug.cols)
+    assert (residual[np.ix_(aug.rows, outside)] <= _CUT).all()
 
 
 def test_round_trip_on_demo_kernel():

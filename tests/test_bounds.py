@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -65,6 +67,34 @@ def test_bad_row_entry_rejected(stored, bad, call):
     message = "row 0 must be nonnegative" if bad < 0 else "row 0 must be finite"
     with pytest.raises(ValueError, match=message):
         call(stored(np.array([[0.5, bad], [0.5, 0.5]])))
+
+
+def test_csr_row_is_read_from_its_stored_slice():
+    # a dense copy of one row alone takes 1.6 MB
+    n = 200_000
+    s = sp.diags_array([np.full(n - 1, 0.25), np.full(n, 0.5), np.full(n - 1, 0.25)],
+                       offsets=[-1, 0, 1], format="csr")
+    local_bounds(s, 7)
+    tracemalloc.start()
+    try:
+        lb = local_bounds(s, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert (lb.lower, lb.upper, lb.size, lb.total) == (0.25, 0.5, 3, 1.0)
+
+
+def test_non_canonical_csr_row_sums_repeats_in_storage_order():
+    # unsorted columns, a repeated column and a stored zero, left as given
+    data = np.array([0.1, 0.3, 0.7, 1e-17, 0.0, 0.2, 0.4, 0.3, 0.1])
+    indices = np.array([1, 0, 1, 1, 0, 1, 1, 0, 0])
+    s = sp.csr_matrix((data, indices, np.array([0, 5, 9])), shape=(2, 2))
+    assert not s.has_canonical_format
+    lb = local_bounds(s, 0)
+    assert (lb.lower, lb.upper, lb.size) == (0.3, (0.1 + 0.7) + 1e-17, 2)
+    assert incoming_neighborhood(s, 1).members.tolist() == [0, 1]
+    assert local_bounds(s, 1).total == (0.2 + 0.4) + (0.3 + 0.1)
 
 
 class TestLocalBounds:

@@ -162,6 +162,10 @@ class TestBirkhoffCommand:
         assert [t["perm"] for t in payload["terms"]] == [[0, 1], [1, 0]]
         d = load_birkhoff_json(out)
         assert d.n_terms == 2
+        record = json.loads(capsys.readouterr().out)
+        assert sorted(record) == ["dust", "dust_bound", "output", "repairs", "terms"]
+        assert (record["terms"], record["repairs"]) == (2, 2)
+        assert record["dust"] <= record["dust_bound"]
 
     def test_non_doubly_stochastic_exits_2(self, tmp_path):
         bad = tmp_path / "bad.mtx"

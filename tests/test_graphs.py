@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dsshift import (
     Graph,
+    NotConvergedError,
     VertexGeometry,
     apply_filter,
     build_weight_matrix,
@@ -322,6 +324,22 @@ class TestValidateWeights:
             for sparse in (sp.csr_array, sp.csr_matrix):
                 assert validate_weights(sparse(m)) == validate_weights(m)
 
+    def test_support_without_total_support(self):
+        # [[1, 1], [1, 0]] has a positive diagonal, but none through (0, 0),
+        # so no balancing exists and Knight-Ruiz stalls
+        w = np.array([[1.0, 1.0], [1.0, 0.0]])
+        d = validate_weights(w)
+        assert not d.balanceable
+        assert d.issues == ("unbalanceable: entry (0, 0) is on no positive diagonal",)
+        with pytest.raises(NotConvergedError):
+            sinkhorn_knopp(w, max_iter=300)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_total_support_on_every_small_support(self, n):
+        for bits in range(2 ** (n * n)):
+            support = (bits >> np.arange(n * n) & 1).reshape(n, n).astype(bool)
+            _assert_total_support_verdict(support)
+
     def test_csr_input_is_not_densified(self):
         n = 5000
         w = sp.diags([np.ones(n - 1), np.full(n, 2.0), np.ones(n - 1)], [-1, 0, 1], format="csr")
@@ -334,6 +352,33 @@ class TestValidateWeights:
         assert peak < 20e6  # a dense copy alone takes 200 MB
         assert d.symmetric and d.balanceable and d.n_edges == 3 * n - 2
         assert (d.min_positive, d.max_weight) == (1.0, 2.0)
+
+
+def _assert_total_support_verdict(support):
+    """validate_weights' verdict against a scan of every permutation: each
+    positive entry must lie on a positive diagonal, and the issue names the
+    first, in row-major order, that does not."""
+    n = support.shape[0]
+    on_diagonal = np.zeros_like(support)
+    for image in itertools.permutations(range(n)):
+        if support[np.arange(n), image].all():
+            on_diagonal[np.arange(n), image] = True
+    off = np.argwhere(support & ~on_diagonal)
+    w = support * np.random.default_rng(n).uniform(0.5, 2.0, support.shape)
+    d = validate_weights(w)
+    assert validate_weights(sp.csr_array(w)) == d
+    empty = not support.any(axis=0).all() or not support.any(axis=1).all()
+    assert d.balanceable == (not empty and off.size == 0)
+    named = [msg for msg in d.issues if "positive diagonal" in msg]
+    assert named == ([f"unbalanceable: entry ({off[0][0]}, {off[0][1]}) is on no "
+                      "positive diagonal"] if off.size else [])
+
+
+@given(n=st.integers(1, 5), data=st.data())
+@settings(max_examples=200)
+def test_total_support_matches_permutation_scan(n, data):
+    cells = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    _assert_total_support_verdict(np.array(cells).reshape(n, n))
 
 
 @pytest.mark.parametrize("storage", [np.asarray, sp.csr_array], ids=["dense", "csr"])

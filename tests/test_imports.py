@@ -9,10 +9,23 @@ import dsshift
 LAZY = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.io", "scipy.sparse.linalg")
 
 
-def test_import_leaves_lazy_scipy_modules_unloaded():
+def _loaded_after(statements: str) -> str:
+    """The LAZY modules loaded once a fresh interpreter has run ``statements``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dsshift.__file__)))
-    code = f"import sys, dsshift; print(' '.join(m for m in {LAZY!r} if m in sys.modules))"
+    code = (f"import sys, dsshift; {statements}; "
+            f"print(' '.join(m for m in {LAZY!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == ""
+    return out.stdout.strip()
+
+
+def test_import_leaves_lazy_scipy_modules_unloaded():
+    assert _loaded_after("pass") == ""
+
+
+def test_birkhoff_matches_without_csgraph():
+    # one matching routine, the decomposition's own augmenting search
+    decompose = ("import numpy as np; w = np.random.default_rng(0).uniform(0.5, 1.5, (8, 8)); "
+                 "d = dsshift.birkhoff_decompose(dsshift.sinkhorn_knopp(w).operator)")
+    assert "scipy.sparse.csgraph" not in _loaded_after(decompose).split()
