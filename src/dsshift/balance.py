@@ -1,11 +1,11 @@
-"""Doubly stochastic balancing of nonnegative matrices by ``bnewt``, the
-inexact Newton iteration of Knight & Ruiz (2013, "A fast algorithm for
-matrix balancing", IMA J. Numer. Anal. 33(3)).
-
-It solves ``x * (A @ x) = 1``: ``A`` is ``W`` if symmetric, so ``r = c =
-x``, and otherwise the embedding ``[[0, W], [W.T, 0]]``, never formed, so
-``x = (r, c)``.  For ``W`` with total support ``S = diag(r) @ W @ diag(c)``
-has unit row and column sums and exactly the zero pattern of ``W``.
+"""Doubly stochastic balancing by ``bnewt``, the inexact Newton iteration of
+Knight & Ruiz (2013, "A fast algorithm for matrix balancing", IMA J. Numer.
+Anal. 33(3)), which solves ``x * (A @ x) = 1``: ``A`` is ``W`` if symmetric,
+so ``r = c = x``, and otherwise the embedding ``[[0, W], [W.T, 0]]``, never
+formed, so ``x = (r, c)``.  ``S = diag(r) @ W @ diag(c)``, with unit row and
+column sums and exactly the zero pattern of ``W``, exists exactly when ``W``
+has total support (Sinkhorn & Knopp 1967).  Balancing stops on what it
+measures, the residual and the spread of ``x``, not on an iteration count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .graphs import (
     Graph, _checked, _dense, _is_symmetric, _require_finite_nonnegative, _require_square, _row,
-    _trusted, _values,
+    _total_support_issue, _trusted, _values,
 )
 
 __all__ = [
@@ -34,14 +34,16 @@ __all__ = [
 _DELTA = 0.1
 _BIG_DELTA = 3.0
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
+_STALL = 10  # iterations without a better residual, once it is at rounding level
+_MAX_ITERATIONS = 10_000  # a backstop: the stall or the exact test stops balancing first
 
 
 class UnbalanceableError(ValueError):
-    """The matrix has an all-zero row or column and admits no balancing."""
+    """The matrix lacks total support (see ``validate_weights``) and admits no balancing."""
 
 
 class NotConvergedError(RuntimeError):
-    """Balancing did not reach tolerance; the matrix likely lacks total support."""
+    """Balancing stopped above ``tol``: the residual stalled at rounding level."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -113,16 +115,11 @@ def verify_doubly_stochastic(S, tol: float = 1e-8) -> DSDiagnostics:
     col_res = float(np.abs(m.sum(axis=0) - 1.0).max())
     min_entry = float(m.min())  # implicit zeros of CSR count, as dense zeros do
     passed = row_res <= tol and col_res <= tol and min_entry >= -tol
-    return DSDiagnostics(
-        max_row_residual=row_res,
-        max_col_residual=col_res,
-        min_entry=min_entry,
-        tolerance=tol,
-        passed=passed,
-    )
+    return DSDiagnostics(max_row_residual=row_res, max_col_residual=col_res,
+                         min_entry=min_entry, tolerance=tol, passed=passed)
 
 
-def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> BalanceResult:
+def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
     """Balance a nonnegative matrix to doubly stochastic form.
 
     The name is kept for API stability; the algorithm is Knight & Ruiz's
@@ -131,23 +128,28 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
 
     Raises ValueError for non-finite or negative weights, or a ``tol`` that
     is not positive (NaN included), before any iteration; UnbalanceableError
-    for an all-zero row or column; and NotConvergedError (carrying the last
-    residual) when ``max_iter`` iterations do not reach ``tol``, which
-    signals a matrix with support but no total support.
+    for an all-zero row or column, or for an entry on no positive diagonal,
+    named by the exact total-support test that runs once if the scaling
+    spreads too wide or the Newton system turns singular; NotConvergedError
+    when the residual stalls at rounding level above ``tol``.
     """
     if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be positive, got {max_iter}")
 
     w, n = _require_square(weights)
     if not isinstance(weights, Graph):  # a Graph checked its weights when built
         _require_finite_nonnegative(w, "weights")
-    sparse = sp.issparse(w)
     symmetric = _is_symmetric(w)
+    supported = False  # W passed the exact total-support test, which then never runs again
 
     def matvec(z):
         return w @ z if symmetric else np.concatenate((w @ z[n:], w.T @ z[:n]))
+
+    def require_total_support():
+        nonlocal supported
+        if not supported and (issue := _total_support_issue(w)):
+            raise UnbalanceableError(issue)
+        supported = True
 
     # x * (A @ x) holds the row sums of S, then (embedding) its column sums.
     x = np.ones(n if symmetric else 2 * n)
@@ -158,14 +160,19 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
     if parts:
         raise UnbalanceableError("unbalanceable: " + ", ".join(parts))
     history = []
+    best, stalled = np.inf, 0
+    spread_limit = None
     rold = float((1.0 - v) @ (1.0 - v))
-    floor_ratio = None
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         rk = 1.0 - v
         residual = float(np.abs(rk).max())
         history.append(residual)
-        if residual <= tol or iteration == max_iter:
+        if residual <= tol:
             break
+        best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
+        if (best <= _SQRT_EPS and stalled == _STALL) or iteration == _MAX_ITERATIONS:
+            raise NotConvergedError(f"no convergence: residual stalled at {best:.3e} after "
+                                    f"{iteration} iterations, above tol {tol:.3e}", best, iteration)
         # Knight & Ruiz's forcing term, without their eta_old safeguard.
         rout = float(rk @ rk)
         eta = max(min(0.9 * rout / rold, 0.1), 0.5 * tol / np.sqrt(rout))
@@ -177,7 +184,11 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
         while float(rk @ rk) > max(eta**2 * rout, tol**2):
             ap = x * matvec(x * p) + v * p
             matvecs += 1
-            alpha = rho / float(p @ ap)
+            curvature = float(p @ ap)
+            if curvature <= 0:  # p is in the null space of the system
+                require_total_support()
+                break
+            alpha = rho / curvature
             y_next = y + alpha * p
             if y_next.min() <= _DELTA or y_next.max() >= _BIG_DELTA:
                 moving = p != 0  # stop where the step leaves the box
@@ -190,26 +201,17 @@ def sinkhorn_knopp(weights, tol: float = 1e-10, max_iter: int = 10_000) -> Balan
             rho, rho_old = float(rk @ z), rho
             p = z + (rho / rho_old) * p
         x *= y
-        # Without total support x tends to 0 and infinity; capping its spread
-        # at (spread of the weights) / sqrt(eps) makes such input stall.
-        if x.max() * _SQRT_EPS > x.min():
-            if floor_ratio is None:
+        # Without total support x tends to 0 and infinity: test W when x spreads wide.
+        if not supported and x.max() * _SQRT_EPS > x.min():
+            if spread_limit is None:
                 vals = _values(w)
-                floor_ratio = vals.max() / np.min(vals, where=vals > 0, initial=np.inf) / _SQRT_EPS
-            np.maximum(x, x.max() / floor_ratio, out=x)
+                spread_limit = vals.max() / np.min(vals, where=vals > 0, initial=np.inf) / _SQRT_EPS
+            if x.max() > x.min() * spread_limit:
+                require_total_support()
         v = x * matvec(x)
         matvecs += 1
-    if not residual <= tol:  # NaN too, so the operator below is finite
-        raise NotConvergedError(
-            f"no convergence after {max_iter} iterations "
-            f"(residual {residual:.3e} > tol {tol:.3e}); "
-            "the matrix may lack total support",
-            residual=residual,
-            iterations=max_iter,
-        )
-
     r, c = x[:n], x[-n:]
-    if sparse:
+    if sp.issparse(w):
         s = sp.diags_array(r) @ w @ sp.diags_array(c)
     else:
         s = r[:, None] * w

@@ -68,7 +68,7 @@ def _emit_signal(values, args, record: dict) -> None:
 
 def _cmd_balance(args) -> int:
     w = load_matrix_market(args.input)
-    op = sinkhorn_knopp(w, tol=args.tol, max_iter=args.max_iter).operator
+    op = sinkhorn_knopp(w, tol=args.tol).operator
     save_matrix_market(args.output, op.matrix)
     sidecar = {"residual": op.tolerance_achieved, "iterations": op.iterations_used}
     save_json(args.output + ".json", sidecar)
@@ -188,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="weight matrix (Matrix Market)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="largest row/column sum error accepted; must be positive")
-    p.add_argument("--max-iter", type=int, default=10_000,
-                   help="Newton iterations before giving up (default 10000)")
     p.add_argument("--output", required=True, help="balanced operator destination")
     p.set_defaults(func=_cmd_balance)
 

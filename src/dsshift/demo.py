@@ -176,7 +176,7 @@ def run_sensor_demo(config: SensorFieldConfig | None = None) -> ExperimentReport
         threshold=cfg.threshold,
         self_loops=True,
     )
-    result = sinkhorn_knopp(graph, tol=1e-10, max_iter=10_000)
+    result = sinkhorn_knopp(graph, tol=1e-10)
     operator = result.operator
 
     denoised = diffuse(operator, noisy, cfg.shifts) if cfg.noise_sigma else noisy.copy()

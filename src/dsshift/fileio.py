@@ -78,7 +78,10 @@ def save_matrix_market(path, matrix) -> None:
     a = as_matrix(matrix)
     if not np.isfinite(_values(a)).all():
         raise ValueError("matrix entries must be finite")
-    coo = a.sorted_indices().tocoo() if sp.issparse(a) else sp.coo_array(a)
+    if sp.issparse(a):
+        a = a.copy()  # as_matrix may share the caller's storage
+        a.sum_duplicates()  # one line per position, in row-major order
+    coo = sp.coo_array(a)
     buf = io.BytesIO()
     mmwrite(buf, coo, field="real", symmetry="general")
     banner, _comment, body = buf.getvalue().split(b"\n", 2)  # drop mmwrite's '%' line

@@ -83,11 +83,12 @@ def _require_finite_nonnegative(a, what: str) -> None:
 
 def _checked(obj, what: str):
     """A private copy of the square matrix ``obj``, checked finite and
-    nonnegative: a read-only ndarray, or a CSR without explicit zeros.  The
-    caller's later writes to ``obj`` never reach the copy."""
+    nonnegative: a read-only ndarray, or a CSR storing each position once and
+    no explicit zeros.  The caller's later writes never reach the copy."""
     a, _ = _require_square(obj, what)
     if sp.issparse(a):
         a = a.copy()
+        a.sum_duplicates()
         a.eliminate_zeros()
     else:
         a = np.array(a)
@@ -352,6 +353,24 @@ def incoming_neighborhood(graph, m: int) -> Neighborhood:
     return Neighborhood(center=m, members=members, size=int(members.size))
 
 
+def _total_support_issue(w):
+    """None when every positive entry of ``w`` lies on a positive diagonal (total
+    support), else the issue naming the first, in row-major order, that does not."""
+    from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
+
+    support = w.copy() > 0 if sp.issparse(w) else sp.csr_array(w > 0)  # CSR '>' sums in place
+    support.sum_duplicates()  # so nonzero() lists the entries in row-major order
+    image = maximum_bipartite_matching(support, perm_type="column")
+    i, j = support.nonzero()
+    if (image >= 0).all():  # else there is no positive diagonal at all
+        # Columns permuted by this matching, an entry lies on a positive
+        # diagonal exactly when its row and column share a strong component.
+        label = connected_components(support[:, image], connection="strong")[1]
+        off = label[i] != label[np.argsort(image)[j]]
+        i, j = i[off], j[off]
+    return f"unbalanceable: entry ({i[0]}, {j[0]}) is on no positive diagonal" if i.size else None
+
+
 def validate_weights(graph) -> WeightDiagnostics:
     """Report structural problems that would break doubly stochastic balancing.
 
@@ -361,8 +380,6 @@ def validate_weights(graph) -> WeightDiagnostics:
     support).  Accepts a Graph or a raw matrix; CSR input is inspected in
     its stored form, never densified.
     """
-    from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
-
     w, n = _require_square(graph)
     zero_rows = tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0))
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))
@@ -378,18 +395,8 @@ def validate_weights(graph) -> WeightDiagnostics:
         issues.append(f"{negative} negative entries")
     if not symmetric:
         issues.append("asymmetric weight matrix")
-    support = sp.csr_array(w > 0)
-    support.sum_duplicates()  # so nonzero() lists the entries in row-major order
-    image = maximum_bipartite_matching(support, perm_type="column")
-    i, j = support.nonzero()
-    if (image >= 0).all():  # else there is no positive diagonal at all
-        # Columns permuted by this matching, an entry lies on a positive
-        # diagonal exactly when its row and column share a strong component.
-        label = connected_components(support[:, image], connection="strong")[1]
-        off = label[i] != label[np.argsort(image)[j]]
-        i, j = i[off], j[off]
-    if i.size:
-        issues.append(f"unbalanceable: entry ({i[0]}, {j[0]}) is on no positive diagonal")
+    if support_issue := _total_support_issue(w):
+        issues.append(support_issue)
 
     return WeightDiagnostics(
         n_vertices=n,
@@ -401,6 +408,6 @@ def validate_weights(graph) -> WeightDiagnostics:
         min_positive=float(positive.min()) if positive.size else 0.0,
         max_weight=float(w.max()) if n else 0.0,
         density=n_edges / (n * n) if n else 0.0,
-        balanceable=not zero_rows and not zero_cols and negative == 0 and not i.size,
+        balanceable=not zero_rows and not zero_cols and negative == 0 and not support_issue,
         issues=tuple(issues),
     )

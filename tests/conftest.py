@@ -19,6 +19,14 @@ def balanced_operator(n, seed, low=0.5, high=1.5, tol=1e-12):
     return sinkhorn_knopp(w, tol=tol).operator
 
 
+def star(n):
+    """The star on n vertices without self loops: for n >= 3 it has no
+    positive diagonal, so no balancing."""
+    w = np.zeros((n, n))
+    w[0, 1:] = w[1:, 0] = 1.0
+    return w
+
+
 def random_geometry(n, seed, span=0.1):
     """Sites spread over a ``span``-degree square near 45 N, 7 E."""
     rng = np.random.default_rng(seed)

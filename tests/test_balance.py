@@ -10,10 +10,12 @@ from dsshift import (
     apply_shift,
     matrix_norm,
     sinkhorn_knopp,
+    validate_weights,
     verify_doubly_stochastic,
 )
+from dsshift import balance
 
-from conftest import balanced_operator, demo_kernel, random_geometry
+from conftest import balanced_operator, demo_kernel, random_geometry, star
 
 
 class TestSinkhornKnopp:
@@ -78,14 +80,14 @@ class TestSinkhornKnopp:
         with pytest.raises(UnbalanceableError, match="empty column"):
             sinkhorn_knopp(w)
 
-    def test_support_without_total_support_does_not_converge(self):
-        # the (0, 0) entry lies on no positive diagonal, so the column sums
-        # approach 1 only at rate 1/k and the tolerance is unreachable
+    def test_support_without_total_support_does_not_converge(self, monkeypatch):
+        # the (0, 0) entry lies on no positive diagonal, so the scaling
+        # spreads until the exact test names that entry, within 100 iterations
+        monkeypatch.setattr(balance, "_MAX_ITERATIONS", 100)
         w = np.array([[1.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(NotConvergedError) as exc_info:
-            sinkhorn_knopp(w, tol=1e-10, max_iter=500)
-        assert exc_info.value.residual > 1e-10
-        assert exc_info.value.iterations == 500
+        with pytest.raises(UnbalanceableError,
+                           match=r"^unbalanceable: entry \(0, 0\) is on no positive diagonal$"):
+            sinkhorn_knopp(w, tol=1e-10)
 
     def test_zero_pattern_preserved_exactly(self):
         rng = np.random.default_rng(5)
@@ -120,8 +122,6 @@ class TestSinkhornKnopp:
         w = np.ones((2, 2))
         with pytest.raises(ValueError, match="tol"):
             sinkhorn_knopp(w, tol=0.0)
-        with pytest.raises(ValueError, match="max_iter"):
-            sinkhorn_knopp(w, max_iter=0)
         with pytest.raises(ValueError, match="nonnegative"):
             sinkhorn_knopp(np.array([[1.0, -0.1], [1.0, 1.0]]))
 
@@ -130,6 +130,90 @@ def _sparse_nonsymmetric():
     rng = np.random.default_rng(0)
     a = sp.random_array((2000, 2000), density=0.01, rng=rng, format="csr")
     return sp.csr_array(a + sp.eye_array(2000, format="csr"))
+
+
+class TestStoppingRules:
+    """Balancing stops on the residual and the spread of the scaling: the
+    exact total-support test rejects bad input, and a stalled residual ends
+    a ``tol`` below rounding; the iteration backstop is never reached."""
+
+    @pytest.mark.parametrize(
+        "make, entry",
+        [
+            (lambda: np.array([[1.0, 1.0], [1.0, 0.0]]), (0, 0)),
+            (lambda: sp.csr_array(np.triu(np.ones((2000, 2000)))), (0, 1)),
+            (lambda: star(3), (0, 1)),
+            (lambda: star(6), (0, 1)),
+            (lambda: star(50), (0, 1)),
+        ],
+        ids=["two-by-two", "upper-triangular-csr-2000", "star-3", "star-6", "star-50"],
+    )
+    def test_no_total_support_rejected_within_100_iterations(self, monkeypatch, make, entry):
+        # the stars have no positive diagonal at all: their CG meets zero curvature
+        monkeypatch.setattr(balance, "_MAX_ITERATIONS", 100)
+        w = make()
+        with pytest.raises(UnbalanceableError) as exc_info:
+            sinkhorn_knopp(w)
+        assert str(exc_info.value) == validate_weights(w).issues[-1]
+        assert f"entry {entry} " in str(exc_info.value)
+
+    def test_exact_test_leaves_the_callers_csr_alone(self):
+        # [[0, 3], [1, 1]] with (0, 1) stored twice; (1, 1) is on no positive diagonal
+        w = sp.csr_matrix((np.array([1.0, 2.0, 1.0, 1.0]), np.array([1, 1, 0, 1]),
+                           np.array([0, 2, 4])), shape=(2, 2))
+        with pytest.raises(UnbalanceableError, match=r"entry \(1, 1\)"):
+            sinkhorn_knopp(w)
+        assert w.nnz == 4
+
+    @pytest.mark.parametrize("n", [30, 50, 100])
+    def test_upper_hessenberg_converges(self, n):
+        # all ones on and above the subdiagonal: total support, wide scaling
+        w = np.triu(np.ones((n, n)), -1)
+        op = sinkhorn_knopp(w).operator
+        assert verify_doubly_stochastic(op, tol=1e-10).passed
+        assert np.array_equal(op.dense() == 0, w == 0)
+
+    def test_tol_below_rounding_stalls(self):
+        rng = np.random.default_rng(1)
+        w = demo_kernel(*rng.uniform(0.0, 1.0, (2, 2000)))
+        with pytest.raises(NotConvergedError) as exc_info:
+            sinkhorn_knopp(w, tol=1e-17)
+        assert exc_info.value.iterations <= 50
+        assert 1e-17 < exc_info.value.residual <= 1e-15
+
+    def test_stall_rule_waits_for_rounding_level(self):
+        # scalings spread over 38 decades: the residual sits near 1 for more
+        # than _STALL iterations in a row without improving, then converges
+        w = np.diag(10.0 ** -np.arange(0, 40, 2))
+        w[0, 1] = w[1, 0] = 1e-3
+        result = sinkhorn_knopp(w)
+        best = np.minimum.accumulate(result.residual_history)
+        new_best = np.flatnonzero(np.r_[True, np.diff(best) < 0])
+        assert np.diff(new_best).max() - 1 > balance._STALL
+        assert verify_doubly_stochastic(result.operator, tol=1e-10).passed
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_verdict_agrees_with_validate_weights(self, n):
+        # every support, random weights: converges exactly on total support,
+        # else raises UnbalanceableError with validate_weights' issue
+        rng = np.random.default_rng(n)
+        for bits in range(2 ** (n * n)):
+            support = (bits >> np.arange(n * n) & 1).reshape(n, n).astype(bool)
+            w = rng.uniform(0.5, 1.5, (n, n)) * support
+            d = validate_weights(w)
+            try:
+                result = sinkhorn_knopp(w)
+            except UnbalanceableError as exc:
+                assert not d.balanceable, support
+                if d.zero_rows or d.zero_cols:  # named before any iteration
+                    expected = [f"empty row(s) {list(d.zero_rows)}"] * bool(d.zero_rows)
+                    expected += [f"empty column(s) {list(d.zero_cols)}"] * bool(d.zero_cols)
+                    assert str(exc) == "unbalanceable: " + ", ".join(expected), support
+                else:
+                    assert d.issues[-1] in str(exc), support
+            else:
+                assert d.balanceable, support
+                assert verify_doubly_stochastic(result.operator, tol=1e-10).passed
 
 
 class TestHardInputs:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from dsshift.fileio import (
     save_matrix_market,
     save_signal_csv,
 )
+
+from conftest import star
 
 
 @pytest.fixture
@@ -47,14 +50,38 @@ class TestBalanceCommand:
         assert rc == 2
         assert "unbalanceable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "w, entry",
+        [
+            (np.array([[1.0, 1.0], [1.0, 0.0]]), "(0, 0)"),  # a diagonal, none through (0, 0)
+            (star(6), "(0, 1)"),  # no self loops: no positive diagonal at all
+        ],
+        ids=["no-total-support", "star-6"],
+    )
+    def test_no_total_support_exits_2_naming_the_entry(self, tmp_path, capsys, w, entry):
+        path = tmp_path / "W.mtx"
+        save_matrix_market(path, w)
+        out = tmp_path / "S.mtx"
+        rc = run(["balance", "--input", path, "--output", out])
+        assert rc == 2
+        assert f"entry {entry} is on no positive diagonal" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_convergent_exits_3(self, tmp_path, capsys):
+        # 1e-17 is below what rounding allows: the residual stalls near 2e-16
         w = tmp_path / "W.mtx"
-        save_matrix_market(w, np.array([[1.0, 1.0], [1.0, 0.0]]))
-        rc = run(
-            ["balance", "--input", w, "--output", tmp_path / "S.mtx", "--max-iter", 50]
-        )
+        save_matrix_market(w, np.random.default_rng(0).uniform(0.5, 1.5, (8, 8)))
+        start = time.monotonic()
+        rc = run(["balance", "--input", w, "--output", tmp_path / "S.mtx", "--tol", "1e-17"])
+        assert time.monotonic() - start < 1.0
         assert rc == 3
-        assert "convergence" in capsys.readouterr().err
+        assert "no convergence" in capsys.readouterr().err
+
+    def test_max_iter_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            run(["balance", "--input", tmp_path / "W.mtx", "--output", tmp_path / "S.mtx",
+                 "--max-iter", 50])
+        assert "unrecognized arguments: --max-iter" in capsys.readouterr().err
 
     def test_nan_tol_exits_2_before_balancing(self, tmp_path, capsys):
         w = tmp_path / "W.mtx"

@@ -43,6 +43,15 @@ class TestMatrixMarket:
         save_matrix_market(path, a)
         assert np.array_equal(load_matrix_market(path), a.toarray())
 
+    def test_duplicate_csr_entries_written_once(self, tmp_path):
+        # position (0, 0) stored twice; the file holds their sum on one line
+        a = sp.csr_matrix((np.array([1.0, 2.0, 4.0]), np.array([0, 0, 1]), np.array([0, 2, 3])),
+                          shape=(2, 2))
+        path = tmp_path / "a.mtx"
+        save_matrix_market(path, a)
+        assert np.array_equal(load_matrix_market(path), a.toarray())
+        assert a.nnz == 3  # the caller's matrix keeps its storage
+
     def test_symmetric_file_expanded(self, tmp_path):
         path = tmp_path / "s.mtx"
         path.write_text(

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dsshift import (
     Graph,
-    NotConvergedError,
+    UnbalanceableError,
     VertexGeometry,
     apply_filter,
     build_weight_matrix,
@@ -99,6 +99,15 @@ class TestGraph:
         g = Graph(w)
         assert g.n_edges == 2
         assert g.dense()[0, 1] == 2.0
+
+    def test_duplicate_csr_entries_are_summed(self):
+        # position (0, 0) stored twice: one edge of weight 3
+        w = sp.csr_matrix((np.array([1.0, 2.0, 4.0]), np.array([0, 0, 1]), np.array([0, 2, 3])),
+                          shape=(2, 2))
+        g = Graph(w)
+        assert g.n_edges == 2
+        assert g.weights.nnz == 2
+        assert np.array_equal(g.dense(), w.toarray())
 
 
 class TestBuildWeightMatrix:
@@ -326,13 +335,14 @@ class TestValidateWeights:
 
     def test_support_without_total_support(self):
         # [[1, 1], [1, 0]] has a positive diagonal, but none through (0, 0),
-        # so no balancing exists and Knight-Ruiz stalls
+        # so no balancing exists and Knight-Ruiz rejects it with the same issue
         w = np.array([[1.0, 1.0], [1.0, 0.0]])
         d = validate_weights(w)
         assert not d.balanceable
         assert d.issues == ("unbalanceable: entry (0, 0) is on no positive diagonal",)
-        with pytest.raises(NotConvergedError):
-            sinkhorn_knopp(w, max_iter=300)
+        with pytest.raises(UnbalanceableError) as exc_info:
+            sinkhorn_knopp(w)
+        assert str(exc_info.value) == d.issues[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_total_support_on_every_small_support(self, n):

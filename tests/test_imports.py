@@ -29,3 +29,12 @@ def test_birkhoff_matches_without_csgraph():
     decompose = ("import numpy as np; w = np.random.default_rng(0).uniform(0.5, 1.5, (8, 8)); "
                  "d = dsshift.birkhoff_decompose(dsshift.sinkhorn_knopp(w).operator)")
     assert "scipy.sparse.csgraph" not in _loaded_after(decompose).split()
+
+
+def test_converging_balance_skips_the_exact_test():
+    # the total-support test loads csgraph; a balanceable kernel never needs it
+    balance = ("import numpy as np; "
+               "geo = dsshift.demo._sensor_geometry(600, np.random.default_rng(1)); "
+               "g = dsshift.build_weight_matrix(geo, scale=1800.0, threshold=1e-4, self_loops=True); "
+               "assert dsshift.sinkhorn_knopp(g).operator.iterations_used > 1")
+    assert "scipy.sparse.csgraph" not in _loaded_after(balance).split()
