@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import (
-    Graph, _checked, _dense, _is_symmetric, _require_finite_nonnegative, _require_square, _row,
+    Graph, _checked, _dense, _formed, _is_symmetric, _require_square, _row, _Scaled,
     _total_support_issue, _trusted, _values,
 )
 
@@ -51,29 +50,34 @@ class NotConvergedError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DSOperator:
     """A (near) doubly stochastic operator with balancing provenance.
 
-    ``matrix`` is dense or ``csr_array``; ``tolerance_achieved`` is the worst
-    row/column-sum residual at construction and ``iterations_used`` the
-    number of balancing iterations (both zero for hand-built operators).
-    A hand-built operator copies its matrix, as a Graph does.
+    ``tolerance_achieved`` is the worst row/column-sum residual at construction
+    and ``iterations_used`` the number of balancing iterations (both zero for
+    hand-built operators).  A hand-built operator copies its matrix, as a Graph
+    does.  A balanced one keeps ``W``, ``r`` and ``c`` of ``diag(r) W diag(c)``
+    and shifts by them; ``matrix`` is formed on first access, then kept.
     """
 
-    matrix: object
     tolerance_achieved: float = 0.0
     iterations_used: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _checked(self.matrix, "operator"))
+    def __init__(self, matrix, tolerance_achieved: float = 0.0, iterations_used: int = 0):
+        self.__dict__.update(_stored=_checked(matrix, "operator"),
+                             tolerance_achieved=tolerance_achieved, iterations_used=iterations_used)
+
+    @property
+    def matrix(self):
+        return _formed(self._stored)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self._stored.shape[0]
 
     def row(self, m: int) -> np.ndarray:
-        return _row(self.matrix, m)
+        return _row(self._stored, m)
 
     def dense(self) -> np.ndarray:
         return _dense(self.matrix)
@@ -136,9 +140,8 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
     if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
 
-    w, n = _require_square(weights)
-    if not isinstance(weights, Graph):  # a Graph checked its weights when built
-        _require_finite_nonnegative(w, "weights")
+    w = (weights if isinstance(weights, Graph) else Graph(weights)).weights  # checked, private
+    n = w.shape[0]
     symmetric = _is_symmetric(w)
     supported = False  # W passed the exact total-support test, which then never runs again
 
@@ -211,12 +214,8 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
         v = x * matvec(x)
         matvecs += 1
     r, c = x[:n], x[-n:]
-    if sp.issparse(w):
-        s = sp.diags_array(r) @ w @ sp.diags_array(c)
-    else:
-        s = r[:, None] * w
-        s *= c
-    # Positive scalings of checked weights: no second pass of DSOperator's checks.
-    operator = _trusted(DSOperator, matrix=s, tolerance_achieved=residual,
-                        iterations_used=iteration)
+    # Positive scalings of checked weights: no second pass of DSOperator's checks;
+    # copies, since the result's scalings are the caller's to change.
+    operator = _trusted(DSOperator, _stored=_Scaled(w, r.copy(), c.copy()),
+                        tolerance_achieved=residual, iterations_used=iteration)
     return BalanceResult(operator, r, c, matvecs=matvecs, residual_history=np.array(history))

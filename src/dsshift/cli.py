@@ -35,6 +35,7 @@ from .fileio import (
     save_matrix_market,
     save_signal_csv,
 )
+from .graphs import Graph
 from .shifting import apply_filter, diffuse
 
 __all__ = ["main", "entrypoint"]
@@ -67,8 +68,7 @@ def _emit_signal(values, args, record: dict) -> None:
 
 
 def _cmd_balance(args) -> int:
-    w = load_matrix_market(args.input)
-    op = sinkhorn_knopp(w, tol=args.tol).operator
+    op = sinkhorn_knopp(Graph(load_matrix_market(args.input)), tol=args.tol).operator  # one copy
     save_matrix_market(args.output, op.matrix)
     sidecar = {"residual": op.tolerance_achieved, "iterations": op.iterations_used}
     save_json(args.output + ".json", sidecar)

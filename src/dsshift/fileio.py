@@ -79,14 +79,14 @@ def save_matrix_market(path, matrix) -> None:
     if not np.isfinite(_values(a)).all():
         raise ValueError("matrix entries must be finite")
     if sp.issparse(a):
-        a = a.copy()  # as_matrix may share the caller's storage
-        a.sum_duplicates()  # one line per position, in row-major order
-    coo = sp.coo_array(a)
+        a.sum_duplicates()  # one line per position, in row-major order (as_matrix copied repeats)
     buf = io.BytesIO()
-    mmwrite(buf, coo, field="real", symmetry="general")
-    banner, _comment, body = buf.getvalue().split(b"\n", 2)  # drop mmwrite's '%' line
-    with open(path, "wb") as fh:
-        fh.writelines((banner, b"\n", body))
+    mmwrite(buf, sp.coo_array(a), field="real", symmetry="general")
+    buf.seek(0)
+    banner, _comment = buf.readline(), buf.readline()  # drop mmwrite's '%' line
+    with buf.getbuffer() as text, open(path, "wb") as fh:  # no copy of the whole text
+        fh.write(banner)
+        fh.write(text[buf.tell():])
 
 
 def _entry_lines(path, after: int):

@@ -38,26 +38,30 @@ def as_matrix(obj):
     its underlying float64 matrix: a dense ndarray or a ``csr_array``.
 
     Accepts anything exposing a ``weights`` attribute (graphs) or a
-    ``matrix`` attribute (operators), plus raw array-likes.  Sparse input
-    of any format, a legacy ``csr_matrix`` included, becomes a ``csr_array``
-    that shares its storage when it can, so ``@`` and ``sum(axis=...)``
-    return 1-D ndarrays for either storage.
+    ``matrix`` attribute (operators, formed on first access), plus raw
+    array-likes.  Sparse input of any format, a legacy ``csr_matrix``
+    included, becomes a ``csr_array``, so ``@`` and ``sum(axis=...)`` return
+    1-D ndarrays for either storage.  It shares the input's storage only
+    when canonical: scipy sums repeated entries and sorts indices in place.
     """
     if hasattr(obj, "weights"):
         obj = obj.weights
     elif hasattr(obj, "matrix"):
         obj = obj.matrix
     if sp.issparse(obj):
-        return sp.csr_array(obj, dtype=float)
+        a = sp.csr_array(obj, dtype=float)
+        return a if a.has_canonical_format else a.copy()
     a = np.asarray(obj, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     return a
 
 
-def _require_square(obj, what: str = "matrix"):
-    """``(as_matrix(obj), n)`` for an ``n x n`` input; ValueError otherwise."""
-    a = as_matrix(obj)
+def _require_square(obj, what: str = "matrix", formed: bool = True):
+    """``(as_matrix(obj), n)`` for an ``n x n`` input; ValueError otherwise.  With
+    ``formed=False`` (the caller only takes ``a @ x`` and rows through :func:`_row`
+    and :func:`_positive_row`), a balanced operator gives its unformed :class:`_Scaled`."""
+    a = as_matrix(obj) if formed or not hasattr(obj, "_stored") else obj._stored
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be square, got shape {a.shape}")
     return a, a.shape[0]
@@ -79,6 +83,37 @@ def _require_finite_nonnegative(a, what: str) -> None:
         raise ValueError(f"{what} must be finite")
     if data.size and data.min() < 0:
         raise ValueError(f"{what} must be nonnegative")
+
+
+class _Scaled:
+    """``S = diag(r) W diag(c)`` over ``W``, a Graph's checked storage, kept
+    unformed: a product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``.
+    :meth:`formed` builds ``S`` on the first request and keeps it."""
+
+    def __init__(self, w, r, c):
+        self.w, self.r, self.c, self.shape, self._s = w, r, c, w.shape, None
+
+    def __matmul__(self, x):
+        col = (slice(None),) + (None,) * (np.ndim(x) - 1)  # scale the rows of a 2-D x
+        return self.r[col] * (self.w @ (self.c[col] * x))
+
+    def formed(self):
+        """``S`` as a read-only ndarray or a ``csr_array``, built in O(nnz) on the first call."""
+        w, r, c = self.w, self.r, self.c
+        if self._s is None and sp.issparse(w):
+            rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+            self._s = sp.csr_array((r[rows] * w.data * c[w.indices], w.indices.copy(),
+                                    w.indptr.copy()), shape=w.shape)
+        elif self._s is None:
+            self._s = r[:, None] * w
+            self._s *= c
+            self._s.setflags(write=False)
+        return self._s
+
+
+def _formed(a):
+    """The matrix ``a`` stands for: ``a`` itself unless it is a :class:`_Scaled`."""
+    return a.formed() if isinstance(a, _Scaled) else a
 
 
 def _checked(obj, what: str):
@@ -138,9 +173,11 @@ def _is_symmetric(a) -> bool:
 
 
 def _row(a, m: int) -> np.ndarray:
-    """Row ``m`` of a dense or CSR matrix as a dense 1-D array."""
+    """Row ``m`` of a dense, CSR or :class:`_Scaled` matrix as a dense 1-D array."""
     if not (0 <= m < a.shape[0]):
         raise ValueError(f"vertex id {m} out of range [0, {a.shape[0]})")
+    if isinstance(a, _Scaled):
+        return a.r[m] * _row(a.w, m) * a.c
     if not sp.issparse(a):
         return np.asarray(a[m])
     lo, hi = a.indptr[m], a.indptr[m + 1]
@@ -149,8 +186,11 @@ def _row(a, m: int) -> np.ndarray:
 
 def _positive_row(a, m: int):
     """Columns and values of the positive entries in row ``m`` of ``a``, a
-    matrix from :func:`as_matrix`; ValueError when the row holds a NaN, an
+    matrix from :func:`_require_square`; ValueError when the row holds a NaN, an
     infinite or a negative entry.  A CSR row is read from its stored slice."""
+    if isinstance(a, _Scaled):  # W's positive entries, scaled
+        columns, row = _positive_row(a.w, m)
+        return columns, a.r[m] * row * a.c[columns]
     if sp.issparse(a) and 0 <= m < a.shape[0]:  # repeats summed in storage order, as by _row
         lo, hi = a.indptr[m], a.indptr[m + 1]
         columns, slot = np.unique(a.indices[lo:hi].astype(np.intp), return_inverse=True)
@@ -333,7 +373,8 @@ def build_weight_matrix(
     with np.errstate(over="ignore"):  # a distance past the float range weighs exp(-inf) = 0
         values /= scale  # then exp(-values**2), in place
         np.exp(np.negative(np.square(values, out=values), out=values), out=values)
-    values[values < threshold] = 0.0
+    for i in range(0, len(rows := np.atleast_2d(values)), 256):  # no N x N mask
+        rows[i:i + 256][rows[i:i + 256] < threshold] = 0.0
     if sparse:
         values[w.row == w.col] = 1.0 if self_loops else 0.0
     else:
@@ -348,7 +389,7 @@ def incoming_neighborhood(graph, m: int) -> Neighborhood:
 
     Accepts a Graph, an operator, or a raw matrix.
     """
-    w, _ = _require_square(graph)
+    w, _ = _require_square(graph, formed=False)
     members, _ = _positive_row(w, m)
     return Neighborhood(center=m, members=members, size=int(members.size))
 
@@ -358,7 +399,7 @@ def _total_support_issue(w):
     support), else the issue naming the first, in row-major order, that does not."""
     from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
-    support = w.copy() > 0 if sp.issparse(w) else sp.csr_array(w > 0)  # CSR '>' sums in place
+    support = w > 0 if sp.issparse(w) else sp.csr_array(w > 0)  # w is canonical CSR or dense
     support.sum_duplicates()  # so nonzero() lists the entries in row-major order
     image = maximum_bipartite_matching(support, perm_type="column")
     i, j = support.nonzero()

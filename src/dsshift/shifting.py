@@ -30,7 +30,7 @@ _STALE_STEPS = 10
 
 
 def _operator_and_signal(S, x):
-    a, n = _require_square(S, "operator")
+    a, n = _require_square(S, "operator", formed=False)
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.shape[0] != n:
         raise ValueError(
@@ -157,7 +157,7 @@ def wss_check(S, mean, covariance, tol: float) -> WSSDiagnostics:
     form; both must be within ``tol`` to pass.  The covariance must be
     symmetric (to 1e-12) and is assumed positive semidefinite.
     """
-    a, n = _require_square(S, "operator")
+    a, n = _require_square(S, "operator", formed=False)
     mu = np.asarray(mean, dtype=float)
     sigma = np.asarray(covariance, dtype=float)
     if mu.shape != (n,):

@@ -331,9 +331,10 @@ class TestNonFiniteInput:
 
     def test_each_matrix_checked_once(self, monkeypatch):
         # a Graph checks its weights when built; sinkhorn_knopp checks a raw
-        # array, and neither pass is repeated on the operator it builds; the
-        # kernel is in [0, 1] by construction and is not checked at all
-        from dsshift import Graph, balance, build_weight_matrix, graphs
+        # array through the Graph it copies it into, and neither pass is
+        # repeated on the operator it builds; the kernel is in [0, 1] by
+        # construction and is not checked at all
+        from dsshift import Graph, build_weight_matrix, graphs
 
         calls = []
 
@@ -343,7 +344,6 @@ class TestNonFiniteInput:
 
         real = graphs._require_finite_nonnegative
         monkeypatch.setattr(graphs, "_require_finite_nonnegative", counting)
-        monkeypatch.setattr(balance, "_require_finite_nonnegative", counting)
         sinkhorn_knopp(build_weight_matrix(random_geometry(8, seed=0), scale=2000.0))
         assert calls == []
         w = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -414,3 +414,113 @@ class TestDSOperator:
         for m in (-1, 3):
             with pytest.raises(ValueError, match="out of range"):
                 op.row(m)
+
+
+def _unformed_case(kind, n=60, seed=4):
+    """A balanceable input of the given storage and symmetry: every diagonal
+    entry positive, about half the others."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, (n, n)) * (rng.random((n, n)) < 0.5) + np.eye(n)
+    if kind.endswith(" symmetric"):
+        w = w + w.T
+    return sp.csr_array(w) if kind.startswith("csr") else w
+
+
+class TestUnformedOperator:
+    """A balanced operator holds W, r and c; it forms S only when asked."""
+
+    KINDS = ["dense symmetric", "dense asymmetric", "csr symmetric", "csr asymmetric"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matrix_is_the_scaling_formed_once(self, kind):
+        from dsshift import Graph
+
+        w = _unformed_case(kind)
+        result = sinkhorn_knopp(w, tol=1e-12)
+        op, r, c = result.operator, result.row_scaling, result.col_scaling
+        checked = Graph(w).weights
+        if sp.issparse(checked):
+            want = sp.diags_array(r) @ checked @ sp.diags_array(c)
+            got = op.matrix
+            assert isinstance(got, sp.csr_array)
+            for a, b in ((got.data, want.data), (got.indices, want.indices),
+                         (got.indptr, want.indptr)):
+                assert np.array_equal(a, b)
+        else:
+            want = r[:, None] * checked
+            want *= c
+            assert np.array_equal(op.matrix, want)
+            assert not op.matrix.flags.writeable
+        assert op.matrix is op.matrix
+        assert verify_doubly_stochastic(op, tol=1e-12).passed
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_products_rows_and_bounds_agree_with_the_formed_matrix(self, kind):
+        from dsshift import apply_filter, diffuse, incoming_neighborhood, local_bounds, wss_check
+
+        n = 60
+        op = sinkhorn_knopp(_unformed_case(kind, n), tol=1e-12).operator
+        s = op.matrix
+        formed = DSOperator(s)  # a hand-built operator over the same S
+        rng = np.random.default_rng(5)
+        x, h = rng.uniform(0.5, 1.5, n), rng.uniform(0.0, 1.0, 5)
+
+        def close(a, b):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
+
+        close(apply_shift(op, x), s @ x)
+        close(apply_filter(op, h, x), apply_filter(formed, h, x))
+        close(diffuse(op, x, 4), diffuse(formed, x, 4))
+        sigma = np.cov(rng.standard_normal((n, 2 * n)))  # 2-D products
+        got, want = wss_check(op, x, sigma, 1.0), wss_check(formed, x, sigma, 1.0)
+        close([got.mean_residual, got.covariance_residual],
+              [want.mean_residual, want.covariance_residual])
+        for m in range(0, n, 7):
+            assert np.array_equal(op.row(m), formed.row(m))
+            lb, lb_formed = local_bounds(op, m), local_bounds(formed, m)
+            close([lb.lower, lb.upper, lb.total, lb.sum_sq],
+                  [lb_formed.lower, lb_formed.upper, lb_formed.total, lb_formed.sum_sq])
+            assert lb.size == lb_formed.size
+            assert np.array_equal(incoming_neighborhood(op, m).members,
+                                  incoming_neighborhood(formed, m).members)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("bad, text", [(np.nan, "finite"), (np.inf, "finite"),
+                                           (-1.0, "nonnegative")])
+    def test_raw_input_errors_keep_their_text(self, storage, bad, text):
+        w = np.array([[1.0, 2.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match=f"^weights must be {text}$"):
+            sinkhorn_knopp(sp.csr_array(w) if storage == "csr" else w)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_later_writes_do_not_reach_a_balanced_operator(self, storage):
+        w = np.array([[1.0, 2.0], [2.0, 1.0]])
+        raw = sp.csr_array(w) if storage == "csr" else w
+        result = sinkhorn_knopp(raw)
+        (raw.data if storage == "csr" else raw)[:] = np.nan
+        result.row_scaling[:] = 0.0
+        result.col_scaling[:] = 0.0
+        np.testing.assert_allclose(apply_shift(result.operator, [1.0, 1.0]), [1.0, 1.0])
+        np.testing.assert_allclose(result.operator.dense(), [[1 / 3, 2 / 3], [2 / 3, 1 / 3]])
+
+    def test_shifting_and_bounds_hold_no_second_kernel_sized_array(self):
+        import tracemalloc
+
+        from dsshift import apply_filter, diffuse, local_bounds
+
+        n = 1000
+        u, v = np.random.default_rng(6).random((2, n))
+        g = demo_kernel(u, v)
+        w = g.weights
+        assert not sp.issparse(w)
+        x = np.random.default_rng(7).random(n)
+        tracemalloc.start()
+        try:
+            op = sinkhorn_knopp(g, tol=1e-10).operator
+            diffuse(op, x, 5)
+            apply_filter(op, [0.5, 0.3, 0.2], x)
+            local_bounds(op, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * w.nbytes

@@ -52,6 +52,27 @@ class TestMatrixMarket:
         assert np.array_equal(load_matrix_market(path), a.toarray())
         assert a.nnz == 3  # the caller's matrix keeps its storage
 
+    def test_writer_holds_one_copy_of_the_text(self, tmp_path):
+        # mmwrite's text goes to the file from its buffer: copying the whole
+        # text (and splitting off its comment line) would more than double the peak
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        a = sp.diags_array([rng.random(20000 - abs(k)) for k in range(-2, 3)],
+                           offsets=range(-2, 3), format="csr")
+        path = tmp_path / "a.mtx"
+        save_matrix_market(path, a)  # imports scipy.io before tracing starts
+        text = path.read_bytes()
+        tracemalloc.start()
+        try:
+            save_matrix_market(path, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == text
+        assert text.startswith(b"%%MatrixMarket matrix coordinate real general\n20000 20000 ")
+        assert peak < 1.6 * len(text)
+
     def test_symmetric_file_expanded(self, tmp_path):
         path = tmp_path / "s.mtx"
         path.write_text(

@@ -110,6 +110,48 @@ class TestGraph:
         assert np.array_equal(g.dense(), w.toarray())
 
 
+def _non_canonical_circulant(kind):
+    """The doubly stochastic [[.5, .5, 0], [0, .5, .5], [.5, 0, .5]], stored
+    with (0, 0) three times and row 1's columns out of order."""
+    data = np.array([0.25, 0.5, 0.125, 0.125, 0.5, 0.5, 0.5, 0.5])
+    indices = np.array([0, 1, 0, 0, 2, 1, 0, 2])
+    return kind((data, indices, np.array([0, 4, 6, 8])), shape=(3, 3))
+
+
+@pytest.mark.parametrize("kind", [sp.csr_matrix, sp.csr_array])
+def test_public_calls_leave_non_canonical_input_alone(tmp_path, kind):
+    # scipy canonicalises a CSR in place on many operations; every public
+    # call that takes a matrix must leave the caller's arrays as they were
+    import dsshift
+    from dsshift import fileio, graphs
+
+    model = dsshift.RandomSignalModel(mu=0.0, sigma=1.0, rho=0.5)
+    calls = [
+        graphs.as_matrix, Graph, dsshift.DSOperator, validate_weights,
+        verify_doubly_stochastic, sinkhorn_knopp, dsshift.birkhoff_decompose,
+        dsshift.perfect_matching,
+        lambda a: incoming_neighborhood(a, 0),
+        lambda a: dsshift.apply_shift(a, np.ones(3)),
+        lambda a: apply_filter(a, [0.5, 0.5], np.ones(3)),
+        lambda a: diffuse(a, np.arange(3.0), 2),
+        lambda a: dsshift.diffusion_convergence(a, np.arange(3.0)),
+        lambda a: wss_check(a, np.ones(3), np.eye(3), 1e-9),
+        lambda a: dsshift.local_bounds(a, 0),
+        lambda a: dsshift.kantorovich_bound(a, 0),
+        lambda a: dsshift.variance_upper_bound(a, 0, 1.0, 0.5),
+        lambda a: dsshift.exact_shift_variance(a, 0, 1.0, 0.5),
+        lambda a: dsshift.monte_carlo_shift_stats(a, 0, model, trials=10),
+        lambda a: fileio.save_matrix_market(tmp_path / "a.mtx", a),
+    ] + [lambda a, p=p: matrix_norm(a, p) for p in (1, 2, np.inf)]
+    for call in calls:
+        a = _non_canonical_circulant(kind)
+        before = [x.copy() for x in (a.data, a.indices, a.indptr)]
+        call(a)
+        for got, want in zip((a.data, a.indices, a.indptr), before):
+            assert np.array_equal(got, want), call
+        assert np.array_equal(a.toarray(), [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]])
+
+
 class TestBuildWeightMatrix:
     def test_zero_distance_gives_unit_weight(self):
         with pytest.warns(UserWarning, match="identical coordinates"):
@@ -232,6 +274,21 @@ class TestBuildWeightMatrix:
         assert isinstance(g.weights, sp.csr_array)
         assert g.n_edges < 0.03 * n * n
         assert peak < 4 * n * n  # half of one dense float64 buffer
+
+    def test_dense_kernel_is_pruned_without_a_mask_of_its_size(self):
+        # the threshold mask is taken 256 rows at a time: an N x N bool mask
+        # would add an eighth of the kernel's bytes to the peak
+        geo = random_geometry(1500, 3)
+        build_weight_matrix(random_geometry(600, 3), scale=2000.0, threshold=1e-4)
+        tracemalloc.start()
+        try:
+            g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(g.weights, np.ndarray)
+        assert peak < 1.0625 * g.weights.nbytes
+        assert np.array_equal(g.weights, reference_kernel(geo, 2000.0, 1e-4, False))
 
 
 class TestStorageRule:
