@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (
-    Graph, _checked, _dense, _formed, _is_symmetric, _require_square, _row, _Scaled,
+    Graph, _checked, _dense, _formed, _is_symmetric, _positive_row, _require_square, _Scaled,
     _total_support_issue, _trusted, _values,
 )
 
@@ -77,7 +77,10 @@ class DSOperator:
         return self._stored.shape[0]
 
     def row(self, m: int) -> np.ndarray:
-        return _row(self._stored, m)
+        columns, values = _positive_row(self._stored, m)
+        row = np.zeros(self.n)
+        row[columns] = values
+        return row
 
     def dense(self) -> np.ndarray:
         return _dense(self.matrix)
@@ -150,7 +153,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
 
     def require_total_support():
         nonlocal supported
-        if not supported and (issue := _total_support_issue(w)):
+        if not supported and (issue := _total_support_issue(w, symmetric)):
             raise UnbalanceableError(issue)
         supported = True
 

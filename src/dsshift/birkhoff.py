@@ -129,8 +129,7 @@ def birkhoff_decompose(S) -> BirkhoffDecomposition:
             f"column residual {check.max_col_residual:.3e}, min entry {check.min_entry:.3e})")
     row_excess, col_excess = a.sum(axis=1) - 1.0, a.sum(axis=0) - 1.0
 
-    residual = sp.csr_array(a, copy=True)
-    residual.sum_duplicates()  # one stored entry per position, in column order
+    residual = sp.csr_array(a, copy=True)  # canonical: each position once, in column order
     data, indices, indptr = residual.data, residual.indices, residual.indptr
     coefficients, permutations = [], []
     augment = _Augmenter(data, indices.tolist(), indptr.tolist())

@@ -57,7 +57,7 @@ class RandomSignalModel:
     rho: float
 
     def __post_init__(self):
-        _check_moments(self.sigma, self.rho)
+        _check_moments(self.sigma, self.rho, self.mu)
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,7 @@ def shift_power_bounds(
     asymptotic variance bound.  For rho = 0 the two coincide: the shift
     asymptotically preserves the power of the mean.
     """
+    _check_moments(sigma, rho, mu)
     upper_bound = mu**2 + asymptotic_variance_bound(sigma, rho, lower, upper)
     return PowerBounds(lower=mu**2, upper=upper_bound)
 
@@ -177,9 +178,11 @@ def amgm_bias_term(lower: float, upper: float) -> float:
     return (lower + upper) ** 2 / (4.0 * lower * upper)
 
 
-def _check_moments(sigma: float, rho: float) -> None:
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+def _check_moments(sigma: float, rho: float, mu: float = 0.0) -> None:
+    if not -np.inf < mu < np.inf:
+        raise ValueError(f"mu must be finite, got {mu}")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
 

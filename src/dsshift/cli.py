@@ -221,13 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="optional report JSON destination")
     p.set_defaults(func=_cmd_bounds)
 
+    demo = SensorFieldConfig()  # the demo's defaults, owned by its config
     p = sub.add_parser("demo-sensors", help="run the sensor-field denoising demo")
-    p.add_argument("--sensors", type=int, default=64)
-    p.add_argument("--noise-sigma", type=float, default=2.0)
-    p.add_argument("--scale", type=float, default=1800.0)
-    p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--sensors", type=int, default=demo.n_sensors)
+    p.add_argument("--noise-sigma", type=float, default=demo.noise_sigma)
+    p.add_argument("--scale", type=float, default=demo.kernel_scale)
+    p.add_argument("--threshold", type=float, default=demo.threshold)
+    p.add_argument("--k", type=int, default=demo.shifts)
+    p.add_argument("--seed", type=int, default=demo.seed)
     p.add_argument("--output", default=None, help="optional report JSON destination")
     p.set_defaults(func=_cmd_demo_sensors)
 

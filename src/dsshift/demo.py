@@ -111,8 +111,8 @@ class SensorFieldConfig:
     def __post_init__(self):
         if self.n_sensors < 2:
             raise ValueError(f"n_sensors must be at least 2, got {self.n_sensors}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
         if self.shifts < 0:
             raise ValueError(f"shifts must be nonnegative, got {self.shifts}")
 

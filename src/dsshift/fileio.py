@@ -78,8 +78,6 @@ def save_matrix_market(path, matrix) -> None:
     a = as_matrix(matrix)
     if not np.isfinite(_values(a)).all():
         raise ValueError("matrix entries must be finite")
-    if sp.issparse(a):
-        a.sum_duplicates()  # one line per position, in row-major order (as_matrix copied repeats)
     buf = io.BytesIO()
     mmwrite(buf, sp.coo_array(a), field="real", symmetry="general")
     buf.seek(0)

@@ -40,9 +40,10 @@ def as_matrix(obj):
     Accepts anything exposing a ``weights`` attribute (graphs) or a
     ``matrix`` attribute (operators, formed on first access), plus raw
     array-likes.  Sparse input of any format, a legacy ``csr_matrix``
-    included, becomes a ``csr_array``, so ``@`` and ``sum(axis=...)`` return
-    1-D ndarrays for either storage.  It shares the input's storage only
-    when canonical: scipy sums repeated entries and sorts indices in place.
+    included, becomes a canonical ``csr_array`` (sorted indices, each
+    position stored once), so ``@`` and ``sum(axis=...)`` return 1-D
+    ndarrays for either storage and a row is its stored slice.  A canonical
+    input's storage is shared; any other is copied and the copy summed.
     """
     if hasattr(obj, "weights"):
         obj = obj.weights
@@ -50,7 +51,10 @@ def as_matrix(obj):
         obj = obj.matrix
     if sp.issparse(obj):
         a = sp.csr_array(obj, dtype=float)
-        return a if a.has_canonical_format else a.copy()
+        if not a.has_canonical_format:
+            a = a.copy()
+            a.sum_duplicates()
+        return a
     a = np.asarray(obj, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
@@ -59,8 +63,8 @@ def as_matrix(obj):
 
 def _require_square(obj, what: str = "matrix", formed: bool = True):
     """``(as_matrix(obj), n)`` for an ``n x n`` input; ValueError otherwise.  With
-    ``formed=False`` (the caller only takes ``a @ x`` and rows through :func:`_row`
-    and :func:`_positive_row`), a balanced operator gives its unformed :class:`_Scaled`."""
+    ``formed=False`` (the caller only takes ``a @ x`` and rows through
+    :func:`_positive_row`), a balanced operator gives its unformed :class:`_Scaled`."""
     a = as_matrix(obj) if formed or not hasattr(obj, "_stored") else obj._stored
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be square, got shape {a.shape}")
@@ -118,12 +122,11 @@ def _formed(a):
 
 def _checked(obj, what: str):
     """A private copy of the square matrix ``obj``, checked finite and
-    nonnegative: a read-only ndarray, or a CSR storing each position once and
-    no explicit zeros.  The caller's later writes never reach the copy."""
+    nonnegative: a read-only ndarray, or a canonical CSR with no explicit
+    zeros.  The caller's later writes never reach the copy."""
     a, _ = _require_square(obj, what)
     if sp.issparse(a):
         a = a.copy()
-        a.sum_duplicates()
         a.eliminate_zeros()
     else:
         a = np.array(a)
@@ -172,31 +175,21 @@ def _is_symmetric(a) -> bool:
                for i in range(0, a.shape[0], 256))
 
 
-def _row(a, m: int) -> np.ndarray:
-    """Row ``m`` of a dense, CSR or :class:`_Scaled` matrix as a dense 1-D array."""
+def _positive_row(a, m: int):
+    """Columns (``intp``) and values of the positive entries in row ``m`` of
+    ``a``, a matrix from :func:`_require_square`; ValueError for ``m`` out of
+    range, or a row holding a NaN, an infinite or a negative entry.  A CSR row
+    is its stored slice, each column once and in order (see :func:`as_matrix`)."""
     if not (0 <= m < a.shape[0]):
         raise ValueError(f"vertex id {m} out of range [0, {a.shape[0]})")
-    if isinstance(a, _Scaled):
-        return a.r[m] * _row(a.w, m) * a.c
-    if not sp.issparse(a):
-        return np.asarray(a[m])
-    lo, hi = a.indptr[m], a.indptr[m + 1]
-    return np.bincount(a.indices[lo:hi], weights=a.data[lo:hi], minlength=a.shape[1])
-
-
-def _positive_row(a, m: int):
-    """Columns and values of the positive entries in row ``m`` of ``a``, a
-    matrix from :func:`_require_square`; ValueError when the row holds a NaN, an
-    infinite or a negative entry.  A CSR row is read from its stored slice."""
     if isinstance(a, _Scaled):  # W's positive entries, scaled
         columns, row = _positive_row(a.w, m)
         return columns, a.r[m] * row * a.c[columns]
-    if sp.issparse(a) and 0 <= m < a.shape[0]:  # repeats summed in storage order, as by _row
+    if sp.issparse(a):
         lo, hi = a.indptr[m], a.indptr[m + 1]
-        columns, slot = np.unique(a.indices[lo:hi].astype(np.intp), return_inverse=True)
-        row = np.bincount(slot, weights=a.data[lo:hi])
-    else:  # _row reads a dense row, or raises for a bad m
-        columns, row = np.arange(a.shape[1]), _row(a, m)
+        columns, row = a.indices[lo:hi].astype(np.intp), a.data[lo:hi]
+    else:
+        columns, row = np.arange(a.shape[1]), np.asarray(a[m])
     _require_finite_nonnegative(row, f"row {m}")
     members = np.flatnonzero(row)
     return columns[members], row[members]
@@ -394,13 +387,17 @@ def incoming_neighborhood(graph, m: int) -> Neighborhood:
     return Neighborhood(center=m, members=members, size=int(members.size))
 
 
-def _total_support_issue(w):
+def _total_support_issue(w, symmetric: bool):
     """None when every positive entry of ``w`` lies on a positive diagonal (total
-    support), else the issue naming the first, in row-major order, that does not."""
+    support), else the issue naming the first, in row-major order, that does not.
+    A symmetric ``w`` with a positive diagonal needs no search: entry (i, j) lies
+    on the diagonal that swaps i and j and fixes every other vertex."""
+    if symmetric and (w.diagonal() > 0).all():
+        return None
     from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
-    support = w > 0 if sp.issparse(w) else sp.csr_array(w > 0)  # w is canonical CSR or dense
-    support.sum_duplicates()  # so nonzero() lists the entries in row-major order
+    # w is canonical CSR or dense, so nonzero() lists the entries in row-major order
+    support = w > 0 if sp.issparse(w) else sp.csr_array(w > 0)
     image = maximum_bipartite_matching(support, perm_type="column")
     i, j = support.nonzero()
     if (image >= 0).all():  # else there is no positive diagonal at all
@@ -427,7 +424,8 @@ def validate_weights(graph) -> WeightDiagnostics:
     values = _values(w)
     symmetric = _is_symmetric(w)
     negative = int(np.count_nonzero(values < 0))
-    positive = values[values > 0]
+    positive = values > 0  # its minimum is taken in place, with no copy of the entries
+    min_positive = np.min(values, where=positive, initial=np.inf) if positive.any() else 0.0
     n_edges = int(np.count_nonzero(values))
 
     issues = [f"unbalanceable: empty row {i}" for i in zero_rows]
@@ -436,7 +434,7 @@ def validate_weights(graph) -> WeightDiagnostics:
         issues.append(f"{negative} negative entries")
     if not symmetric:
         issues.append("asymmetric weight matrix")
-    if support_issue := _total_support_issue(w):
+    if support_issue := _total_support_issue(w, symmetric):
         issues.append(support_issue)
 
     return WeightDiagnostics(
@@ -446,7 +444,7 @@ def validate_weights(graph) -> WeightDiagnostics:
         zero_cols=zero_cols,
         negative_entries=negative,
         symmetric=symmetric,
-        min_positive=float(positive.min()) if positive.size else 0.0,
+        min_positive=float(min_positive),
         max_weight=float(w.max()) if n else 0.0,
         density=n_edges / (n * n) if n else 0.0,
         balanceable=not zero_rows and not zero_cols and negative == 0 and not support_issue,

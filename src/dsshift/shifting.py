@@ -36,6 +36,9 @@ def _operator_and_signal(S, x):
         raise ValueError(
             f"signal of shape {v.shape} does not match operator of shape {a.shape}"
         )
+    if not (finite := np.isfinite(v)).all():
+        bad = finite.argmin()  # the first non-finite entry
+        raise ValueError(f"signal must be finite, got {v[bad]} at vertex {bad}")
     return a, v
 
 

@@ -242,6 +242,18 @@ class TestRandomSignalModel:
         with pytest.raises(ValueError, match="rho"):
             RandomSignalModel(0.0, 1.0, 1.2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_moments_rejected(self, bad):
+        # a NaN sigma passed ``sigma < 0`` and made every statistic NaN
+        with pytest.raises(ValueError, match=f"^sigma must be finite and nonnegative, got {bad}"):
+            RandomSignalModel(0.0, bad, 0.5)
+        with pytest.raises(ValueError, match=f"^mu must be finite, got {bad}"):
+            RandomSignalModel(bad, 1.0, 0.5)
+        with pytest.raises(ValueError, match=f"^mu must be finite, got {bad}"):
+            shift_power_bounds(bad, 1.0, 0.5, 0.3, 0.3)
+        with pytest.raises(ValueError, match="^sigma must be finite"):
+            exact_shift_variance(np.full((2, 2), 0.5), 0, bad, 0.5)
+
 
 class TestSampleLocalSignal:
     def test_zero_sigma_is_constant(self):

@@ -236,6 +236,16 @@ class TestBoundsCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--sigma", "inf"),
+                                             ("--mu", "inf"), ("--mu", "nan")])
+    def test_non_finite_moment_exits_2(self, operator_file, capsys, flag, value):
+        moments = {"--sigma": "1.0", "--mu": "0.0", flag: value}
+        args = ["bounds", "--op", operator_file, "--vertex", 0, "--rho", 0.5, "--trials", 100]
+        assert run(args + [x for item in moments.items() for x in item]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag[2:]} must be finite" in captured.err
+
 
 class TestDemoCommand:
     def test_demo_summary_and_report(self, tmp_path, capsys):
@@ -250,3 +260,10 @@ class TestDemoCommand:
 
     def test_invalid_sensor_count_exits_2(self):
         assert run(["demo-sensors", "--sensors", 1]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_sigma_exits_2(self, capsys, value):
+        assert run(["demo-sensors", "--sensors", 8, "--noise-sigma", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "noise_sigma must be finite" in captured.err

@@ -56,6 +56,9 @@ class TestSensorFieldConfig:
             SensorFieldConfig(n_sensors=1)
         with pytest.raises(ValueError, match="noise_sigma"):
             SensorFieldConfig(noise_sigma=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^noise_sigma must be finite and .*, got {bad}"):
+                SensorFieldConfig(noise_sigma=bad)
 
 
 class TestRunSensorDemo:

@@ -8,14 +8,19 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dsshift import (
+    DSOperator,
     Graph,
+    RandomSignalModel,
     UnbalanceableError,
     VertexGeometry,
     apply_filter,
+    as_matrix,
     build_weight_matrix,
     diffuse,
     incoming_neighborhood,
+    local_bounds,
     matrix_norm,
+    monte_carlo_shift_stats,
     sinkhorn_knopp,
     validate_weights,
     verify_doubly_stochastic,
@@ -150,6 +155,65 @@ def test_public_calls_leave_non_canonical_input_alone(tmp_path, kind):
         for got, want in zip((a.data, a.indices, a.indptr), before):
             assert np.array_equal(got, want), call
         assert np.array_equal(a.toarray(), [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]])
+
+
+def _stored_twice():
+    """[[3, 1, 0], [0, 2, 5], [4, 0, 1]] as a csr_matrix storing (0, 0) twice,
+    every row's columns out of order, and its dense twin."""
+    data = np.array([1.0, 2.0, 1.0, 5.0, 2.0, 1.0, 4.0])
+    indices = np.array([1, 0, 0, 2, 1, 2, 0])
+    a = sp.csr_matrix((data, indices, np.array([0, 3, 5, 7])), shape=(3, 3))
+    return a, np.array([[3.0, 1.0, 0.0], [0.0, 2.0, 5.0], [4.0, 0.0, 1.0]])
+
+
+class TestCanonicalCsr:
+    def test_as_matrix_sums_a_copy(self):
+        a, dense = _stored_twice()
+        before = [x.copy() for x in (a.data, a.indices, a.indptr)]
+        m = as_matrix(a)
+        assert m.has_canonical_format and m.nnz == 6
+        assert np.array_equal(m.toarray(), dense)
+        for got, want in zip((a.data, a.indices, a.indptr), before):
+            assert np.array_equal(got, want)
+
+    def test_as_matrix_shares_a_canonical_input(self):
+        a = sp.csr_array(_stored_twice()[1])
+        assert np.shares_memory(as_matrix(a).data, a.data)
+
+    @pytest.mark.parametrize("pair", [
+        lambda a, dense: (a, dense),
+        lambda a, dense: (DSOperator(a), DSOperator(dense)),
+        # the operator balanced from the CSR, kept unformed, against its formed dense copy
+        lambda a, dense: (op := sinkhorn_knopp(a).operator, DSOperator(op.dense())),
+    ], ids=["raw", "DSOperator", "balanced"])
+    def test_rows_equal_the_dense_twin(self, pair):
+        sparse, twin = pair(*_stored_twice())
+        model = RandomSignalModel(mu=0.5, sigma=1.0, rho=0.3)
+        for m in range(3):
+            assert local_bounds(sparse, m) == local_bounds(twin, m)
+            got, want = incoming_neighborhood(sparse, m), incoming_neighborhood(twin, m)
+            assert got.members.dtype == want.members.dtype == np.intp
+            assert np.array_equal(got.members, want.members) and got.size == want.size == 2
+            assert (monte_carlo_shift_stats(sparse, m, model, trials=50, seed=m)
+                    == monte_carlo_shift_stats(twin, m, model, trials=50, seed=m))
+            if hasattr(sparse, "row"):
+                assert np.array_equal(sparse.row(m), twin.row(m))
+        if hasattr(sparse, "row"):
+            assert np.array_equal([sparse.row(m) for m in range(3)], twin.dense())
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a, DSOperator, lambda a: sinkhorn_knopp(a).operator,
+    ], ids=["raw", "DSOperator", "balanced"])
+    @pytest.mark.parametrize("m", [-1, 3])
+    def test_out_of_range_vertex(self, make, m):
+        model = RandomSignalModel(mu=0.5, sigma=1.0, rho=0.3)
+        for s in map(make, _stored_twice()):
+            calls = [lambda: local_bounds(s, m), lambda: incoming_neighborhood(s, m),
+                     lambda: monte_carlo_shift_stats(s, m, model, trials=10)]
+            calls += [lambda: s.row(m)] if hasattr(s, "row") else []
+            for call in calls:
+                with pytest.raises(ValueError, match=rf"^vertex id {m} out of range \[0, 3\)$"):
+                    call()
 
 
 class TestBuildWeightMatrix:

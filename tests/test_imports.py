@@ -1,8 +1,13 @@
+import dataclasses
+import importlib
 import os
 import subprocess
 import sys
 
 import dsshift
+from dsshift.cli import build_parser
+
+MODULES = ("balance", "birkhoff", "bounds", "demo", "graphs", "shifting")
 
 # Each is imported inside the function that needs it; at module level each
 # would add its import time to every ``import dsshift``.
@@ -38,3 +43,34 @@ def test_converging_balance_skips_the_exact_test():
                "g = dsshift.build_weight_matrix(geo, scale=1800.0, threshold=1e-4, self_loops=True); "
                "assert dsshift.sinkhorn_knopp(g).operator.iterations_used > 1")
     assert "scipy.sparse.csgraph" not in _loaded_after(balance).split()
+
+
+def test_public_names_are_the_modules_own():
+    modules = [importlib.import_module(f"dsshift.{name}") for name in MODULES]
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert dsshift.__all__ == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(dsshift, name) is obj
+            assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+
+
+def test_demo_parser_defaults_are_the_config_defaults():
+    flags = {"n_sensors": "sensors", "noise_sigma": "noise_sigma", "kernel_scale": "scale",
+             "threshold": "threshold", "seed": "seed", "shifts": "k"}
+    config = dsshift.SensorFieldConfig()
+    assert set(flags) == {f.name for f in dataclasses.fields(config)}
+    args = vars(build_parser().parse_args(["demo-sensors"]))
+    assert {name: args[flag] for name, flag in flags.items()} == dataclasses.asdict(config)
+
+
+def test_validating_a_self_looped_kernel_skips_the_exact_test():
+    # symmetric with a positive diagonal: every entry is on a transposition's diagonal
+    validate = ("import numpy as np; "
+                "geo = dsshift.demo._sensor_geometry(600, np.random.default_rng(1)); "
+                "g = dsshift.build_weight_matrix(geo, scale=1800.0, threshold=1e-4, "
+                "self_loops=True); "
+                "assert dsshift.validate_weights(g).balanceable")
+    assert "scipy.sparse.csgraph" not in _loaded_after(validate).split()

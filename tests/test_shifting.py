@@ -36,6 +36,18 @@ class TestApplyShift:
             apply_shift(UNIFORM2, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("call", [
+    apply_shift,
+    lambda s, x: apply_filter(s, [0.5, 0.5], x),
+    lambda s, x: diffuse(s, x, 0),
+    diffusion_convergence,  # reported "non-convergent diffusion" on a NaN
+], ids=["shift", "filter", "diffuse", "diffusion_convergence"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_signal_rejected(call, bad):
+    with pytest.raises(ValueError, match=f"^signal must be finite, got {bad} at vertex 0"):
+        call(UNIFORM2, [bad, 1.0])
+
+
 class TestApplyFilter:
     def test_zeroth_order_identity(self, small_operator):
         x = np.array([1.0, -2.0])
