@@ -70,7 +70,7 @@ print()
 print("A permutation is doubly stochastic but periodic, so it never diffuses:")
 perm = np.roll(np.eye(4), 1, axis=0)
 conv = diffusion_convergence(perm, np.array([1.0, 0.0, 0.0, 0.0]), tol=1e-10)
-print(f"3-cycle shift: {conv.status} (residual stuck at {conv.residual:.3f})")
+print(f"4-cycle shift: {conv.status} (residual stuck at {conv.residual:.3f})")
 
 print()
 print("=" * 70)

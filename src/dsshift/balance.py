@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (
-    Graph, _checked, _dense, _formed, _is_symmetric, _positive_row, _require_square, _Scaled,
+    Graph, _checked, _dense, _formed, _positive_row, _product, _require_square, _Scaled,
     _total_support_issue, _trusted, _values,
 )
 
@@ -143,13 +143,13 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
     if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
 
-    w = (weights if isinstance(weights, Graph) else Graph(weights)).weights  # checked, private
+    graph = weights if isinstance(weights, Graph) else Graph(weights)
+    w, symmetric = graph.weights, graph.is_symmetric()  # checked, private
     n = w.shape[0]
-    symmetric = _is_symmetric(w)
     supported = False  # W passed the exact total-support test, which then never runs again
 
     def matvec(z):
-        return w @ z if symmetric else np.concatenate((w @ z[n:], w.T @ z[:n]))
+        return _product(w, z, True) if symmetric else np.concatenate((w @ z[n:], w.T @ z[:n]))
 
     def require_total_support():
         nonlocal supported
@@ -219,6 +219,6 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
     r, c = x[:n], x[-n:]
     # Positive scalings of checked weights: no second pass of DSOperator's checks;
     # copies, since the result's scalings are the caller's to change.
-    operator = _trusted(DSOperator, _stored=_Scaled(w, r.copy(), c.copy()),
+    operator = _trusted(DSOperator, _stored=_Scaled(w, r.copy(), c.copy(), symmetric),
                         tolerance_achieved=residual, iterations_used=iteration)
     return BalanceResult(operator, r, c, matvecs=matvecs, residual_history=np.array(history))

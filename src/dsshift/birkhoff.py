@@ -35,7 +35,6 @@ __all__ = [
     "DecompositionError",
     "birkhoff_decompose",
     "max_terms",
-    "perfect_matching",
     "reconstruct",
 ]
 
@@ -80,26 +79,6 @@ class BirkhoffDecomposition:
     def terms(self):
         """Iterate ``(coefficient, image_array)`` pairs in extraction order."""
         return zip(self.coefficients, self.permutations)
-
-
-def perfect_matching(support) -> np.ndarray | None:
-    """Perfect matching of rows to columns on the nonzero entries of a square
-    support matrix: dense, scipy sparse, or nested lists.
-
-    Hopcroft-Karp, as scipy's iterative
-    ``scipy.sparse.csgraph.maximum_bipartite_matching``: deterministic, and
-    no recursion limits the size.  Returns the image array (row -> matched
-    column) or None when no perfect matching exists.
-    """
-    # Imported here: at module level it adds about a third to ``import dsshift``.
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
-    mask = sp.csr_array(support, dtype=bool, copy=True)
-    if len(mask.shape) != 2 or mask.shape[0] != mask.shape[1]:
-        raise ValueError(f"support must be square, got shape {mask.shape}")
-    mask.eliminate_zeros()  # csgraph would match a stored False as an edge
-    image = maximum_bipartite_matching(mask, perm_type="column")
-    return None if (image < 0).any() else image.astype(np.int64)
 
 
 def birkhoff_decompose(S) -> BirkhoffDecomposition:

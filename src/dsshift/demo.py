@@ -6,7 +6,9 @@ The true field is synthetic (a few smooth Gaussian bumps over the sensor
 region plus an altitude lapse term) and its amplitude is normalized to a
 documented constant so that the default noise level gives a known input
 signal-to-noise ratio.  Everything is seeded, so a report is reproducible
-byte for byte.
+byte for byte for a fixed BLAS build and thread count; across thread counts
+its numbers agree to rounding (a threaded symmetric matrix-vector product
+sums partial vectors in an order that depends on the thread count).
 """
 
 from __future__ import annotations

@@ -32,6 +32,9 @@ EARTH_RADIUS_M = 6_371_000.0
 # Matrices up to this size are always stored dense (see _stored).
 DENSE_LIMIT = 512
 
+# Rows of the dense kernel built at a time: at N = 5000 a block is 2.5 MB, in cache.
+_BLOCK = 64
+
 
 def as_matrix(obj):
     """Coerce a Graph, balanced operator, ndarray, or scipy sparse matrix to
@@ -89,17 +92,29 @@ def _require_finite_nonnegative(a, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative")
 
 
+def _product(w, x, symmetric: bool):
+    """``w @ x``.  A dense ``symmetric`` ``w`` takes a 1-D ``x`` through BLAS
+    ``dsymv`` on one triangle, half the memory traffic (``w.T`` is a Fortran-order
+    view: nothing is copied); threaded, its last bits depend on the thread count."""
+    if not symmetric or sp.issparse(w) or np.ndim(x) != 1 or not w.size:
+        return w @ x
+    from scipy.linalg.blas import dsymv  # not needed by ``import dsshift``
+
+    return dsymv(1.0, w.T, x, lower=1)
+
+
 class _Scaled:
     """``S = diag(r) W diag(c)`` over ``W``, a Graph's checked storage, kept
     unformed: a product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``.
     :meth:`formed` builds ``S`` on the first request and keeps it."""
 
-    def __init__(self, w, r, c):
+    def __init__(self, w, r, c, symmetric: bool):
         self.w, self.r, self.c, self.shape, self._s = w, r, c, w.shape, None
+        self.symmetric = symmetric  # W's, so products may read one triangle
 
     def __matmul__(self, x):
         col = (slice(None),) + (None,) * (np.ndim(x) - 1)  # scale the rows of a 2-D x
-        return self.r[col] * (self.w @ (self.c[col] * x))
+        return self.r[col] * _product(self.w, self.c[col] * x, self.symmetric)
 
     def formed(self):
         """``S`` as a read-only ndarray or a ``csr_array``, built in O(nnz) on the first call."""
@@ -199,8 +214,11 @@ class Graph:
     """Directed weighted graph stored as its incoming-edge weight matrix.
 
     Entry ``weights[m, n]`` is the strength of edge ``n -> m``; zero means
-    no edge.  Immutable: the input is always copied (see :func:`_checked`).
+    no edge.  Immutable: the input is always copied (see :func:`_checked`),
+    so whether it is symmetric is decided once, on first request, and kept.
     """
+
+    _symmetric = None  # set by is_symmetric(), or by build_weight_matrix
 
     def __init__(self, weights):
         self._weights = _checked(weights, "weights")
@@ -218,21 +236,13 @@ class Graph:
     def n_edges(self) -> int:
         return int(np.count_nonzero(_values(self._weights)))
 
-    def weight(self, m: int, n: int) -> float:
-        """Weight of edge ``n -> m`` (0.0 when absent)."""
-        self._check_vertex(m)
-        self._check_vertex(n)
-        return float(self._weights[m, n])
-
     def dense(self) -> np.ndarray:
         return _dense(self._weights)
 
     def is_symmetric(self) -> bool:
-        return _is_symmetric(self._weights)
-
-    def _check_vertex(self, m: int) -> None:
-        if not (0 <= m < self.n_vertices):
-            raise ValueError(f"vertex id {m} out of range [0, {self.n_vertices})")
+        if self._symmetric is None:
+            self._symmetric = _is_symmetric(self._weights)
+        return self._symmetric
 
     def __repr__(self):
         kind = "sparse" if sp.issparse(self._weights) else "dense"
@@ -310,6 +320,15 @@ class WeightDiagnostics:
     issues: tuple = field(default=())
 
 
+def _kernel(d, scale: float, threshold: float) -> None:
+    """Distances ``d`` to weights ``exp(-(d / scale)**2)`` in place, with the
+    weights below ``threshold`` set to exact zeros."""
+    with np.errstate(over="ignore"):  # a distance past the float range weighs exp(-inf) = 0
+        d /= scale
+        np.exp(np.negative(np.square(d, out=d), out=d), out=d)
+    np.multiply(d, d >= threshold, out=d)
+
+
 def build_weight_matrix(
     geometry: VertexGeometry,
     scale: float,
@@ -325,8 +344,10 @@ def build_weight_matrix(
     N <= 512 or at least a quarter of the entries are nonzero, CSR
     otherwise.  A pruned kernel that a k-d tree's neighbour count predicts
     to be CSR is built from the tree's neighbour pairs and never forms an
-    N x N array; any other is evaluated in place in the N x N distance
-    buffer.  Both apply the same float operations to the same distances.
+    N x N array; any other is evaluated in place in its N x N buffer, 64
+    rows at a time (distances, then weights, while the rows are in cache).
+    Both apply the same float operations to the same distances.  The graph
+    is marked symmetric without a check.
 
     Raises ValueError for fewer than 2 vertices, a nonpositive or
     non-finite scale, or a negative or NaN threshold.  Distinct vertices at
@@ -343,7 +364,7 @@ def build_weight_matrix(
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
 
-    tree = cKDTree(geometry.project())
+    tree = cKDTree(points := geometry.project())
     n_dupes = (tree.count_neighbors(tree, 0.0) - n) // 2
     if n_dupes:
         warnings.warn(
@@ -355,26 +376,28 @@ def build_weight_matrix(
     sparse = False
     if threshold > 0:
         # Farther pairs weigh less than threshold; the relative 1e-9 widening
-        # leaves ties to the ``w < threshold`` mask below.
+        # leaves ties to the ``>= threshold`` test of _kernel.
         cutoff = scale * math.sqrt(max(0.0, -math.log(threshold))) * (1 + 1e-9)
         sparse = not _dense_storage((n, n), lambda: tree.count_neighbors(tree, cutoff))
     if sparse:
         w = tree.sparse_distance_matrix(tree, cutoff, output_type="coo_matrix")
-        values = w.data  # distance-0 pairs, the diagonal included, are stored
+        _kernel(w.data, scale, threshold)  # the diagonal's distance-0 pairs are stored
+        w.data[w.row == w.col] = 1.0 if self_loops else 0.0
+        w = _stored(w)
     else:
-        w = values = geometry.pairwise_distances()
-    with np.errstate(over="ignore"):  # a distance past the float range weighs exp(-inf) = 0
-        values /= scale  # then exp(-values**2), in place
-        np.exp(np.negative(np.square(values, out=values), out=values), out=values)
-    for i in range(0, len(rows := np.atleast_2d(values)), 256):  # no N x N mask
-        rows[i:i + 256][rows[i:i + 256] < threshold] = 0.0
-    if sparse:
-        values[w.row == w.col] = 1.0 if self_loops else 0.0
-    else:
-        np.fill_diagonal(w, 1.0 if self_loops else 0.0)
+        from scipy.spatial.distance import cdist
+
+        w, nnz = np.empty((n, n)), 0
+        for i in range(0, n, _BLOCK):  # each block's passes run while it is in cache
+            block = cdist(points[i:i + _BLOCK], points, out=w[i:i + _BLOCK])
+            _kernel(block, scale, threshold)
+            np.fill_diagonal(block[:, i:], 1.0 if self_loops else 0.0)
+            nnz += np.count_nonzero(block)
         w.setflags(write=False)  # the Graph keeps this buffer
-    # exp of a nonpositive number: every weight is in [0, 1], nothing to check
-    return _trusted(Graph, _weights=_stored(w))
+        w = w if _dense_storage((n, n), lambda: nnz) else sp.csr_array(w)  # counted above
+    # exp of a nonpositive number: every weight is in [0, 1], nothing to check;
+    # and symmetric, since (a - b)**2 == (b - a)**2 exactly in IEEE arithmetic
+    return _trusted(Graph, _weights=w, _symmetric=True)
 
 
 def incoming_neighborhood(graph, m: int) -> Neighborhood:
@@ -387,6 +410,9 @@ def incoming_neighborhood(graph, m: int) -> Neighborhood:
     return Neighborhood(center=m, members=members, size=int(members.size))
 
 
+_OFF_DIAGONAL = "unbalanceable: entry ({}, {}) is on no positive diagonal"
+
+
 def _total_support_issue(w, symmetric: bool):
     """None when every positive entry of ``w`` lies on a positive diagonal (total
     support), else the issue naming the first, in row-major order, that does not.
@@ -396,17 +422,28 @@ def _total_support_issue(w, symmetric: bool):
         return None
     from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
-    # w is canonical CSR or dense, so nonzero() lists the entries in row-major order
-    support = w > 0 if sp.issparse(w) else sp.csr_array(w > 0)
-    image = maximum_bipartite_matching(support, perm_type="column")
-    i, j = support.nonzero()
-    if (image >= 0).all():  # else there is no positive diagonal at all
-        # Columns permuted by this matching, an entry lies on a positive
-        # diagonal exactly when its row and column share a strong component.
-        label = connected_components(support[:, image], connection="strong")[1]
-        off = label[i] != label[np.argsort(image)[j]]
-        i, j = i[off], j[off]
-    return f"unbalanceable: entry ({i[0]}, {j[0]}) is on no positive diagonal" if i.size else None
+    # Row blocks throughout: no N x N mask, and no nonzero() pair of the support.
+    n, blocks = w.shape[0], range(0, w.shape[0], 256)
+    support = w > 0 if sp.issparse(w) else sp.vstack(
+        [sp.csr_array(w[lo:lo + 256] > 0) for lo in blocks], format="csr")
+    indptr, image = support.indptr, maximum_bipartite_matching(support, perm_type="column")
+    if (image < 0).any():  # no positive diagonal at all: the first entry is off
+        first_row = np.searchsorted(indptr, 1) - 1
+        return _OFF_DIAGONAL.format(first_row, support.indices[0]) if support.nnz else None
+    # With its columns permuted by the matching (entry (i, j) moves to column
+    # k, image[k] == j), an entry lies on a positive diagonal exactly when its
+    # row and column share a strong component.  The permuted graph replaces
+    # the support, with the float64 data csgraph would copy it to otherwise.
+    k = np.argsort(image).astype(support.indices.dtype)[support.indices]
+    del support
+    graph = sp.csr_array((np.ones(k.size), k, indptr), shape=(n, n))
+    label = connected_components(graph, connection="strong")[1]
+    for lo in blocks:  # k is in the support's row-major order: the first off is named
+        i = np.repeat(np.arange(lo, hi := min(lo + 256, n)), np.diff(indptr[lo:hi + 1]))
+        kb = k[indptr[lo]:indptr[hi]]
+        if (off := np.flatnonzero(label[i] != label[kb])).size:
+            return _OFF_DIAGONAL.format(i[off[0]], image[kb[off[0]]])
+    return None
 
 
 def validate_weights(graph) -> WeightDiagnostics:
@@ -419,13 +456,13 @@ def validate_weights(graph) -> WeightDiagnostics:
     its stored form, never densified.
     """
     w, n = _require_square(graph)
+    symmetric = graph.is_symmetric() if isinstance(graph, Graph) else _is_symmetric(w)
     zero_rows = tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0))
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))
     values = _values(w)
-    symmetric = _is_symmetric(w)
     negative = int(np.count_nonzero(values < 0))
-    positive = values > 0  # its minimum is taken in place, with no copy of the entries
-    min_positive = np.min(values, where=positive, initial=np.inf) if positive.any() else 0.0
+    # taken in place, with no copy of the entries; inf when none is positive
+    min_positive = np.min(values, where=values > 0, initial=np.inf)
     n_edges = int(np.count_nonzero(values))
 
     issues = [f"unbalanceable: empty row {i}" for i in zero_rows]
@@ -444,7 +481,7 @@ def validate_weights(graph) -> WeightDiagnostics:
         zero_cols=zero_cols,
         negative_entries=negative,
         symmetric=symmetric,
-        min_positive=float(min_positive),
+        min_positive=float(min_positive) if min_positive < np.inf else 0.0,
         max_weight=float(w.max()) if n else 0.0,
         density=n_edges / (n * n) if n else 0.0,
         balanceable=not zero_rows and not zero_cols and negative == 0 and not support_issue,

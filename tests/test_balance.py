@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -469,6 +471,7 @@ class TestUnformedOperator:
             np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
 
         close(apply_shift(op, x), s @ x)
+        close(apply_shift(pickle.loads(pickle.dumps(op)), x), s @ x)  # it pickles, as a DSOperator
         close(apply_filter(op, h, x), apply_filter(formed, h, x))
         close(diffuse(op, x, 4), diffuse(formed, x, 4))
         sigma = np.cov(rng.standard_normal((n, 2 * n)))  # 2-D products

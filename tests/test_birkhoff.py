@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from dsshift import (
     DecompositionError,
@@ -14,7 +15,6 @@ from dsshift import (
     birkhoff_decompose,
     build_weight_matrix,
     max_terms,
-    perfect_matching,
     reconstruct,
     sinkhorn_knopp,
     verify_doubly_stochastic,
@@ -25,69 +25,6 @@ from dsshift.demo import _sensor_geometry
 from conftest import balanced_operator, demo_kernel_operator
 
 EPS = np.finfo(float).eps
-
-
-class TestPerfectMatching:
-    def test_full_support_prefers_identity(self):
-        image = perfect_matching(np.ones((3, 3), dtype=bool))
-        assert image.tolist() == [0, 1, 2]
-
-    def test_forced_unique_matching(self):
-        support = np.array([[False, True], [True, True]])
-        assert perfect_matching(support).tolist() == [1, 0]
-
-    def test_augmenting_path_required(self):
-        # greedy seeding assigns row 0 to column 0; row 2 then needs an
-        # augmenting path through rows 0 and 1
-        support = np.array(
-            [
-                [True, True, False],
-                [False, False, True],
-                [True, False, False],
-            ]
-        )
-        image = perfect_matching(support)
-        assert image.tolist() == [1, 2, 0]
-
-    def test_no_matching_returns_none(self):
-        support = np.array([[True, True], [False, False]])
-        assert perfect_matching(support) is None
-
-    @pytest.mark.parametrize(
-        "storage", [np.asarray, sp.csr_array, sp.csr_matrix, lambda a: a.tolist()],
-        ids=["dense", "csr_array", "csr_matrix", "lists"],
-    )
-    def test_storages_agree(self, storage):
-        support = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
-        assert perfect_matching(storage(support)).tolist() == [2, 0, 1]
-
-    def test_stored_zero_is_no_edge(self):
-        # diag(1, 0) with the zero stored explicitly
-        csr = sp.csr_array((np.array([1.0, 0.0]), np.array([0, 1]), np.array([0, 1, 2])))
-        assert perfect_matching(csr) is None
-        assert csr.nnz == 2  # the caller's matrix is not modified
-
-    @pytest.mark.parametrize("shape", [(2, 3), (3,)])
-    def test_non_square_rejected(self, shape):
-        with pytest.raises(ValueError, match="support must be square"):
-            perfect_matching(np.ones(shape, dtype=bool))
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(0)
-        support = rng.random((8, 8)) < 0.5
-        np.fill_diagonal(support, True)
-        first = perfect_matching(support)
-        for _ in range(3):
-            assert np.array_equal(perfect_matching(support), first)
-
-    def test_long_chain_needs_no_recursion(self):
-        # every augmenting path runs the length of the chain
-        n = 3000
-        support = np.zeros((n, n), dtype=bool)
-        i = np.arange(n - 1)
-        support[i, i] = support[i, i + 1] = True
-        support[n - 1, 0] = True
-        assert np.array_equal(perfect_matching(support), (np.arange(n) + 1) % n)
 
 
 class TestBirkhoffDecompose:
@@ -244,7 +181,8 @@ def _assert_round_trip(s, a):
     assert all((a[rows, image] > 0).all() for image in d.permutations)
     assert d.dust <= d.dust_bound
     # the stop condition: no perfect matching is left above the cut
-    assert perfect_matching(a - rebuilt > _CUT) is None
+    left = maximum_bipartite_matching(sp.csr_array(a - rebuilt > _CUT), perm_type="column")
+    assert (left < 0).any()
 
 
 def _permutation_mixture(rng, n, k):

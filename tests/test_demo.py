@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import dsshift
 
 from dsshift import SensorFieldConfig, run_sensor_demo, snr_db
 from dsshift.demo import FIELD_RMS, synthetic_true_field
@@ -100,3 +107,26 @@ class TestRunSensorDemo:
         assert len(payload["true_field"]) == 64
         assert len(payload["noisy"]) == 64
         assert len(payload["denoised"]) == 64
+
+
+def _demo_report(threads: int) -> dict:
+    """The demo's report at 1000 sensors, run in a fresh interpreter whose BLAS
+    uses ``threads`` threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dsshift.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+    code = ("import dsshift; print(dsshift.run_sensor_demo("
+            "dsshift.SensorFieldConfig(n_sensors=1000, seed=1)).to_json())")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    return json.loads(out.stdout)
+
+
+def test_report_agrees_across_blas_thread_counts():
+    # a threaded symmetric product sums partial vectors, so the last bits may
+    # move with the thread count; the results may not
+    one, two = _demo_report(1), _demo_report(2)
+    assert one["gain_db"] == pytest.approx(two["gain_db"], rel=1e-12, abs=0)
+    a, b = np.array(one["denoised"]), np.array(two["denoised"])
+    assert np.abs(a - b).max() <= a.size * np.finfo(float).eps * np.abs(b).max()
+    assert one["operator"]["iterations"] == two["operator"]["iterations"]

@@ -27,7 +27,11 @@ from dsshift import (
     wss_check,
 )
 
+from dsshift.graphs import DENSE_LIMIT, _is_symmetric, _product
+
 from conftest import random_geometry
+
+EPS = np.finfo(float).eps
 
 
 def geometry_at_altitudes(alts):
@@ -73,7 +77,7 @@ class TestGraph:
         w = np.zeros((3, 3))
         w[1, 0] = 0.7
         g = Graph(w)
-        assert g.weight(1, 0) == 0.7
+        assert g.dense()[1, 0] == 0.7
         assert g.n_edges == 1
 
     def test_weights_immutable(self):
@@ -89,7 +93,7 @@ class TestGraph:
             g = Graph(weights)
             assert not np.shares_memory(g.weights, w)
         w[0, 0] = 5.0
-        assert g.weight(0, 0) == 1.0
+        assert g.dense()[0, 0] == 1.0
 
     def test_read_only_owning_array_is_copied(self):
         w = np.ones((2, 2))
@@ -97,7 +101,7 @@ class TestGraph:
         g = Graph(w)
         w.setflags(write=True)  # an array that owns its data can be made writable again
         w[0, 0] = 5.0
-        assert g.weight(0, 0) == 1.0
+        assert g.dense()[0, 0] == 1.0
 
     def test_sparse_storage_round_trip(self):
         w = sp.csr_matrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
@@ -134,7 +138,6 @@ def test_public_calls_leave_non_canonical_input_alone(tmp_path, kind):
     calls = [
         graphs.as_matrix, Graph, dsshift.DSOperator, validate_weights,
         verify_doubly_stochastic, sinkhorn_knopp, dsshift.birkhoff_decompose,
-        dsshift.perfect_matching,
         lambda a: incoming_neighborhood(a, 0),
         lambda a: dsshift.apply_shift(a, np.ones(3)),
         lambda a: apply_filter(a, [0.5, 0.5], np.ones(3)),
@@ -220,12 +223,12 @@ class TestBuildWeightMatrix:
     def test_zero_distance_gives_unit_weight(self):
         with pytest.warns(UserWarning, match="identical coordinates"):
             g = build_weight_matrix(geometry_at_altitudes([5.0, 5.0]), scale=1.0)
-        assert g.weight(0, 1) == 1.0
-        assert g.weight(1, 0) == 1.0
+        assert g.dense()[0, 1] == 1.0
+        assert g.dense()[1, 0] == 1.0
 
     def test_unit_distance_kernel_value(self):
         g = build_weight_matrix(geometry_at_altitudes([0.0, 1.0]), scale=1.0)
-        assert g.weight(0, 1) == pytest.approx(np.exp(-1.0), abs=1e-15)
+        assert g.dense()[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
 
     def test_tiny_scale_overflows_to_zero_weight(self):
         # distance / scale passes the float range; exp(-inf) = 0 is the kernel's limit
@@ -237,9 +240,9 @@ class TestBuildWeightMatrix:
         g = build_weight_matrix(
             geometry_at_altitudes([0.0, 1.0, 3.0]), scale=1.0, threshold=np.exp(-2)
         )
-        assert g.weight(1, 0) == pytest.approx(np.exp(-1.0))
-        assert g.weight(2, 1) == 0.0
-        assert g.weight(2, 0) == 0.0
+        assert g.dense()[1, 0] == pytest.approx(np.exp(-1.0))
+        assert g.dense()[2, 1] == 0.0
+        assert g.dense()[2, 0] == 0.0
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(3)
@@ -266,8 +269,8 @@ class TestBuildWeightMatrix:
 
     def test_self_loop_flag(self):
         geo = geometry_at_altitudes([0.0, 1.0])
-        assert build_weight_matrix(geo, 1.0, self_loops=True).weight(0, 0) == 1.0
-        assert build_weight_matrix(geo, 1.0, self_loops=False).weight(0, 0) == 0.0
+        assert build_weight_matrix(geo, 1.0, self_loops=True).dense()[0, 0] == 1.0
+        assert build_weight_matrix(geo, 1.0, self_loops=False).dense()[0, 0] == 0.0
 
     def test_invalid_parameters(self):
         geo = geometry_at_altitudes([0.0, 1.0])
@@ -301,7 +304,7 @@ class TestBuildWeightMatrix:
         threshold = np.exp(-np.square(3 / 1.4))
         g = build_weight_matrix(geo, scale=1.4, threshold=threshold)
         assert isinstance(g.weights, sp.csr_array)
-        assert g.weight(0, 3) == threshold and g.weight(0, 4) == 0.0
+        assert g.dense()[0, 3] == threshold and g.dense()[0, 4] == 0.0
         assert np.array_equal(g.dense(), reference_kernel(geo, 1.4, threshold, False))
 
     @pytest.mark.parametrize("n, csr", [(300, False), (700, True)])
@@ -310,7 +313,7 @@ class TestBuildWeightMatrix:
         with pytest.warns(UserWarning, match="^5 vertex pair"):
             g = build_weight_matrix(geo, scale=300.0, threshold=1e-3)
         assert sp.issparse(g.weights) == csr
-        assert g.weight(0, 6) == g.weight(4, 1) == 1.0
+        assert g.dense()[0, 6] == g.dense()[4, 1] == 1.0
         assert np.array_equal(g.dense(), reference_kernel(geo, 300.0, 1e-3, False))
 
     @pytest.mark.parametrize("n", [300, 700])
@@ -471,6 +474,23 @@ class TestValidateWeights:
             support = (bits >> np.arange(n * n) & 1).reshape(n, n).astype(bool)
             _assert_total_support_verdict(support)
 
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_array], ids=["dense", "csr"])
+    def test_first_off_entry_in_a_later_row_block(self, storage):
+        # Diagonal blocks on rows 0-299, 300-449 and 450-599, each with total
+        # support, and entries above the last one: rows 450-599 take every
+        # column from 450 on, so those entries lie on no positive diagonal.
+        # The first sits in the search's second 256-row block.
+        rng = np.random.default_rng(12)
+        w = np.zeros((600, 600))
+        for lo, hi in ((0, 300), (300, 450), (450, 600)):
+            block = rng.uniform(0.5, 1.5, (hi - lo, hi - lo)) * (rng.random((hi - lo,) * 2) < 0.05)
+            w[lo:hi, lo:hi] = block + block.T + np.eye(hi - lo)
+        w[420, 451] = w[397, 530] = w[397, 460] = 1.0
+        assert validate_weights(storage(w)).issues == (
+            "asymmetric weight matrix", "unbalanceable: entry (397, 460) is on no positive diagonal")
+
+    def test_csr_input_is_not_densified(self):
+        n = 5000
     def test_csr_input_is_not_densified(self):
         n = 5000
         w = sp.diags([np.ones(n - 1), np.full(n, 2.0), np.ones(n - 1)], [-1, 0, 1], format="csr")
@@ -532,6 +552,69 @@ def test_symmetry_is_decided_alike_by_every_caller(storage):
         # A symmetric W is balanced through one scaling vector, so r and c alias.
         result = sinkhorn_knopp(stored)
         assert np.shares_memory(result.row_scaling, result.col_scaling) is symmetric
+
+
+@given(n=st.sampled_from([1, 2, 65, DENSE_LIMIT, DENSE_LIMIT + 37]),
+       kind=st.sampled_from(["symmetric", "asymmetric", "csr"]),
+       columns=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_product_agrees_with_matmul(n, kind, columns, seed):
+    """``_product`` is ``W @ x`` to n eps of ``|W| @ |x|``, for 1-D and 2-D x, on
+    read-only dense buffers (symmetric or not) and CSR, on both sides of
+    DENSE_LIMIT."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 1.0, (n, n))
+    if kind != "asymmetric":
+        w = w + w.T
+    if kind == "csr":
+        w = sp.csr_array(w * (w > 1.5))
+    else:
+        w.setflags(write=False)
+    x = rng.standard_normal(n if columns is None else (n, columns))
+    got = _product(w, x, kind != "asymmetric")
+    assert got.shape == x.shape
+    assert (np.abs(got - w @ x) <= n * EPS * (abs(w) @ np.abs(x))).all()
+
+
+def test_symmetric_product_reads_one_triangle():
+    # a dense symmetric W is multiplied from its upper triangle alone: a NaN
+    # below the diagonal would reach the product if it were read
+    rng = np.random.default_rng(8)
+    w = rng.uniform(0.0, 1.0, (700, 700))
+    upper = np.triu(w) + np.tril(np.full_like(w, np.nan), -1)
+    x = rng.uniform(0.5, 1.5, 700)
+    full = np.triu(w) + np.triu(w, 1).T
+    np.testing.assert_allclose(_product(upper, x, True), full @ x, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n, scale, csr", [(300, 800.0, False), (700, 2000.0, False),
+                                           (700, 300.0, True)])
+@pytest.mark.parametrize("self_loops", [False, True])
+def test_built_kernel_is_marked_symmetric(n, scale, csr, self_loops):
+    # the flag is set without a check, and the check agrees with it
+    g = build_weight_matrix(random_geometry(n, 11), scale=scale, threshold=1e-3,
+                            self_loops=self_loops)
+    assert sp.issparse(g.weights) == csr
+    assert g._symmetric is True
+    assert _is_symmetric(g.weights)
+
+
+@pytest.mark.parametrize("n, scale", [(300, 800.0), (700, 300.0)], ids=["dense", "csr"])
+def test_symmetry_is_decided_once_per_graph(n, scale, monkeypatch):
+    # a built kernel is never checked; a Graph built from its weights is
+    # checked once, and is_symmetric, validate_weights and sinkhorn_knopp share it
+    from dsshift import graphs
+
+    checks = []
+    monkeypatch.setattr(graphs, "_is_symmetric", lambda a: checks.append(a) or True)
+    built = build_weight_matrix(random_geometry(n, 13), scale=scale, threshold=1e-3,
+                                self_loops=True)
+    copied = Graph(built.weights)
+    for g in (built, copied):
+        assert g.is_symmetric() and validate_weights(g).symmetric
+        result = sinkhorn_knopp(g)
+        assert np.shares_memory(result.row_scaling, result.col_scaling)
+    assert len(checks) == 1 and checks[0] is copied.weights
 
 
 STORAGES = {"dense": np.asarray, "csr_array": sp.csr_array, "csr_matrix": sp.csr_matrix}

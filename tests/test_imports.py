@@ -11,7 +11,8 @@ MODULES = ("balance", "birkhoff", "bounds", "demo", "graphs", "shifting")
 
 # Each is imported inside the function that needs it; at module level each
 # would add its import time to every ``import dsshift``.
-LAZY = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.io", "scipy.sparse.linalg")
+LAZY = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.io", "scipy.sparse.linalg",
+        "scipy.linalg")
 
 
 def _loaded_after(statements: str) -> str:
