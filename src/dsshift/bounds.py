@@ -16,7 +16,9 @@ with closed-form upper bounds built from the row entry bounds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +41,15 @@ __all__ = [
     "variance_upper_bound",
 ]
 
-# Trials are drawn in blocks of at most this many Gaussian values so the
-# Monte Carlo harness never materializes a trials-by-neighbourhood matrix.
-_BLOCK_VALUES = 1 << 22
+# Trials are drawn in blocks of at most this many Gaussian values (2 MB), each
+# from its own generator, on one thread per CPU this process may use.
+_BLOCK_VALUES = 1 << 18
+if hasattr(os, "process_cpu_count"):  # Python 3.13+
+    _WORKERS = os.process_cpu_count() or 1
+elif hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,8 @@ class PowerBounds(NamedTuple):
 
 @dataclass(frozen=True)
 class ShiftStats:
-    """Monte Carlo estimates for one shifted vertex, with standard errors."""
+    """Monte Carlo estimates for one shifted vertex, with standard errors;
+    ``blocks`` counts the blocks of draws and takes no part in ``==``."""
 
     mean: float
     variance: float
@@ -91,6 +100,7 @@ class ShiftStats:
     stderr_mean: float
     stderr_variance: float
     stderr_power: float
+    blocks: int = field(default=0, compare=False)
 
 
 def _row_weights(S, m: int) -> np.ndarray:
@@ -231,29 +241,40 @@ def monte_carlo_shift_stats(
     Draws ``trials`` independent neighbourhood signals, applies the row of
     ``S`` at vertex ``m``, and reports unbiased sample statistics with
     standard errors (the variance standard error uses the Gaussian
-    approximation ``s**2 * sqrt(2 / (trials - 1))``).  Deterministic for a
-    fixed ``(seed, trials)`` pair.
+    approximation ``s**2 * sqrt(2 / (trials - 1))``).  The trials are cut
+    into blocks of at most 2 MB of normals; block k draws from its own
+    generator, ``np.random.default_rng(seed).spawn(blocks)[k]``, and the
+    blocks run on one thread per CPU, so the working memory is at most
+    that many 2 MB blocks and the result is deterministic for a fixed
+    ``(seed, trials)`` pair whatever the CPU count.  (Versions that drew
+    every trial from one generator give other values for the same seed.)
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
     weights = _row_weights(S, m)
 
-    # The draws of sample_local_signal, block by block in the same order,
-    # but the shift is linear, so it is applied to the normals directly:
+    # The draws of sample_local_signal, block by block, but the shift is
+    # linear, so it is applied to the normals directly:
     # sum_n w_n x_n = mu W + sigma (sqrt(rho) W z0 + sqrt(1 - rho) z @ w),
     # with W = sum_n w_n, and no block-sized signal array is formed.
-    gen = np.random.default_rng(seed)
     block = max(1, _BLOCK_VALUES // (weights.size + 1))
+    gens = np.random.default_rng(seed).spawn(-(-trials // block))
     total = float(weights.sum())
     shifted = np.empty(trials)
-    done = 0
-    while done < trials:
-        take = min(block, trials - done)
-        z = gen.standard_normal((take, weights.size + 1))
-        shifted[done : done + take] = model.mu * total + model.sigma * (
+
+    def draw(k: int) -> None:
+        z = gens[k].standard_normal((min(block, trials - k * block), weights.size + 1))
+        shifted[k * block : k * block + len(z)] = model.mu * total + model.sigma * (
             np.sqrt(model.rho) * total * z[:, 0] + np.sqrt(1.0 - model.rho) * (z[:, 1:] @ weights)
         )
-        done += take
+
+    workers = min(_WORKERS, len(gens))
+    if workers == 1:
+        for k in range(len(gens)):
+            draw(k)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(draw, range(len(gens))))
 
     mean = float(shifted.mean())
     variance = float(shifted.var(ddof=1))
@@ -267,4 +288,5 @@ def monte_carlo_shift_stats(
         stderr_mean=float(np.sqrt(variance / trials)),
         stderr_variance=float(variance * np.sqrt(2.0 / (trials - 1))),
         stderr_power=float(squares.std(ddof=1) / np.sqrt(trials)),
+        blocks=len(gens),
     )

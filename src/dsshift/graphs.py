@@ -461,8 +461,10 @@ def validate_weights(graph) -> WeightDiagnostics:
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))
     values = _values(w)
     negative = int(np.count_nonzero(values < 0))
-    # taken in place, with no copy of the entries; inf when none is positive
-    min_positive = np.min(values, where=values > 0, initial=np.inf)
+    # 256 rows' worth of entries at a time, with no N x N mask; inf when none is positive
+    flat, step = values.ravel(order="K"), 256 * max(n, 1)  # a view of contiguous storage
+    min_positive = min((np.where(b > 0, b, np.inf).min() for b in
+                        (flat[i:i + step] for i in range(0, flat.size, step))), default=np.inf)
     n_edges = int(np.count_nonzero(values))
 
     issues = [f"unbalanceable: empty row {i}" for i in zero_rows]

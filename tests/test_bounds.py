@@ -19,6 +19,7 @@ from dsshift import (
     shift_power_bounds,
     variance_upper_bound,
 )
+from dsshift import bounds
 from dsshift.bounds import _BLOCK_VALUES
 
 from conftest import balanced_operator
@@ -319,24 +320,46 @@ class TestMonteCarloShiftStats:
 
     def test_equals_shifting_the_sampled_signal(self):
         # The explicit path: draw the signals block by block with
-        # sample_local_signal, from one generator, and shift them.
+        # sample_local_signal, each block from its own spawned generator,
+        # and shift them.
         s = balanced_operator(40, seed=74)
         model = RandomSignalModel(mu=1.0, sigma=1.5, rho=0.3)
         members = np.arange(40)
         weights = s.dense()[0]
         block = _BLOCK_VALUES // 41
         trials = 2 * block + 17  # two full blocks and a partial one
-        gen = np.random.default_rng(8)
+        starts = range(0, trials, block)
+        gens = np.random.default_rng(8).spawn(len(starts))
         shifted = np.concatenate([
             sample_local_signal(model, Neighborhood(0, members, 40), gen,
                                 size=min(block, trials - done)) @ weights
-            for done in range(0, trials, block)
+            for done, gen in zip(starts, gens)
         ])
         st = monte_carlo_shift_stats(s, 0, model, trials=trials, seed=8)
         assert st.trials == trials
         assert st.mean == pytest.approx(shifted.mean(), rel=1e-12)
         assert st.variance == pytest.approx(shifted.var(ddof=1), rel=1e-12)
         assert st.power == pytest.approx((shifted**2).mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("trials, blocks", [
+        (2 * (_BLOCK_VALUES // 41) + 17, 3), (_BLOCK_VALUES // 41, 1), (2, 1),
+    ])
+    def test_reports_its_blocks(self, trials, blocks):
+        s = balanced_operator(40, seed=74)
+        model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.3)
+        assert monte_carlo_shift_stats(s, 0, model, trials=trials).blocks == blocks
+
+    def test_worker_count_does_not_change_the_result(self, monkeypatch):
+        s = np.full((2000, 2000), 1 / 2000)
+        model = RandomSignalModel(mu=0.5, sigma=1.0, rho=0.3)
+        trials = 4 * (_BLOCK_VALUES // 2001) + 5
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(bounds, "_WORKERS", workers)
+            runs.append(monte_carlo_shift_stats(s, 0, model, trials=trials, seed=9))
+        assert runs[0].blocks == 5
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == monte_carlo_shift_stats(s, 0, model, trials=trials, seed=9)
 
     def test_invalid_trials(self):
         model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.0)

@@ -423,6 +423,13 @@ class TestIncomingNeighborhood:
                 assert (n in members) == (w[m, n] > 0)
 
 
+def _csr_with_stored_zeros(w):
+    """``w`` as CSR that also stores a zero in place of each entry below -0.9."""
+    a = sp.csr_array(w)
+    a.data[a.data < -0.9] = 0.0
+    return a
+
+
 class TestValidateWeights:
     def test_all_ones_clean(self):
         d = validate_weights(Graph(np.ones((3, 3))))
@@ -503,6 +510,21 @@ class TestValidateWeights:
         assert peak < 20e6  # a dense copy alone takes 200 MB
         assert d.symmetric and d.balanceable and d.n_edges == 3 * n - 2
         assert (d.min_positive, d.max_weight) == (1.0, 2.0)
+
+    @pytest.mark.parametrize("storage", [np.asarray, np.asfortranarray, _csr_with_stored_zeros],
+                             ids=["dense", "fortran", "csr"])
+    def test_min_positive_is_the_masked_minimum(self, storage):
+        # 600 rows: two full 256-row blocks and a partial one, which holds
+        # the smallest positive entry among negatives and zeros
+        rng = np.random.default_rng(13)
+        w = rng.uniform(-1.0, 1.0, (600, 600)) * (rng.random((600, 600)) < 0.3)
+        w[np.abs(w) < 1e-3] = 0.0
+        w[590, 7], w[595, 3] = 2.5e-4, -1e-9
+        a = storage(w)
+        values = a.data if sp.issparse(a) else a
+        assert validate_weights(a).min_positive == np.min(values, where=values > 0,
+                                                         initial=np.inf) == 2.5e-4
+        assert validate_weights(storage(np.zeros((600, 600)))).min_positive == 0.0
 
 
 def _assert_total_support_verdict(support):
