@@ -42,7 +42,9 @@ __all__ = [
 ]
 
 # Trials are drawn in blocks of at most this many Gaussian values (2 MB), each
-# from its own generator, on one thread per CPU this process may use.
+# from its own generator, on one thread per CPU this process may use, but no
+# more threads than keep the blocks in flight within 32 MB (16 workers): the
+# CPU counts below ignore cgroup quotas.
 _BLOCK_VALUES = 1 << 18
 if hasattr(os, "process_cpu_count"):  # Python 3.13+
     _WORKERS = os.process_cpu_count() or 1
@@ -50,6 +52,7 @@ elif hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:
     _WORKERS = os.cpu_count() or 1
+_WORKERS = min(_WORKERS, (1 << 22) // _BLOCK_VALUES)
 
 
 @dataclass(frozen=True)
@@ -244,8 +247,8 @@ def monte_carlo_shift_stats(
     approximation ``s**2 * sqrt(2 / (trials - 1))``).  The trials are cut
     into blocks of at most 2 MB of normals; block k draws from its own
     generator, ``np.random.default_rng(seed).spawn(blocks)[k]``, and the
-    blocks run on one thread per CPU, so the working memory is at most
-    that many 2 MB blocks and the result is deterministic for a fixed
+    blocks run on one thread per CPU, up to 16, so the working memory is
+    at most 32 MB of normals and the result is deterministic for a fixed
     ``(seed, trials)`` pair whatever the CPU count.  (Versions that drew
     every trial from one generator give other values for the same seed.)
     """
@@ -268,13 +271,8 @@ def monte_carlo_shift_stats(
             np.sqrt(model.rho) * total * z[:, 0] + np.sqrt(1.0 - model.rho) * (z[:, 1:] @ weights)
         )
 
-    workers = min(_WORKERS, len(gens))
-    if workers == 1:
-        for k in range(len(gens)):
-            draw(k)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(draw, range(len(gens))))
+    with ThreadPoolExecutor(min(_WORKERS, len(gens))) as pool:
+        list(pool.map(draw, range(len(gens))))
 
     mean = float(shifted.mean())
     variance = float(shifted.var(ddof=1))

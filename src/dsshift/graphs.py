@@ -461,10 +461,12 @@ def validate_weights(graph) -> WeightDiagnostics:
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))
     values = _values(w)
     negative = int(np.count_nonzero(values < 0))
-    # 256 rows' worth of entries at a time, with no N x N mask; inf when none is positive
-    flat, step = values.ravel(order="K"), 256 * max(n, 1)  # a view of contiguous storage
-    min_positive = min((np.where(b > 0, b, np.inf).min() for b in
-                        (flat[i:i + step] for i in range(0, flat.size, step))), default=np.inf)
+    # 256 dense rows (views for any strides) or 256 rows' worth of CSR data
+    # at a time, with no N x N mask or copy; inf when none is positive
+    step, min_positive = 256 * (max(n, 1) if values.ndim == 1 else 1), np.inf
+    for i in range(0, len(values), step):
+        block = values[i:i + step]
+        min_positive = min(min_positive, np.where(block > 0, block, np.inf).min())
     n_edges = int(np.count_nonzero(values))
 
     issues = [f"unbalanceable: empty row {i}" for i in zero_rows]

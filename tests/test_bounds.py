@@ -361,6 +361,9 @@ class TestMonteCarloShiftStats:
         assert runs[0] == runs[1] == runs[2]
         assert runs[0] == monte_carlo_shift_stats(s, 0, model, trials=trials, seed=9)
 
+    def test_blocks_in_flight_stay_within_32_mb(self):
+        assert 1 <= bounds._WORKERS and bounds._WORKERS * _BLOCK_VALUES * 8 <= 32 << 20
+
     def test_invalid_trials(self):
         model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.0)
         with pytest.raises(ValueError, match="trials"):

@@ -430,6 +430,13 @@ def _csr_with_stored_zeros(w):
     return a
 
 
+def _strided_view(w):
+    """``w`` as a non-contiguous view into a larger array."""
+    big = np.full((2 * w.shape[0], 2 * w.shape[1]), 7.0)
+    big[::2, 1::2] = w
+    return big[::2, 1::2]
+
+
 class TestValidateWeights:
     def test_all_ones_clean(self):
         d = validate_weights(Graph(np.ones((3, 3))))
@@ -511,8 +518,9 @@ class TestValidateWeights:
         assert d.symmetric and d.balanceable and d.n_edges == 3 * n - 2
         assert (d.min_positive, d.max_weight) == (1.0, 2.0)
 
-    @pytest.mark.parametrize("storage", [np.asarray, np.asfortranarray, _csr_with_stored_zeros],
-                             ids=["dense", "fortran", "csr"])
+    @pytest.mark.parametrize("storage", [np.asarray, np.asfortranarray, _strided_view,
+                                         _csr_with_stored_zeros],
+                             ids=["dense", "fortran", "strided", "csr"])
     def test_min_positive_is_the_masked_minimum(self, storage):
         # 600 rows: two full 256-row blocks and a partial one, which holds
         # the smallest positive entry among negatives and zeros
