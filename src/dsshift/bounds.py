@@ -16,14 +16,12 @@ with closed-form upper bounds built from the row entry bounds
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Neighborhood, _positive_row, _require_square
+from .graphs import Neighborhood, _map_blocks, _positive_row, _require_square
 
 __all__ = [
     "LocalBounds",
@@ -41,18 +39,9 @@ __all__ = [
     "variance_upper_bound",
 ]
 
-# Trials are drawn in blocks of at most this many Gaussian values (2 MB), each
-# from its own generator, on one thread per CPU this process may use, but no
-# more threads than keep the blocks in flight within 32 MB (16 workers): the
-# CPU counts below ignore cgroup quotas.
+# Trials are drawn in blocks of at most this many Gaussian values (2 MB), each from its
+# own generator, on the package's (at most 16) worker threads: 32 MB in flight at most.
 _BLOCK_VALUES = 1 << 18
-if hasattr(os, "process_cpu_count"):  # Python 3.13+
-    _WORKERS = os.process_cpu_count() or 1
-elif hasattr(os, "sched_getaffinity"):
-    _WORKERS = len(os.sched_getaffinity(0))
-else:
-    _WORKERS = os.cpu_count() or 1
-_WORKERS = min(_WORKERS, (1 << 22) // _BLOCK_VALUES)
 
 
 @dataclass(frozen=True)
@@ -271,8 +260,7 @@ def monte_carlo_shift_stats(
             np.sqrt(model.rho) * total * z[:, 0] + np.sqrt(1.0 - model.rho) * (z[:, 1:] @ weights)
         )
 
-    with ThreadPoolExecutor(min(_WORKERS, len(gens))) as pool:
-        list(pool.map(draw, range(len(gens))))
+    _map_blocks(draw, range(len(gens)))
 
     mean = float(shifted.mean())
     variance = float(shifted.var(ddof=1))

@@ -9,7 +9,9 @@ zero; stored weights are strictly positive.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,21 @@ DENSE_LIMIT = 512
 
 # Rows of the dense kernel built at a time: at N = 5000 a block is 2.5 MB, in cache.
 _BLOCK = 64
+
+# Threads for block work (the dense kernel's rows, the Monte Carlo's trials): one
+# per CPU this process may use, at most 16; the CPU counts ignore cgroup quotas.
+_WORKERS = min(16, (os.process_cpu_count() if hasattr(os, "process_cpu_count")  # 3.13+
+                    else len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count()) or 1)
+
+
+def _map_blocks(task, blocks) -> list:
+    """``[task(b) for b in blocks]`` on up to ``_WORKERS`` threads, each set to
+    the caller's ``np.geterr()``; ``task`` must write only what its block owns."""
+    errors = np.geterr()  # a new thread starts from numpy's defaults
+    with ThreadPoolExecutor(min(_WORKERS, len(blocks)),
+                            initializer=lambda: np.seterr(**errors)) as pool:
+        return list(pool.map(task, blocks))
 
 
 def as_matrix(obj):
@@ -326,7 +343,9 @@ def _kernel(d, scale: float, threshold: float) -> None:
     with np.errstate(over="ignore"):  # a distance past the float range weighs exp(-inf) = 0
         d /= scale
         np.exp(np.negative(np.square(d, out=d), out=d), out=d)
-    np.multiply(d, d >= threshold, out=d)
+    # the threshold mask 16 KB at a time, on views: d is 1-D or whole rows of C-ordered storage
+    for piece in np.split(d.reshape(-1), range(1 << 14, d.size, 1 << 14)):
+        np.multiply(piece, piece >= threshold, out=piece)
 
 
 def build_weight_matrix(
@@ -344,10 +363,12 @@ def build_weight_matrix(
     N <= 512 or at least a quarter of the entries are nonzero, CSR
     otherwise.  A pruned kernel that a k-d tree's neighbour count predicts
     to be CSR is built from the tree's neighbour pairs and never forms an
-    N x N array; any other is evaluated in place in its N x N buffer, 64
-    rows at a time (distances, then weights, while the rows are in cache).
-    Both apply the same float operations to the same distances.  The graph
-    is marked symmetric without a check.
+    N x N array; any other is evaluated in place in its N x N buffer in
+    64-row blocks (distances, then weights, while the rows are in cache) on
+    up to 16 threads, one per usable CPU, under the caller's ``np.errstate``.
+    Each block writes only its own rows, so the entries are the same for
+    any thread count.  Both paths apply the same float operations to the
+    same distances.  The graph is marked symmetric without a check.
 
     Raises ValueError for fewer than 2 vertices, a nonpositive or
     non-finite scale, or a negative or NaN threshold.  Distinct vertices at
@@ -387,12 +408,14 @@ def build_weight_matrix(
     else:
         from scipy.spatial.distance import cdist
 
-        w, nnz = np.empty((n, n)), 0
-        for i in range(0, n, _BLOCK):  # each block's passes run while it is in cache
+        w = np.empty((n, n))
+        def fill(i: int) -> int:  # the block's passes run while its rows are in cache
             block = cdist(points[i:i + _BLOCK], points, out=w[i:i + _BLOCK])
             _kernel(block, scale, threshold)
             np.fill_diagonal(block[:, i:], 1.0 if self_loops else 0.0)
-            nnz += np.count_nonzero(block)
+            return np.count_nonzero(block)
+
+        nnz = sum(_map_blocks(fill, range(0, n, _BLOCK)))
         w.setflags(write=False)  # the Graph keeps this buffer
         w = w if _dense_storage((n, n), lambda: nnz) else sp.csr_array(w)  # counted above
     # exp of a nonpositive number: every weight is in [0, 1], nothing to check;
@@ -422,10 +445,19 @@ def _total_support_issue(w, symmetric: bool):
         return None
     from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
-    # Row blocks throughout: no N x N mask, and no nonzero() pair of the support.
     n, blocks = w.shape[0], range(0, w.shape[0], 256)
-    support = w > 0 if sp.issparse(w) else sp.vstack(
-        [sp.csr_array(w[lo:lo + 256] > 0) for lo in blocks], format="csr")
+    if sp.issparse(w):
+        support = w > 0
+    else:  # 256 rows at a time, counted, then filled into the final arrays: no N x N
+        # mask, no nonzero() pair of the support, and no parts stacked in a copy
+        counts = np.concatenate([np.count_nonzero(w[lo:lo + 256] > 0, axis=1) for lo in blocks])
+        indptr = np.zeros(n + 1, np.int32 if counts.sum() < 2**31 else np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(indptr[-1], indptr.dtype)
+        for lo in blocks:
+            indices[indptr[lo]:indptr[min(lo + 256, n)]] = np.nonzero(w[lo:lo + 256] > 0)[1]
+        support = sp.csr_array((np.ones(indices.size, bool), indices, indptr), shape=(n, n))
+        del indices  # held by support, and freed with it below
     indptr, image = support.indptr, maximum_bipartite_matching(support, perm_type="column")
     if (image < 0).any():  # no positive diagonal at all: the first entry is off
         first_row = np.searchsorted(indptr, 1) - 1

@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from dsshift import (
     shift_power_bounds,
     variance_upper_bound,
 )
-from dsshift import bounds
+from dsshift import graphs
 from dsshift.bounds import _BLOCK_VALUES
 
 from conftest import balanced_operator
@@ -355,14 +357,30 @@ class TestMonteCarloShiftStats:
         trials = 4 * (_BLOCK_VALUES // 2001) + 5
         runs = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(bounds, "_WORKERS", workers)
+            monkeypatch.setattr(graphs, "_WORKERS", workers)
             runs.append(monte_carlo_shift_stats(s, 0, model, trials=trials, seed=9))
         assert runs[0].blocks == 5
         assert runs[0] == runs[1] == runs[2]
         assert runs[0] == monte_carlo_shift_stats(s, 0, model, trials=trials, seed=9)
 
     def test_blocks_in_flight_stay_within_32_mb(self):
-        assert 1 <= bounds._WORKERS and bounds._WORKERS * _BLOCK_VALUES * 8 <= 32 << 20
+        assert 1 <= graphs._WORKERS and graphs._WORKERS * _BLOCK_VALUES * 8 <= 32 << 20
+
+    def test_runs_under_the_callers_errstate(self):
+        # a worker thread starts from numpy's defaults, which only warn on
+        # overflow; the warning, made an error here, would escape instead
+        model = RandomSignalModel(mu=0.0, sigma=1e308, rho=0.5)
+        with warnings.catch_warnings(), np.errstate(over="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                monte_carlo_shift_stats(ROW_THIRDS, 0, model, trials=1000)
+
+    def test_leaves_no_thread_running(self):
+        model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.3)
+        before = threading.active_count()
+        st = monte_carlo_shift_stats(ROW_THIRDS, 0, model, trials=4 * (_BLOCK_VALUES // 3))
+        assert st.blocks == 4
+        assert threading.active_count() == before
 
     def test_invalid_trials(self):
         model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.0)

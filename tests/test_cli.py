@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import dsshift
 from dsshift import sinkhorn_knopp
 from dsshift.cli import main
 from dsshift.fileio import (
@@ -245,6 +249,19 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{flag[2:]} must be finite" in captured.err
+
+
+    def test_overflow_in_the_monte_carlo_exits_3_without_a_warning(self, operator_file):
+        # the Monte Carlo's worker threads run under the CLI's errstate, so the
+        # overflow raises there instead of warning from a thread first
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dsshift.__file__)))
+        args = ["bounds", "--op", operator_file, "--vertex", "0", "--sigma", "1e308",
+                "--rho", "0.5", "--trials", "1000"]
+        done = subprocess.run([sys.executable, "-m", "dsshift", *args], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and "RuntimeWarning" not in done.stderr
 
 
 class TestDemoCommand:

@@ -1,4 +1,5 @@
 import itertools
+import threading
 import tracemalloc
 import warnings
 
@@ -27,6 +28,7 @@ from dsshift import (
     wss_check,
 )
 
+from dsshift import graphs
 from dsshift.graphs import DENSE_LIMIT, _is_symmetric, _product
 
 from conftest import random_geometry
@@ -343,8 +345,8 @@ class TestBuildWeightMatrix:
         assert peak < 4 * n * n  # half of one dense float64 buffer
 
     def test_dense_kernel_is_pruned_without_a_mask_of_its_size(self):
-        # the threshold mask is taken 256 rows at a time: an N x N bool mask
-        # would add an eighth of the kernel's bytes to the peak
+        # the threshold mask is taken 16 KB of a 64-row block at a time: an
+        # N x N bool mask would add an eighth of the kernel's bytes to the peak
         geo = random_geometry(1500, 3)
         build_weight_matrix(random_geometry(600, 3), scale=2000.0, threshold=1e-4)
         tracemalloc.start()
@@ -356,6 +358,24 @@ class TestBuildWeightMatrix:
         assert isinstance(g.weights, np.ndarray)
         assert peak < 1.0625 * g.weights.nbytes
         assert np.array_equal(g.weights, reference_kernel(geo, 2000.0, 1e-4, False))
+
+    def test_dense_kernel_on_16_workers_is_pruned_without_a_mask_of_its_size(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_WORKERS", 16)  # up to 16 blocks in flight
+        self.test_dense_kernel_is_pruned_without_a_mask_of_its_size()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 16])
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_dense_kernel_is_the_same_for_any_worker_count(self, monkeypatch, workers, self_loops):
+        monkeypatch.setattr(graphs, "_WORKERS", workers)
+        geo = random_geometry(650, 4)  # ten full 64-row blocks and a partial one
+        g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=self_loops)
+        assert isinstance(g.weights, np.ndarray)
+        assert np.array_equal(g.weights, reference_kernel(geo, 2000.0, 1e-4, self_loops))
+
+    def test_dense_kernel_leaves_no_thread_running(self):
+        before = threading.active_count()
+        build_weight_matrix(random_geometry(650, 4), scale=2000.0)
+        assert threading.active_count() == before
 
 
 class TestStorageRule:
