@@ -137,15 +137,9 @@ def _cmd_bounds(args) -> int:
         "var_asymptotic": var_asymptotic,
         "power_upper": power_upper,
         "power_lower": args.mu**2,
-        "mc": {
-            "mean": stats.mean,
-            "var": stats.variance,
-            "power": stats.power,
-            "trials": stats.trials,
-            "stderr_mean": stats.stderr_mean,
-            "stderr_var": stats.stderr_variance,
-            "stderr_power": stats.stderr_power,
-        },
+        "mc": {"mean": stats.mean, "var": stats.variance, "power": stats.power,
+               "trials": stats.trials, "stderr_mean": stats.stderr_mean,
+               "stderr_var": stats.stderr_variance, "stderr_power": stats.stderr_power},
     }
     if args.output:
         save_json(args.output, report)
@@ -154,22 +148,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_demo_sensors(args) -> int:
-    config = SensorFieldConfig(
-        n_sensors=args.sensors,
-        noise_sigma=args.noise_sigma,
-        kernel_scale=args.scale,
-        threshold=args.threshold,
-        seed=args.seed,
-        shifts=args.k,
-    )
-    report = run_sensor_demo(config)
+    report = run_sensor_demo(SensorFieldConfig(
+        n_sensors=args.sensors, noise_sigma=args.noise_sigma, kernel_scale=args.scale,
+        threshold=args.threshold, seed=args.seed, shifts=args.k))
     if args.output:
         save_json(args.output, report.to_dict())
-    summary = {
-        "input_snr_db": report.input_snr_db,
-        "output_snr_db": report.output_snr_db,
-        "gain_db": report.gain_db,
-    }
+    summary = {k: getattr(report, k) for k in ("input_snr_db", "output_snr_db", "gain_db")}
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 

@@ -1,12 +1,15 @@
-"""File formats, one per kind of data: Matrix Market coordinate matrices,
-single-column signal CSV, ``id,lat,lon,alt`` geometry CSV, and JSON for
-Birkhoff decompositions and reports.
+"""File formats, one per kind of data: Matrix Market coordinate matrices
+(``symmetric``, one triangle, for a square matrix equal to its transpose;
+``general`` otherwise), single-column signal CSV, ``id,lat,lon,alt``
+geometry CSV, and JSON for Birkhoff decompositions and reports.
 
 Matrix Market values are written in their shortest round-trip form and
 signal values at 17 significant digits, so every save/load round-trips bit
 for bit; the writers refuse NaN and infinite values, which the readers
-would reject.  All parsers raise FileFormatError with the offending line
-number, also for NaN and infinite values.
+would reject.  numpy parses the matrices and CSV files; a per-line parse
+runs only to name the first bad line, so every parser raises
+FileFormatError with the offending line number, also for NaN and infinite
+values.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 import warnings
 from itertools import islice
 
@@ -21,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .birkhoff import BirkhoffDecomposition
-from .graphs import DENSE_LIMIT, VertexGeometry, _stored, _values, as_matrix
+from .graphs import DENSE_LIMIT, Graph, VertexGeometry, _is_symmetric, _stored, _values, as_matrix
 
 __all__ = [
     "FileFormatError",
@@ -68,9 +72,20 @@ def _parse_int(token: str, path, lineno: int, what: str) -> int:
     return value
 
 
+def _lower_triangle(a):
+    """The entries on and below the diagonal of a square dense or CSR ``a``; dense
+    rows are taken 256 at a time, so no N x N copy or full coordinate list is made."""
+    if sp.issparse(a):
+        return sp.tril(a)
+    return sp.vstack([sp.csr_array(np.tril(a[i:i + 256], i)) for i in range(0, len(a), 256)],
+                     format="csr")
+
+
 def save_matrix_market(path, matrix) -> None:
-    """Write a matrix in Matrix Market coordinate (real, general) format: two
-    header lines, then one ``row col value`` line per entry in row-major order.
+    """Write a matrix in Matrix Market coordinate real format: two header lines,
+    then one ``row col value`` line per entry in row-major order.  A square
+    matrix equal to its transpose (a Graph's cached verdict) is ``symmetric``,
+    its entries on and below the diagonal written; any other is ``general``.
     Raises ValueError for a NaN or infinite entry, before the file is opened."""
     # Imported here: scipy.io is not needed by ``import dsshift``.
     from scipy.io import mmwrite
@@ -78,8 +93,11 @@ def save_matrix_market(path, matrix) -> None:
     a = as_matrix(matrix)
     if not np.isfinite(_values(a)).all():
         raise ValueError("matrix entries must be finite")
-    buf = io.BytesIO()
-    mmwrite(buf, sp.coo_array(a), field="real", symmetry="general")
+    symmetric = 0 < a.shape[0] == a.shape[1] and (
+        matrix.is_symmetric() if isinstance(matrix, Graph) else _is_symmetric(a))
+    buf = io.BytesIO()  # passed inline: mmwrite frees a triangle once masked, before the text
+    mmwrite(buf, sp.coo_array(_lower_triangle(a) if symmetric else a), field="real",
+            symmetry="symmetric" if symmetric else "general")
     buf.seek(0)
     banner, _comment = buf.readline(), buf.readline()  # drop mmwrite's '%' line
     with buf.getbuffer() as text, open(path, "wb") as fh:  # no copy of the whole text
@@ -119,11 +137,11 @@ def _entry_error(path, after: int, size, symmetric: bool, reason: str):
 def load_matrix_market(path):
     """Read a Matrix Market coordinate (real) matrix.
 
-    Supports the ``general`` and ``symmetric`` storage qualifiers;
-    symmetric files are expanded to full storage.  numpy parses the entries
-    into coordinate arrays (never a dense N x N), returned dense when N <= 512
-    or at least a quarter are nonzero, ``csr_array`` otherwise.  Duplicates
-    are rejected, and so is a size line with a dimension above
+    Supports the ``general`` and (square only) ``symmetric`` storage
+    qualifiers; symmetric files are expanded to full storage.  numpy parses the
+    entries into coordinate arrays (never a dense N x N), returned dense when
+    N <= 512 or at least a quarter are nonzero, ``csr_array`` otherwise.
+    Duplicates are rejected, and so is a size line with a dimension above
     ``max(DENSE_LIMIT, 2 * nnz)``, which the entries could not fill.
     """
     with open(path, encoding="ascii") as fh:
@@ -153,6 +171,8 @@ def load_matrix_market(path):
     nnz = _parse_int(tokens[2], path, lineno, "entry count")
     if rows < 1 or cols < 1 or nnz < 0:
         _fail(path, lineno, f"invalid dimensions {rows} x {cols}, nnz {nnz}")
+    if symmetric and rows != cols:
+        _fail(path, lineno, f"symmetric matrix must be square, got {rows} x {cols}")
     if max(rows, cols) > max(DENSE_LIMIT, 2 * nnz):  # before any allocation of that size
         _fail(path, lineno, f"dimensions {rows} x {cols} too large for {nnz} entries")
     try:
@@ -203,27 +223,42 @@ def _csv_rows(path, header: list):
                 yield lineno, tokens
 
 
+def _csv_array(path, dtype, header=()):
+    """numpy's parse of the comma-separated rows below the ``header`` line (if
+    given) as ``dtype`` records; None if numpy or the header rejects the text."""
+    with open(path, encoding="ascii") as fh:
+        first, text = fh.readline() if header else "", fh.read()
+    if header and [t.strip() for t in first.split(",")] != header:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows
+            return np.loadtxt(io.StringIO(re.sub(r"(?m)^[^\S\n]+$", "", text)), dtype=dtype,
+                              delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
 def save_signal_csv(path, values) -> None:
     """Write a signal as one value per line.  Raises ValueError for a NaN or
     infinite value, before the file is opened."""
     values = np.asarray(values, dtype=float).ravel()
     if not np.isfinite(values).all():
         raise ValueError("signal values must be finite")
-    np.savetxt(path, values, fmt="%.17g")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(("%.17g\n" * values.size) % tuple(values.tolist()))
 
 
 def load_signal_csv(path) -> np.ndarray:
     """Read a single-column CSV of signal values."""
-    values = []
-    with open(path, encoding="ascii") as fh:
+    rows = _csv_array(path, [("v", "f8")])
+    if rows is not None and rows.size and np.isfinite(rows["v"]).all():
+        return rows["v"]
+    with open(path, encoding="ascii") as fh:  # name the first bad line
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            values.append(_parse_float(line, path, lineno, "signal value"))
-    if not values:
-        raise FileFormatError(f"{path}:1: empty signal file")
-    return np.asarray(values)
+            if line := raw.strip():
+                _parse_float(line, path, lineno, "signal value")
+    raise FileFormatError(f"{path}:1: empty signal file")  # numpy reads every line float() does
 
 
 def load_geometry_csv(path) -> VertexGeometry:
@@ -233,29 +268,29 @@ def load_geometry_csv(path) -> VertexGeometry:
     fails on its line; with N rows known, so does the first id N or above,
     which is where any gap in the range shows.
     """
-    seen = {}
-    for lineno, tokens in _csv_rows(path, ["id", "lat", "lon", "alt"]):
+    header = ["id", "lat", "lon", "alt"]
+    rows = _csv_array(path, [("id", "i8"), ("xyz", "f8", 3)], header)
+    if rows is not None and rows.size:
+        rows = rows[np.argsort(rows["id"])]
+        if np.array_equal(rows["id"], np.arange(rows.size)) and np.isfinite(rows["xyz"]).all():
+            return VertexGeometry(*rows["xyz"].T)
+    seen = {}  # vertex id -> line, read per line to name the first bad one
+    for lineno, tokens in _csv_rows(path, header):
         vid = _parse_int(tokens[0], path, lineno, "vertex id")
         if vid < 0:
             _fail(path, lineno, f"negative vertex id {vid}")
         if vid in seen:
             _fail(path, lineno, f"duplicate vertex id {vid}")
-        seen[vid] = lineno, (
-            _parse_float(tokens[1], path, lineno, "latitude"),
-            _parse_float(tokens[2], path, lineno, "longitude"),
-            _parse_float(tokens[3], path, lineno, "altitude"),
-        )
+        seen[vid] = lineno
+        for token, what in zip(tokens[1:], ("latitude", "longitude", "altitude")):
+            _parse_float(token, path, lineno, what)
     n = len(seen)
     if not n:
         _fail(path, 1, "no geometry rows below the header")
     # N distinct nonnegative ids miss a value of 0..N-1 only if one is N or more.
-    beyond = [(lineno, vid) for vid, (lineno, _) in seen.items() if vid >= n]
-    if beyond:
-        lineno, vid = min(beyond)
-        _fail(path, lineno, f"vertex id {vid} outside 0..{n - 1}; "
-                            f"vertex ids must cover 0..{n - 1} exactly")
-    coords = np.array([seen[i][1] for i in range(n)])
-    return VertexGeometry(lat=coords[:, 0], lon=coords[:, 1], alt=coords[:, 2])
+    lineno, vid = min((lineno, vid) for vid, lineno in seen.items() if vid >= n)
+    _fail(path, lineno, f"vertex id {vid} outside 0..{n - 1}; "
+                        f"vertex ids must cover 0..{n - 1} exactly")
 
 
 def save_json(path, payload: dict) -> None:

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import dsshift
 from dsshift import sinkhorn_knopp
@@ -18,7 +19,7 @@ from dsshift.fileio import (
     save_signal_csv,
 )
 
-from conftest import star
+from conftest import demo_kernel, star
 
 
 @pytest.fixture
@@ -116,6 +117,25 @@ class TestBalanceCommand:
         assert rc == 2
         assert "W.mtx:1" in capsys.readouterr().err
 
+    def test_balanced_symmetric_kernel_is_written_general(self, tmp_path, capsys):
+        # The cli-sparse-5k kernel (seed 1): its W.mtx is one triangle, and the
+        # formed S = (r_i w_ij) c_j misses its mirror by an ulp, so S.mtx stays
+        # general and is byte for byte what a general W.mtx gives.
+        from scipy.io import mmwrite
+
+        g = demo_kernel(*np.random.default_rng(1).uniform(0.0, 1.0, (2, 5000)), scale=300.0)
+        w_sym, w_gen = tmp_path / "W.mtx", tmp_path / "W_general.mtx"
+        save_matrix_market(w_sym, g)
+        mmwrite(w_gen, sp.coo_array(g.weights), field="real", symmetry="general")
+        assert w_sym.read_text().startswith("%%MatrixMarket matrix coordinate real symmetric\n")
+        for name, w in (("S.mtx", w_sym), ("S_general.mtx", w_gen)):
+            assert run(["balance", "--input", w, "--output", tmp_path / name]) == 0
+        s = (tmp_path / "S.mtx").read_bytes()
+        assert s.startswith(b"%%MatrixMarket matrix coordinate real general\n")
+        assert s == (tmp_path / "S_general.mtx").read_bytes()
+        sidecars = [(tmp_path / f"{name}.json").read_bytes() for name in ("S.mtx", "S_general.mtx")]
+        assert sidecars[0] == sidecars[1]
+
 
 class TestShiftCommand:
     def test_shift_writes_signal_and_norms(self, tmp_path, operator_file, capsys):
@@ -143,6 +163,16 @@ class TestShiftCommand:
         save_signal_csv(x, [1.0, 2.0, 3.0])
         rc = run(["shift", "--op", operator_file, "--signal", x, "--output", tmp_path / "y.csv"])
         assert rc == 2
+
+    @pytest.mark.parametrize("body", ["3 2 2\n1 1 1.0\n3 1 2.0\n", "2 3 1\n1 1 1.0\n"],
+                             ids=["tall", "wide"])
+    def test_non_square_symmetric_operator_exits_2_naming_line_2(self, tmp_path, capsys, body):
+        op, x = tmp_path / "S.mtx", tmp_path / "x.csv"
+        op.write_text("%%MatrixMarket matrix coordinate real symmetric\n" + body)
+        save_signal_csv(x, [1.0, 2.0])
+        rc = run(["shift", "--op", op, "--signal", x])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {op}:2: symmetric matrix must be square")
 
     def test_overflow_exits_3_without_a_record(self, tmp_path, capsys):
         op, x = tmp_path / "I.mtx", tmp_path / "x.csv"

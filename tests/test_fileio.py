@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dsshift import VertexGeometry, birkhoff_decompose
+from dsshift import VertexGeometry, as_matrix, birkhoff_decompose, fileio
 from dsshift.fileio import (
     FileFormatError,
     load_birkhoff_json,
@@ -255,6 +255,97 @@ class TestMatrixMarket:
         assert isinstance(w, np.ndarray if dense else sp.csr_array)
         assert np.array_equal(w if dense else w.toarray(), g.dense())
 
+    @pytest.mark.parametrize("size, entry", [("3 2 2", "3 1 2.0"), ("2 3 1", None)],
+                             ids=["entry-beyond-the-columns", "wide"])
+    def test_symmetric_file_must_be_square(self, tmp_path, size, entry):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        f"{size}\n1 1 1.0\n" + (f"{entry}\n" if entry else ""))
+        rows, cols = size.split()[:2]
+        with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}:2: symmetric "
+                                                  rf"matrix must be square, got {rows} x {cols}$"):
+            load_matrix_market(path)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_symmetric_input_written_as_its_lower_triangle(self, tmp_path, sparse):
+        # n = 600 at 2 % fill reloads as CSR; the dense input is a 3 x 3
+        if sparse:
+            a = sp.random_array((600, 600), density=0.01, rng=np.random.default_rng(0),
+                                format="csr")
+            a = (a + a.T).tocsr()
+        else:
+            a = np.array([[1.0, 0.0, 2.5], [0.0, 0.0, 3.0], [2.5, 3.0, 0.1 + 0.2]])
+        path = tmp_path / "a.mtx"
+        save_matrix_market(path, a)
+        header, size, *entries = path.read_text().splitlines()
+        assert header == "%%MatrixMarket matrix coordinate real symmetric"
+        i, j = np.array([line.split()[:2] for line in entries], dtype=int).T
+        assert (i >= j).all()
+        assert np.array_equal(np.lexsort((j, i)), np.arange(i.size))  # row-major
+        full = a.toarray() if sparse else a
+        assert size == f"{len(full)} {len(full)} {np.count_nonzero(np.tril(full))}"
+        b = load_matrix_market(path)
+        if sparse:
+            c = as_matrix(a)
+            assert isinstance(b, sp.csr_array)
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(b, name), getattr(c, name))
+        else:
+            assert np.array_equal(b, a)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_one_ulp_off_its_mirror_is_written_general(self, tmp_path, sparse):
+        a = np.array([[1.0, 0.1, 0.0], [0.1, 2.0, 1 / 3], [0.0, 1 / 3, 0.5]])
+        a[2, 1] = np.nextafter(a[2, 1], 1.0)
+        path = tmp_path / "a.mtx"
+        save_matrix_market(path, sp.csr_array(a) if sparse else a)
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["%%MatrixMarket matrix coordinate real general", "3 3 7"]
+        assert np.array_equal(load_matrix_market(path), a)
+
+    def test_one_by_one_is_symmetric(self, tmp_path):
+        # a non-square matrix is written general: see the row-major test above
+        path = tmp_path / "a.mtx"
+        save_matrix_market(path, np.array([[0.25]]))
+        assert path.read_text().splitlines()[:2] == [
+            "%%MatrixMarket matrix coordinate real symmetric", "1 1 1"]
+        assert np.array_equal(load_matrix_market(path), [[0.25]])
+
+    @pytest.mark.parametrize("scale", [3000.0, 800.0], ids=["dense", "csr"])
+    def test_built_kernel_is_written_symmetric_without_a_check(self, tmp_path, monkeypatch,
+                                                              scale):
+        from dsshift import build_weight_matrix, graphs
+
+        def no_check(a):
+            raise AssertionError("symmetry of a built kernel was checked again")
+
+        g = build_weight_matrix(random_geometry(600, 0), scale=scale, threshold=1e-3)
+        monkeypatch.setattr(graphs, "_is_symmetric", no_check)
+        monkeypatch.setattr(fileio, "_is_symmetric", no_check)
+        path = tmp_path / "w.mtx"
+        save_matrix_market(path, g)
+        assert path.read_text().startswith("%%MatrixMarket matrix coordinate real symmetric\n")
+        w = load_matrix_market(path)
+        assert np.array_equal(w.toarray() if sp.issparse(w) else w, g.dense())
+
+    def test_symmetric_dense_writer_makes_no_full_coordinate_list(self, tmp_path):
+        # the lower triangle is taken 256 rows at a time into CSR: beyond the
+        # text, the writer holds about half of a full coo_array of the input
+        import tracemalloc
+
+        a = np.random.default_rng(0).random((1000, 1000))
+        a = a + a.T
+        path = tmp_path / "a.mtx"
+        save_matrix_market(path, a)  # imports scipy.io before tracing starts
+        tracemalloc.start()
+        try:
+            save_matrix_market(path, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full = a.size * (8 + 4 + 4)  # float64 values, int32 rows and columns
+        assert peak - path.stat().st_size < 0.75 * full
+
 
 # Extremes of float64 and values whose shortest round-trip form has 17 digits.
 _awkward = st.sampled_from(
@@ -266,11 +357,17 @@ _finite = st.floats(allow_nan=False, allow_infinity=False) | _awkward
 @given(
     a=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9), elements=_finite),
     sparse=st.booleans(),
+    symmetric=st.booleans(),
 )
 @settings(max_examples=60)
-def test_matrix_market_round_trip_is_bit_exact(tmp_path_factory, a, sparse):
+def test_matrix_market_round_trip_is_bit_exact(tmp_path_factory, a, sparse, symmetric):
+    if symmetric:  # mirrored, as a + a.T would overflow at the extremes drawn
+        a = a[:min(a.shape), :min(a.shape)]
+        a = np.tril(a) + np.tril(a, -1).T
     path = tmp_path_factory.mktemp("mtx") / "a.mtx"
     save_matrix_market(path, sp.csr_matrix(a) if sparse else a)
+    if symmetric:
+        assert path.read_text().startswith("%%MatrixMarket matrix coordinate real symmetric\n")
     b = load_matrix_market(path)
     assert np.array_equal(b.toarray() if sp.issparse(b) else b, a)
 
@@ -314,6 +411,20 @@ class TestSignalCSV:
         with pytest.raises(ValueError, match="must be finite"):
             save_signal_csv(path, [1.0, bad, 2.0])
         assert not path.exists()
+
+    def test_writer_matches_savetxt(self, tmp_path):
+        x = np.array([0.1, -0.0, 5e-324, 1.7976931348623157e308, -1 / 3, 1e22, 123456789.0])
+        save_signal_csv(tmp_path / "x.csv", x)
+        np.savetxt(tmp_path / "ref.csv", x, fmt="%.17g")
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        save_signal_csv(tmp_path / "empty.csv", [])
+        assert (tmp_path / "empty.csv").read_bytes() == b""
+
+    def test_valid_file_is_not_parsed_per_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_parse_float", None)  # the per-line parse would fail
+        path = tmp_path / "x.csv"
+        path.write_text("1.5\n\n   \n -2e-3 \r\n0.1\n")
+        assert np.array_equal(load_signal_csv(path), [1.5, -2e-3, 0.1])
 
 
 class TestGeometryCSV:
@@ -365,6 +476,23 @@ class TestGeometryCSV:
         path.write_text("id,lat,lon,alt\n0,45.0,7.0,0.0\n0,45.2,7.2,20.0\n")
         with pytest.raises(FileFormatError, match=r"geo\.csv:3: duplicate"):
             load_geometry_csv(path)
+
+    @pytest.mark.parametrize("header", ["id,lon,lat,alt", "ID,lat,lon,alt", "id,lat,lon"])
+    def test_wrong_header_names_line_1(self, tmp_path, header):
+        path = tmp_path / "geo.csv"
+        path.write_text(f"{header}\n0,45.0,7.0,0.0\n1,45.1,7.1,1.0\n")
+        with pytest.raises(FileFormatError, match=r"geo\.csv:1: header must be 'id,lat,lon,alt'"):
+            load_geometry_csv(path)
+
+    def test_valid_file_is_not_parsed_per_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_parse_float", None)  # the per-line parse would fail
+        monkeypatch.setattr(fileio, "_parse_int", None)
+        path = tmp_path / "geo.csv"
+        path.write_text(" id , lat,lon,alt\n2,45.2,7.2,20.0\n\n  \n0, 45.0 ,7.0,0\r\n"
+                        "1,45.1,7.1,1e1\n")
+        geo = load_geometry_csv(path)
+        assert geo.lat.tolist() == [45.0, 45.1, 45.2]
+        assert geo.alt.tolist() == [0.0, 10.0, 20.0]
 
     @pytest.mark.parametrize("text", ["id,lat,lon,alt", "id,lat,lon,alt\n", "id,lat,lon,alt\n\n"])
     def test_header_only_names_line_1(self, tmp_path, text):
