@@ -165,6 +165,9 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
     parts = [f"empty {kind}(s) {found.tolist()}" for kind, found in empty.items() if found.size]
     if parts:
         raise UnbalanceableError("unbalanceable: " + ", ".join(parts))
+    # the uniform start balances the mean sum: exact for constant sums, free of W's units
+    x *= (s := 1.0 / np.sqrt(v.mean()))
+    v *= s * s
     history = []
     best, stalled = np.inf, 0
     spread_limit = None

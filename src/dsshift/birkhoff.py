@@ -8,7 +8,8 @@ free row (after Dufosse & Ucar 2016, "Notes on Birkhoff-von Neumann
 decomposition of doubly stochastic matrices", LAA 497), from every row for
 the first matching, and after each step, which subtracts the smallest
 matched entry times that permutation, from the rows whose entry fell to the
-cut or below.  Memory is O(nnz).  When a free row has no augmenting path,
+cut or below; the searches walk per-row lists, built once, of the entries
+above the cut.  Memory is O(nnz).  When a free row has no augmenting path,
 no perfect matching is left above the cut (Berge), and the failed search
 marks the Koenig block that measures the mass left (see ``birkhoff_decompose``).
 
@@ -111,7 +112,7 @@ def birkhoff_decompose(S) -> BirkhoffDecomposition:
     residual = sp.csr_array(a, copy=True)  # canonical: each position once, in column order
     data, indices, indptr = residual.data, residual.indices, residual.indptr
     coefficients, permutations = [], []
-    augment = _Augmenter(data, indices.tolist(), indptr.tolist())
+    augment = _Augmenter(data, indices.tolist(), indptr)
     free = range(n)  # the first matching: every row starts free
     # Each step takes the smallest matched entry to exactly 0, which no
     # later matching uses, so the loop ends within nnz steps.
@@ -155,15 +156,19 @@ def birkhoff_decompose(S) -> BirkhoffDecomposition:
 class _Augmenter:
     """Builds and repairs a matching on the stored entries above the cut.
 
-    ``data`` is the residual, which the caller updates in place; ``pos``
-    maps each matched row to the data index of its entry, ``owner`` each
-    column to its matched row (-1 when free).  Both change in place.  After
-    a failed search, ``rows`` and ``cols`` are the rows it visited and the
-    columns it reached.
+    ``live`` lists each row's data indices above the cut in the residual
+    ``data``, in column order: the caller lowers only matched entries and
+    frees the rows whose entry fell to the cut.  ``pos`` maps each matched
+    row to the data index of its entry, ``owner`` each column to its matched
+    row (-1 when free); all three change in place.  After a failed search,
+    ``rows`` and ``cols`` are the rows it visited and the columns it reached.
     """
 
-    def __init__(self, data, indices: list, indptr: list):
+    def __init__(self, data, indices: list, indptr):
         self.data, self.indices, self.indptr = data, indices, indptr
+        live = np.flatnonzero(data > _CUT)
+        ends, live = np.searchsorted(live, indptr).tolist(), live.tolist()
+        self.live = [live[a:b] for a, b in zip(ends, ends[1:])]
         self.pos = np.zeros(len(indptr) - 1, dtype=np.int64)
         self.owner = [-1] * (len(indptr) - 1)
         self.repairs = 0  # augmenting paths found
@@ -172,17 +177,17 @@ class _Augmenter:
     def free(self, rows: list) -> None:
         """Unmatch ``rows`` and their columns."""
         for r in rows:
+            self.live[r].remove(int(self.pos[r]))
             self.owner[self.indices[self.pos[r]]] = -1
 
     def __call__(self, root: int) -> bool:
         """Match the free row ``root`` along a shortest augmenting path
         (breadth-first); False, with nothing changed, when there is none."""
-        data, indices, indptr, owner = self.data, self.indices, self.indptr, self.owner
+        indices, live, owner = self.indices, self.live, self.owner
         via = {}  # column -> (row, data index) of the entry that reached it
         queue = [root]
         for u in queue:
-            lo = indptr[u]
-            for k in (np.flatnonzero(data[lo : indptr[u + 1]] > _CUT) + lo).tolist():
+            for k in live[u]:
                 c = indices[k]
                 if c in via:
                     continue

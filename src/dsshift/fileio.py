@@ -204,7 +204,9 @@ def load_matrix_market(path):
     if symmetric:
         off = i != j
         i, j, v = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[v, v[off]]
-    return _stored(sp.coo_array((v, (i - 1, j - 1)), shape=(rows, cols)))
+    # the index dtype scipy picks for the size (a built kernel's int32), not the parse's int64
+    ij = (np.stack((i, j)) - 1).astype(np.int32 if max(rows, cols, v.size) < 2**31 else np.int64)
+    return _stored(sp.coo_array((v, ij), shape=(rows, cols)))
 
 
 def _csv_rows(path, header: list):

@@ -348,6 +348,25 @@ def _kernel(d, scale: float, threshold: float) -> None:
         np.multiply(piece, piece >= threshold, out=piece)
 
 
+def _pair_count(tree, points, cutoff: float):
+    """The site pairs within ``cutoff``, self pairs included, or a bound on that
+    count which the storage rule reads alike.  Each site lies within ``delta``
+    of its nearest among every 16th site, so counts around those, weighted by
+    the sites nearest each, bound it at ``cutoff -+ delta`` (triangle
+    inequality); the exact count runs only when the bounds straddle the rule."""
+    from scipy.spatial import cKDTree  # not needed by ``import dsshift``
+
+    n, sub = len(points), cKDTree(points[::16])
+    gap, nearest = sub.query(points)
+    low_r = cutoff * (1 - 1e-9) - gap.max() * (1 + 1e-9)  # 1e-9 margins for rounding
+    low, high = sub.count_neighbors(tree, [max(low_r, 0.0), (cutoff + gap.max()) * (1 + 1e-9)],
+                                    weights=(np.bincount(nearest, minlength=sub.n), None))
+    low *= low_r >= 0  # cKDTree would square a negative radius
+    if _dense_storage((n, n), lambda: low) == _dense_storage((n, n), lambda: high):
+        return high
+    return tree.count_neighbors(tree, cutoff)
+
+
 def build_weight_matrix(
     geometry: VertexGeometry,
     scale: float,
@@ -361,9 +380,10 @@ def build_weight_matrix(
     pruned to exact zeros.  The diagonal is 1 when ``self_loops`` is set
     and 0 otherwise.  Storage follows the package's rule: dense when
     N <= 512 or at least a quarter of the entries are nonzero, CSR
-    otherwise.  A pruned kernel that a k-d tree's neighbour count predicts
-    to be CSR is built from the tree's neighbour pairs and never forms an
-    N x N array; any other is evaluated in place in its N x N buffer in
+    otherwise.  A pruned kernel whose pairs within the threshold's distance
+    fill under a quarter (bounded from every 16th site, counted only when the
+    bounds straddle it) is built from a k-d tree's neighbour pairs and never
+    forms an N x N array; any other is evaluated in its N x N buffer in
     64-row blocks (distances, then weights, while the rows are in cache) on
     up to 16 threads, one per usable CPU, under the caller's ``np.errstate``.
     Each block writes only its own rows, so the entries are the same for
@@ -399,7 +419,7 @@ def build_weight_matrix(
         # Farther pairs weigh less than threshold; the relative 1e-9 widening
         # leaves ties to the ``>= threshold`` test of _kernel.
         cutoff = scale * math.sqrt(max(0.0, -math.log(threshold))) * (1 + 1e-9)
-        sparse = not _dense_storage((n, n), lambda: tree.count_neighbors(tree, cutoff))
+        sparse = not _dense_storage((n, n), lambda: _pair_count(tree, points, cutoff))
     if sparse:
         w = tree.sparse_distance_matrix(tree, cutoff, output_type="coo_matrix")
         _kernel(w.data, scale, threshold)  # the diagonal's distance-0 pairs are stored

@@ -10,6 +10,7 @@ from dsshift import (
     NotConvergedError,
     UnbalanceableError,
     apply_shift,
+    build_weight_matrix,
     matrix_norm,
     sinkhorn_knopp,
     validate_weights,
@@ -36,19 +37,47 @@ class TestSinkhornKnopp:
         assert result.residual_history.tolist() == [0.0]
 
     def test_counters_follow_newton_on_scaled_identity(self):
-        # On 4 I each CG solve is exact after one step, so iteration k is the
-        # scalar Newton step x <- x/2 + 1/(8x) on 4 x^2 = 1 and costs two
-        # matvecs: one CG step and one to evaluate the new iterate.
+        # The start 1 / sqrt(mean(4 x 1)) = 1/2 balances 4 I: one iteration,
+        # whose residual comes from the first and only product.
         result = sinkhorn_knopp(4.0 * np.eye(2))
-        x, expected = 1.0, []
-        for _ in range(5):
-            expected.append(abs(4.0 * x * x - 1.0))
-            x = x / 2 + 1 / (8 * x)
+        assert result.operator.iterations_used == result.matvecs == 1
+        assert result.residual_history.tolist() == [0.0]
+        assert result.row_scaling.tolist() == [0.5, 0.5]
+        # On diag(a) each CG solve is exact after one step, so iteration k is
+        # the scalar Newton step x <- x/2 + 1/(2 a x) on a x^2 = 1 per entry,
+        # from the uniform start 1/sqrt(mean(a)), and costs two matvecs: one
+        # CG step and one to evaluate the new iterate.
+        a = np.array([1.0, 4.0])
+        x, expected = np.full(2, 1 / np.sqrt(a.mean())), []
+        while not expected or expected[-1] > 1e-10:
+            expected.append(np.abs(1.0 - a * x * x).max())
+            x = x / 2 + 1 / (2 * a * x)
+        result = sinkhorn_knopp(np.diag(a))
         history = result.residual_history
-        assert result.operator.iterations_used == len(history) == 6
-        assert result.matvecs == 1 + 2 * 5
+        assert len(expected) == 6  # 0.6, then Newton's quadratic fall
+        assert result.operator.iterations_used == len(history) == len(expected)
+        assert result.matvecs == 1 + 2 * (len(expected) - 1)
         assert history[-1] == result.operator.tolerance_achieved <= 1e-10
-        np.testing.assert_allclose(history[:5], expected, rtol=1e-12)
+        np.testing.assert_allclose(history[:-1], expected[:-1], rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["dense-demo", "csr", "asymmetric"])
+    def test_balancing_does_not_depend_on_the_units_of_w(self, kind):
+        # scaling W by a power of 4 scales every iterate exactly, from the start on
+        rng = np.random.default_rng(0)
+        if kind == "dense-demo":
+            w = demo_kernel(*rng.uniform(0.0, 1.0, (2, 600))).weights
+        elif kind == "csr":
+            w = build_weight_matrix(random_geometry(600, 0), scale=800.0, threshold=1e-3,
+                                    self_loops=True).weights
+        else:
+            w = rng.uniform(0.0, 1.0, (50, 50))
+        assert isinstance(w, sp.csr_array) == (kind == "csr")
+        base = sinkhorn_knopp(w)
+        for k in (-10, 10):
+            scaled = sinkhorn_knopp(4.0**k * w)
+            assert np.array_equal(scaled.operator.dense(), base.operator.dense())
+            assert scaled.operator.iterations_used == base.operator.iterations_used
+            assert scaled.matvecs == base.matvecs
 
     def test_all_ones_gives_uniform(self):
         s = sinkhorn_knopp(np.ones((2, 2))).operator.dense()

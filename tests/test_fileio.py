@@ -255,6 +255,17 @@ class TestMatrixMarket:
         assert isinstance(w, np.ndarray if dense else sp.csr_array)
         assert np.array_equal(w if dense else w.toarray(), g.dense())
 
+    def test_reloaded_csr_kernel_keeps_its_index_dtype(self, tmp_path):
+        from dsshift import build_weight_matrix
+
+        g = build_weight_matrix(random_geometry(600, 0), scale=800.0, threshold=1e-3)
+        save_matrix_market(tmp_path / "w.mtx", g)
+        w = load_matrix_market(tmp_path / "w.mtx")
+        for name in ("data", "indices", "indptr"):
+            stored, loaded = getattr(g.weights, name), getattr(w, name)
+            assert loaded.dtype == stored.dtype
+            assert np.array_equal(loaded, stored)
+
     @pytest.mark.parametrize("size, entry", [("3 2 2", "3 1 2.0"), ("2 3 1", None)],
                              ids=["entry-beyond-the-columns", "wide"])
     def test_symmetric_file_must_be_square(self, tmp_path, size, entry):

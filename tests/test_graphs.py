@@ -400,6 +400,52 @@ class TestStorageRule:
             assert isinstance(stored, np.ndarray) == dense
             assert np.array_equal(stored if dense else stored.toarray(), w)
 
+    @settings(max_examples=30)
+    @given(n=st.integers(513, 2000), seed=st.integers(0, 3),
+           scale=st.one_of(st.floats(1050.0, 1300.0), st.floats(250.0, 3000.0)))
+    def test_route_bounds_pick_what_the_exact_count_picks(self, n, seed, scale):
+        # scales 1050-1300 put a quarter of random_geometry's pairs within the cutoff
+        from scipy.spatial import cKDTree
+
+        geo = random_geometry(n, seed)
+        tree = cKDTree(points := geo.project())
+        cutoff = scale * np.sqrt(-np.log(1e-3)) * (1 + 1e-9)  # build_weight_matrix's
+        exact = tree.count_neighbors(tree, cutoff)
+        route = graphs._dense_storage((n, n), lambda: graphs._pair_count(tree, points, cutoff))
+        assert route == (4 * exact >= n * n)
+
+        g = build_weight_matrix(geo, scale=scale, threshold=1e-3)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(graphs, "_pair_count", lambda tree, points, cutoff:
+                      tree.count_neighbors(tree, cutoff))
+            ref = build_weight_matrix(geo, scale=scale, threshold=1e-3)
+        assert type(g.weights) is type(ref.weights)
+        if sp.issparse(ref.weights):
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(g.weights, name), getattr(ref.weights, name))
+        else:
+            assert np.array_equal(g.weights, ref.weights)
+
+    def test_demo_kernel_is_routed_without_the_exact_pair_count(self, monkeypatch):
+        import scipy.spatial
+        from dsshift.demo import SensorFieldConfig, _sensor_geometry
+
+        calls = []
+
+        class Spy(scipy.spatial.cKDTree):
+            def count_neighbors(self, other, r, *args, **kwargs):
+                calls.append((r, kwargs.get("weights")))
+                return super().count_neighbors(other, r, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Spy)
+        cfg = SensorFieldConfig()
+        g = build_weight_matrix(_sensor_geometry(5000, np.random.default_rng(1)),
+                                scale=cfg.kernel_scale, threshold=cfg.threshold, self_loops=True)
+        assert isinstance(g.weights, np.ndarray)
+        # unweighted, only the coincident-site count; the bounds are weighted
+        assert [r for r, weights in calls if weights is None] == [0.0]
+        assert len(calls) == 2
+
 
 class TestIncomingNeighborhood:
     def test_single_edge(self):
