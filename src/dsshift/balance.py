@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (
-    Graph, _checked, _dense, _formed, _positive_row, _product, _require_square, _Scaled,
+    Graph, _checked, _dense, _positive_row, _product, _require_square, _Scaled,
     _total_support_issue, _trusted, _values,
 )
 
@@ -57,20 +57,22 @@ class DSOperator:
     ``tolerance_achieved`` is the worst row/column-sum residual at construction
     and ``iterations_used`` the number of balancing iterations (both zero for
     hand-built operators).  A hand-built operator copies its matrix, as a Graph
-    does.  A balanced one keeps ``W``, ``r`` and ``c`` of ``diag(r) W diag(c)``
-    and shifts by them; ``matrix`` is formed on first access, then kept.
+    does, or shares another operator's storage.  A balanced one keeps ``W``, ``r``
+    and ``c`` of ``diag(r) W diag(c)``; ``matrix`` is formed on request, then kept.
     """
 
     tolerance_achieved: float = 0.0
     iterations_used: int = 0
 
     def __init__(self, matrix, tolerance_achieved: float = 0.0, iterations_used: int = 0):
-        self.__dict__.update(_stored=_checked(matrix, "operator"),
+        stored = matrix._stored if isinstance(matrix, DSOperator) else _checked(matrix, "operator")
+        self.__dict__.update(_stored=stored,
                              tolerance_achieved=tolerance_achieved, iterations_used=iterations_used)
 
     @property
     def matrix(self):
-        return _formed(self._stored)
+        s = self._stored
+        return s.formed() if isinstance(s, _Scaled) else s
 
     @property
     def n(self) -> int:
@@ -116,7 +118,9 @@ class DSDiagnostics:
 
 
 def verify_doubly_stochastic(S, tol: float = 1e-8) -> DSDiagnostics:
-    """Check row sums, column sums, and nonnegativity of ``S`` against ``tol``."""
+    """Check row sums, column sums, and nonnegativity of ``S`` against ``tol >= 0``."""
+    if not tol >= 0:  # NaN too
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     m, _ = _require_square(S)
     row_res = float(np.abs(m.sum(axis=1) - 1.0).max())
     col_res = float(np.abs(m.sum(axis=0) - 1.0).max())

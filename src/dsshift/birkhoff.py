@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .balance import verify_doubly_stochastic
-from .graphs import _require_square
+from .graphs import _require_square, as_matrix
 
 __all__ = [
     "BirkhoffDecomposition",
@@ -101,7 +101,7 @@ def birkhoff_decompose(S) -> BirkhoffDecomposition:
     DecompositionError when the measure misses ``dust`` by more than
     ``(nnz + n k) eps`` or no term was found.
     """
-    a, n = _require_square(S)
+    a, n = _require_square(as_matrix(S))
     check = verify_doubly_stochastic(a, tol=1e-8)
     if not check.passed:
         raise ValueError(

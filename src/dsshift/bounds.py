@@ -98,7 +98,7 @@ class ShiftStats:
 def _row_weights(S, m: int) -> np.ndarray:
     """The positive entries of row ``m`` of a square operator; ValueError when
     there are none, or when the row holds a NaN, infinite or negative entry."""
-    a, _ = _require_square(S, "operator", formed=False)
+    a, _ = _require_square(S, "operator")
     _, positive = _positive_row(a, m)
     if positive.size == 0:
         raise ValueError(f"row {m} has no positive entries")

@@ -81,13 +81,12 @@ def as_matrix(obj):
     return a
 
 
-def _require_square(obj, what: str = "matrix", formed: bool = True):
-    """``(as_matrix(obj), n)`` for an ``n x n`` input; ValueError otherwise.  With
-    ``formed=False`` (the caller only takes ``a @ x`` and rows through
-    :func:`_positive_row`), a balanced operator gives its unformed :class:`_Scaled`."""
-    a = as_matrix(obj) if formed or not hasattr(obj, "_stored") else obj._stored
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {a.shape}")
+def _require_square(obj, what: str = "matrix"):
+    """``(a, n)`` for an ``n x n`` input, ``n >= 1``, else ValueError: ``a`` is
+    ``as_matrix(obj)``, or an operator's storage, such as a :class:`_Scaled`."""
+    a = obj._stored if hasattr(obj, "_stored") else as_matrix(obj)
+    if not a.shape[0] == a.shape[1] > 0:
+        raise ValueError(f"{what} must be square and nonempty, got shape {a.shape}")
     return a, a.shape[0]
 
 
@@ -122,16 +121,31 @@ def _product(w, x, symmetric: bool):
 
 class _Scaled:
     """``S = diag(r) W diag(c)`` over ``W``, a Graph's checked storage, kept
-    unformed: a product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``.
-    :meth:`formed` builds ``S`` on the first request and keeps it."""
+    unformed: a product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``;
+    scipy takes it as a ``LinearOperator``.  :meth:`formed` builds ``S`` and keeps it."""
 
     def __init__(self, w, r, c, symmetric: bool):
-        self.w, self.r, self.c, self.shape, self._s = w, r, c, w.shape, None
+        self.w, self.r, self.c, self.shape, self.dtype, self._s = w, r, c, w.shape, w.dtype, None
         self.symmetric = symmetric  # W's, so products may read one triangle
 
     def __matmul__(self, x):
         col = (slice(None),) + (None,) * (np.ndim(x) - 1)  # scale the rows of a 2-D x
         return self.r[col] * _product(self.w, self.c[col] * x, self.symmetric)
+
+    matvec = __matmul__
+
+    def rmatvec(self, x):
+        """``S.T @ x``; a symmetric ``W`` serves as ``W.T``, which ``dsymv`` would copy."""
+        return _Scaled(self.w if self.symmetric else self.w.T, self.c, self.r, self.symmetric) @ x
+
+    def sum(self, axis: int) -> np.ndarray:
+        """Row (``axis=1``) or column (``axis=0``) sums, ``r * (W @ c)`` or ``c * (W.T @ r)``."""
+        return (self.matvec if axis == 1 else self.rmatvec)(np.ones(self.shape[0]))
+
+    def min(self) -> float:
+        """The smallest entry (an implicit zero of CSR counts), formed 64 rows at a time."""
+        return min(_Scaled(self.w[i:i + 64], self.r[i:i + 64], self.c, False).formed().min()
+                   for i in range(0, self.shape[0], 64))
 
     def formed(self):
         """``S`` as a read-only ndarray or a ``csr_array``, built in O(nnz) on the first call."""
@@ -147,16 +161,11 @@ class _Scaled:
         return self._s
 
 
-def _formed(a):
-    """The matrix ``a`` stands for: ``a`` itself unless it is a :class:`_Scaled`."""
-    return a.formed() if isinstance(a, _Scaled) else a
-
-
 def _checked(obj, what: str):
     """A private copy of the square matrix ``obj``, checked finite and
     nonnegative: a read-only ndarray, or a canonical CSR with no explicit
     zeros.  The caller's later writes never reach the copy."""
-    a, _ = _require_square(obj, what)
+    a, _ = _require_square(as_matrix(obj), what)
     if sp.issparse(a):
         a = a.copy()
         a.eliminate_zeros()
@@ -448,7 +457,7 @@ def incoming_neighborhood(graph, m: int) -> Neighborhood:
 
     Accepts a Graph, an operator, or a raw matrix.
     """
-    w, _ = _require_square(graph, formed=False)
+    w, _ = _require_square(graph)
     members, _ = _positive_row(w, m)
     return Neighborhood(center=m, members=members, size=int(members.size))
 
@@ -507,7 +516,7 @@ def validate_weights(graph) -> WeightDiagnostics:
     support).  Accepts a Graph or a raw matrix; CSR input is inspected in
     its stored form, never densified.
     """
-    w, n = _require_square(graph)
+    w, n = _require_square(as_matrix(graph))
     symmetric = graph.is_symmetric() if isinstance(graph, Graph) else _is_symmetric(w)
     zero_rows = tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0))
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))
@@ -515,7 +524,7 @@ def validate_weights(graph) -> WeightDiagnostics:
     negative = int(np.count_nonzero(values < 0))
     # 256 dense rows (views for any strides) or 256 rows' worth of CSR data
     # at a time, with no N x N mask or copy; inf when none is positive
-    step, min_positive = 256 * (max(n, 1) if values.ndim == 1 else 1), np.inf
+    step, min_positive = 256 * (n if values.ndim == 1 else 1), np.inf
     for i in range(0, len(values), step):
         block = values[i:i + step]
         min_positive = min(min_positive, np.where(block > 0, block, np.inf).min())
@@ -538,8 +547,8 @@ def validate_weights(graph) -> WeightDiagnostics:
         negative_entries=negative,
         symmetric=symmetric,
         min_positive=float(min_positive) if min_positive < np.inf else 0.0,
-        max_weight=float(w.max()) if n else 0.0,
-        density=n_edges / (n * n) if n else 0.0,
+        max_weight=float(w.max()),
+        density=n_edges / (n * n),
         balanceable=not zero_rows and not zero_cols and negative == 0 and not support_issue,
         issues=tuple(issues),
     )

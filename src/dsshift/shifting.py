@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _require_square, _values
+from .graphs import _require_square, _Scaled
 
 __all__ = [
     "DiffusionResult",
@@ -30,7 +30,7 @@ _STALE_STEPS = 10
 
 
 def _operator_and_signal(S, x):
-    a, n = _require_square(S, "operator", formed=False)
+    a, n = _require_square(S, "operator")
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.shape[0] != n:
         raise ValueError(
@@ -93,8 +93,10 @@ def diffusion_convergence(S, x, tol: float = 1e-6) -> DiffusionResult:
     matrices, oscillate forever: this is detected when the best residual
     has not improved for 10 consecutive steps, and reported as
     ``status="non-convergent diffusion"`` rather than looping to the limit
-    of 1000 steps.
+    of 1000 steps.  ``tol`` must be nonnegative (ValueError otherwise).
     """
+    if not tol >= 0:  # NaN too
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     a, v = _operator_and_signal(S, x)
     target = v.mean()
     y = v.copy()
@@ -125,17 +127,20 @@ def matrix_norm(A, p) -> float:
     sum, and p=2 the spectral norm (largest singular value), computed by
     scipy's ``svds`` (ARPACK on ``A.T @ A``, to machine precision) from a
     fixed-seed start vector, so the result is deterministic.  Dense and
-    sparse storage give the same norms.
+    sparse storage give the same norms; a balanced operator is read unformed.
     """
     a, n = _require_square(A)
-    if p == 1:
-        return float(abs(a).sum(axis=0).max())
-    if p == np.inf or p == float("inf"):
-        return float(abs(a).sum(axis=1).max())
-    if p != 2:
+    if p not in (1, 2, np.inf):
         raise ValueError(f"unsupported norm order {p!r}; expected 1, 2, or inf")
-    if n < 2 or not _values(a).any():  # ARPACK needs n >= 2 and fails on a zero operator
-        return float(abs(a).max())
+    axis = 1 if p == np.inf else 0
+    if isinstance(a, np.ndarray):  # |a| 64 rows at a time, never a dense copy
+        sums = [np.abs(a[i:i + 64]).sum(axis) for i in range(0, n, 64)]
+        sums = np.sum(sums, 0) if axis == 0 else np.concatenate(sums)
+    else:  # CSR's abs copies only its data; a balanced operator's entries are nonnegative
+        sums = a.sum(axis) if isinstance(a, _Scaled) else abs(a).sum(axis)
+    norm = float(sums.max())
+    if p != 2 or n < 2 or norm == 0:  # ARPACK needs n >= 2 and fails on a zero operator
+        return norm  # of a 1 x 1 matrix, |a_00| is every norm
     # Imported here: scipy.sparse.linalg is not needed by ``import dsshift``.
     from scipy.sparse.linalg import svds
 
@@ -157,10 +162,12 @@ def wss_check(S, mean, covariance, tol: float) -> WSSDiagnostics:
     """Check that first and second moments are invariant under the shift.
 
     Evaluates ``max|S mu - mu|`` and ``max|S Sigma S.T - Sigma|`` in closed
-    form; both must be within ``tol`` to pass.  The covariance must be
+    form; both must be within ``tol >= 0`` to pass.  The covariance must be
     symmetric (to 1e-12) and is assumed positive semidefinite.
     """
-    a, n = _require_square(S, "operator", formed=False)
+    if not tol >= 0:  # NaN too
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+    a, n = _require_square(S, "operator")
     mu = np.asarray(mean, dtype=float)
     sigma = np.asarray(covariance, dtype=float)
     if mu.shape != (n,):

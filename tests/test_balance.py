@@ -516,6 +516,49 @@ class TestUnformedOperator:
             assert np.array_equal(incoming_neighborhood(op, m).members,
                                   incoming_neighborhood(formed, m).members)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sums_norms_and_min_entry_agree_with_the_formed_matrix(self, kind):
+        n = 60
+        op = sinkhorn_knopp(_unformed_case(kind, n), tol=1e-12).operator
+        formed = DSOperator(op.matrix)  # a hand-built operator over the formed S
+        rel = n * np.finfo(float).eps
+        got, want = verify_doubly_stochastic(op), verify_doubly_stochastic(formed)
+        assert got.passed == want.passed
+        assert got.min_entry == want.min_entry
+        # the residuals are |sum - 1| of sums near 1: n eps relative to the sums
+        np.testing.assert_allclose([got.max_row_residual, got.max_col_residual],
+                                   [want.max_row_residual, want.max_col_residual],
+                                   rtol=0, atol=rel)
+        for p in (1, 2, np.inf):
+            np.testing.assert_allclose(matrix_norm(op, p), matrix_norm(formed, p), rtol=rel)
+
+    def test_reads_hold_no_kernel_sized_array_and_keep_no_formed_matrix(self):
+        import tracemalloc
+
+        from scipy.sparse.linalg import svds  # noqa: F401  (imported before tracing)
+
+        n = 1000
+        u, v = np.random.default_rng(6).random((2, n))
+        g = demo_kernel(u, v)
+        w = g.weights
+        assert not sp.issparse(w)
+        op = sinkhorn_knopp(g, tol=1e-10).operator
+        calls = {"verify": lambda: verify_doubly_stochastic(op, 1e-10),
+                 "DSOperator": lambda: DSOperator(op)}
+        calls.update({f"norm {p}": lambda p=p: matrix_norm(op, p) for p in (1, 2, np.inf)})
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, call in calls.items():
+                tracemalloc.reset_peak()
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert max(peaks.values()) < 0.25 * w.nbytes, peaks
+        assert kept < 0.25 * w.nbytes  # no formed S stays on the operator
+
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("bad, text", [(np.nan, "finite"), (np.inf, "finite"),
                                            (-1.0, "nonnegative")])
@@ -556,3 +599,20 @@ class TestUnformedOperator:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * w.nbytes
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("check", ["verify", "wss", "diffusion"])
+def test_tol_must_be_nonnegative(storage, check):
+    from dsshift import diffusion_convergence, wss_check
+
+    s = np.full((3, 3), 1 / 3)
+    s = sp.csr_array(s) if storage == "csr" else s
+    run = {"verify": lambda tol: verify_doubly_stochastic(s, tol),
+           "wss": lambda tol: wss_check(s, np.ones(3), np.ones((3, 3)), tol),
+           "diffusion": lambda tol: diffusion_convergence(s, [0.0, 1.0, 2.0], tol)}[check]
+    for bad in (np.nan, -1e-12):
+        with pytest.raises(ValueError, match=f"^tol must be nonnegative, got {bad}$"):
+            run(bad)
+    result = run(0.0)  # zero stays valid; these sums and products are exact
+    assert result.converged if check == "diffusion" else result.passed

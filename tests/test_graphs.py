@@ -16,8 +16,10 @@ from dsshift import (
     VertexGeometry,
     apply_filter,
     as_matrix,
+    birkhoff_decompose,
     build_weight_matrix,
     diffuse,
+    diffusion_convergence,
     incoming_neighborhood,
     local_bounds,
     matrix_norm,
@@ -826,3 +828,22 @@ class TestKernelRange:
         w = g.dense()
         assert np.isfinite(w).all()
         assert w.min() >= 0.0 and w.max() <= 1.0
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("call", [
+    pytest.param(Graph, id="Graph"),
+    pytest.param(DSOperator, id="DSOperator"),
+    pytest.param(validate_weights, id="validate_weights"),
+    pytest.param(sinkhorn_knopp, id="sinkhorn_knopp"),
+    pytest.param(verify_doubly_stochastic, id="verify_doubly_stochastic"),
+    pytest.param(birkhoff_decompose, id="birkhoff_decompose"),
+    pytest.param(lambda a: matrix_norm(a, 1), id="matrix_norm-1"),
+    pytest.param(lambda a: matrix_norm(a, 2), id="matrix_norm-2"),
+    pytest.param(lambda a: matrix_norm(a, np.inf), id="matrix_norm-inf"),
+    pytest.param(lambda a: diffusion_convergence(a, []), id="diffusion_convergence"),
+])
+def test_empty_matrix_is_rejected_naming_its_shape(storage, call):
+    empty = sp.csr_array((0, 0)) if storage == "csr" else np.zeros((0, 0))
+    with pytest.raises(ValueError, match=r"must be square and nonempty, got shape \(0, 0\)$"):
+        call(empty)

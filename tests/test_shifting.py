@@ -235,3 +235,18 @@ def test_filter_output_bounded_by_coefficient_mass(n, seed, order):
     mass = np.abs(h).sum()
     for p in (1, 2, np.inf):
         assert np.linalg.norm(y, p) <= mass * np.linalg.norm(x, p) + 1e-10
+
+
+@pytest.mark.parametrize("p", [1, np.inf])
+def test_one_and_inf_norms_copy_no_dense_matrix(p):
+    import tracemalloc
+
+    a = np.random.default_rng(3).random((1000, 1000)) - 0.5  # signed: |a| matters
+    tracemalloc.start()
+    try:
+        got = matrix_norm(a, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * a.nbytes
+    assert got == pytest.approx(np.linalg.norm(a, p), rel=1000 * np.finfo(float).eps)
