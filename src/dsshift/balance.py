@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (
-    Graph, _checked, _dense, _positive_row, _product, _require_square, _Scaled,
-    _total_support_issue, _trusted, _values,
+    Graph, _checked, _dense, _min_positive, _positive_row, _product, _require_square, _Scaled,
+    _total_support_issue, _trusted,
 )
 
 __all__ = [
@@ -217,8 +217,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
         # Without total support x tends to 0 and infinity: test W when x spreads wide.
         if not supported and x.max() * _SQRT_EPS > x.min():
             if spread_limit is None:
-                vals = _values(w)
-                spread_limit = vals.max() / np.min(vals, where=vals > 0, initial=np.inf) / _SQRT_EPS
+                spread_limit = w.max() / _min_positive(w) / _SQRT_EPS
             if x.max() > x.min() * spread_limit:
                 require_total_support()
         v = x * matvec(x)

@@ -60,11 +60,11 @@ def _emit_signal(values, args, record: dict) -> None:
         # values on stdout, norms record on stderr
         for v in values:
             print(format(float(v), ".17g"))
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        print(json.dumps(record, sort_keys=True, allow_nan=False), file=sys.stderr)
         return
     save_signal_csv(args.output, values)
     save_json(args.output + ".json", record)
-    print(json.dumps(record, sort_keys=True))
+    print(json.dumps(record, sort_keys=True, allow_nan=False))
 
 
 def _cmd_balance(args) -> int:
@@ -72,7 +72,7 @@ def _cmd_balance(args) -> int:
     save_matrix_market(args.output, op.matrix)
     sidecar = {"residual": op.tolerance_achieved, "iterations": op.iterations_used}
     save_json(args.output + ".json", sidecar)
-    print(json.dumps(sidecar, sort_keys=True))
+    print(json.dumps(sidecar, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -109,7 +109,8 @@ def _cmd_birkhoff(args) -> int:
     d = birkhoff_decompose(s)
     save_birkhoff_json(args.output, d)
     print(json.dumps({"terms": d.n_terms, "repairs": d.repairs, "dust": d.dust,
-                      "dust_bound": d.dust_bound, "output": args.output}, sort_keys=True))
+                      "dust_bound": d.dust_bound, "output": args.output},
+                     sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -143,7 +144,7 @@ def _cmd_bounds(args) -> int:
     }
     if args.output:
         save_json(args.output, report)
-    print(json.dumps(report, sort_keys=True))
+    print(json.dumps(report, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -151,10 +152,11 @@ def _cmd_demo_sensors(args) -> int:
     report = run_sensor_demo(SensorFieldConfig(
         n_sensors=args.sensors, noise_sigma=args.noise_sigma, kernel_scale=args.scale,
         threshold=args.threshold, seed=args.seed, shifts=args.k))
+    payload = report.to_dict()  # JSON values: an infinite SNR is null
     if args.output:
-        save_json(args.output, report.to_dict())
-    summary = {k: getattr(report, k) for k in ("input_snr_db", "output_snr_db", "gain_db")}
-    print(json.dumps(summary, sort_keys=True))
+        save_json(args.output, payload)
+    summary = {k: payload[k] for k in ("input_snr_db", "output_snr_db", "gain_db")}
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

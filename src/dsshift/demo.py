@@ -138,12 +138,12 @@ class ExperimentReport:
     config: SensorFieldConfig
 
     def to_dict(self) -> dict:
+        """The report as JSON values: the +inf zero-noise sentinel is ``None`` (null)."""
         return {
             "schema": REPORT_SCHEMA,
             "config": self.config.to_dict(),
-            "input_snr_db": self.input_snr_db,
-            "output_snr_db": self.output_snr_db,
-            "gain_db": self.gain_db,
+            **{k: None if (db := getattr(self, k)) == np.inf else db
+               for k in ("input_snr_db", "output_snr_db", "gain_db")},
             "operator": {
                 "residual": self.balance_residual,
                 "iterations": self.balance_iterations,
@@ -154,7 +154,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def run_sensor_demo(config: SensorFieldConfig | None = None) -> ExperimentReport:

@@ -296,10 +296,11 @@ def load_geometry_csv(path) -> VertexGeometry:
 
 
 def save_json(path, payload: dict) -> None:
-    """Write a JSON report with sorted keys (deterministic bytes)."""
+    """Write a JSON report with sorted keys (deterministic bytes); a NaN or an
+    infinity, which strict JSON lacks, is a ValueError before the file opens."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def save_birkhoff_json(path, decomposition: BirkhoffDecomposition) -> None:

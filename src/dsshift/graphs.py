@@ -95,6 +95,15 @@ def _values(a) -> np.ndarray:
     return a.data if sp.issparse(a) else a
 
 
+def _min_positive(a) -> float:
+    """The smallest positive stored entry of a dense or CSR matrix (inf if none), read
+    ``_BLOCK`` dense rows (views) or as many rows' worth of CSR values at a time."""
+    values = _values(a)
+    step = _BLOCK * (a.shape[1] if values.ndim == 1 else 1)
+    blocks = (values[i:i + step] for i in range(0, len(values), step))
+    return float(min((np.min(b, where=b > 0, initial=np.inf) for b in blocks), default=np.inf))
+
+
 def _dense(a) -> np.ndarray:
     """A dense copy of a dense or sparse matrix."""
     return a.toarray() if sp.issparse(a) else np.array(a)
@@ -513,21 +522,21 @@ def validate_weights(graph) -> WeightDiagnostics:
     Pure report, never raises: zero rows/columns, negative entries,
     asymmetry, support statistics, and the first positive entry on no
     positive diagonal (balancing needs every positive entry on one: total
-    support).  Accepts a Graph or a raw matrix; CSR input is inspected in
-    its stored form, never densified.
+    support).  Accepts a Graph, an operator or a raw matrix; CSR input is
+    inspected in its stored form, never densified.  A balanced operator
+    ``diag(r) W diag(c)``, ``r, c > 0``, has W's zero pattern: it is read as
+    stored and reported on ``W``, with the symmetry W's Graph kept, unformed.
     """
-    w, n = _require_square(as_matrix(graph))
-    symmetric = graph.is_symmetric() if isinstance(graph, Graph) else _is_symmetric(w)
+    w, n = _require_square(graph)
+    if isinstance(w, _Scaled):
+        w, symmetric = w.w, w.symmetric
+    else:
+        symmetric = graph.is_symmetric() if isinstance(graph, Graph) else _is_symmetric(w)
     zero_rows = tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0))
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))
     values = _values(w)
     negative = int(np.count_nonzero(values < 0))
-    # 256 dense rows (views for any strides) or 256 rows' worth of CSR data
-    # at a time, with no N x N mask or copy; inf when none is positive
-    step, min_positive = 256 * (n if values.ndim == 1 else 1), np.inf
-    for i in range(0, len(values), step):
-        block = values[i:i + step]
-        min_positive = min(min_positive, np.where(block > 0, block, np.inf).min())
+    min_positive = _min_positive(w)
     n_edges = int(np.count_nonzero(values))
 
     issues = [f"unbalanceable: empty row {i}" for i in zero_rows]
@@ -546,7 +555,7 @@ def validate_weights(graph) -> WeightDiagnostics:
         zero_cols=zero_cols,
         negative_entries=negative,
         symmetric=symmetric,
-        min_positive=float(min_positive) if min_positive < np.inf else 0.0,
+        min_positive=min_positive if min_positive < np.inf else 0.0,
         max_weight=float(w.max()),
         density=n_edges / (n * n),
         balanceable=not zero_rows and not zero_cols and negative == 0 and not support_issue,

@@ -29,16 +29,20 @@ _MAX_STEPS = 1000
 _STALE_STEPS = 10
 
 
+def _require_finite(v: np.ndarray, what: str, label: str) -> None:
+    """ValueError naming the first non-finite entry of ``v``, in row-major order."""
+    if not (finite := np.isfinite(v)).all():
+        bad = np.unravel_index(finite.argmin(), v.shape)
+        at = int(bad[0]) if v.ndim == 1 else tuple(int(i) for i in bad)
+        raise ValueError(f"{what} must be finite, got {v[bad]} at {label} {at}")
+
+
 def _operator_and_signal(S, x):
     a, n = _require_square(S, "operator")
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.shape[0] != n:
-        raise ValueError(
-            f"signal of shape {v.shape} does not match operator of shape {a.shape}"
-        )
-    if not (finite := np.isfinite(v)).all():
-        bad = finite.argmin()  # the first non-finite entry
-        raise ValueError(f"signal must be finite, got {v[bad]} at vertex {bad}")
+        raise ValueError(f"signal of shape {v.shape} does not match operator of shape {a.shape}")
+    _require_finite(v, "signal", "vertex")
     return a, v
 
 
@@ -52,12 +56,14 @@ def apply_filter(S, coefficients, x) -> np.ndarray:
     """Apply the polynomial filter ``y = sum_k h[k] * S**k @ x``.
 
     Evaluated Horner style with one shift per order, never forming matrix
-    powers, so cost is O(K * nnz).
+    powers, so cost is O(K * nnz).  A non-finite coefficient or signal entry
+    is a ValueError naming its index.
     """
     a, v = _operator_and_signal(S, x)
     h = np.asarray(coefficients, dtype=float)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("coefficients must be a nonempty 1-D sequence")
+    _require_finite(h, "coefficients", "index")
     y = h[-1] * v
     for hk in h[-2::-1]:
         y = hk * v + a @ y
@@ -100,8 +106,7 @@ def diffusion_convergence(S, x, tol: float = 1e-6) -> DiffusionResult:
     a, v = _operator_and_signal(S, x)
     target = v.mean()
     y = v.copy()
-    best = np.inf
-    stale = 0
+    best, stale = np.inf, 0
     residual = float(np.abs(y - target).max())
     if residual <= tol:
         return DiffusionResult(True, 0, residual, "converged")
@@ -110,13 +115,9 @@ def diffusion_convergence(S, x, tol: float = 1e-6) -> DiffusionResult:
         residual = float(np.abs(y - target).max())
         if residual <= tol:
             return DiffusionResult(True, step, residual, "converged")
-        if residual < best:
-            best = residual
-            stale = 0
-        else:
-            stale += 1
-            if stale >= _STALE_STEPS:
-                return DiffusionResult(False, step, residual, "non-convergent diffusion")
+        best, stale = (residual, 0) if residual < best else (best, stale + 1)
+        if stale >= _STALE_STEPS:
+            return DiffusionResult(False, step, residual, "non-convergent diffusion")
     return DiffusionResult(False, _MAX_STEPS, residual, "max steps reached")
 
 
@@ -163,7 +164,8 @@ def wss_check(S, mean, covariance, tol: float) -> WSSDiagnostics:
 
     Evaluates ``max|S mu - mu|`` and ``max|S Sigma S.T - Sigma|`` in closed
     form; both must be within ``tol >= 0`` to pass.  The covariance must be
-    symmetric (to 1e-12) and is assumed positive semidefinite.
+    symmetric (to 1e-12) and is assumed positive semidefinite; a non-finite
+    mean or covariance entry is a ValueError naming its index.
     """
     if not tol >= 0:  # NaN too
         raise ValueError(f"tol must be nonnegative, got {tol}")
@@ -173,9 +175,9 @@ def wss_check(S, mean, covariance, tol: float) -> WSSDiagnostics:
     if mu.shape != (n,):
         raise ValueError(f"mean of shape {mu.shape} does not match operator size {n}")
     if sigma.shape != (n, n):
-        raise ValueError(
-            f"covariance of shape {sigma.shape} does not match operator size {n}"
-        )
+        raise ValueError(f"covariance of shape {sigma.shape} does not match operator size {n}")
+    _require_finite(mu, "mean", "vertex")
+    _require_finite(sigma, "covariance", "entry")
     if float(np.abs(sigma - sigma.T).max()) > 1e-12:
         raise ValueError("covariance must be symmetric (tolerance 1e-12)")
 

@@ -305,6 +305,18 @@ class TestDemoCommand:
         assert report["schema"] == 2
         assert len(report["true_field"]) == 64
 
+    def test_zero_noise_writes_strict_json(self, tmp_path, capsys):
+        # both SNRs are the +inf sentinel, which strict JSON writes as null
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        out = tmp_path / "report.json"
+        assert run(["demo-sensors", "--noise-sigma", 0, "--seed", 1, "--output", out]) == 0
+        summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert summary == {"input_snr_db": None, "output_snr_db": None, "gain_db": 0.0}
+        assert {k: report[k] for k in summary} == summary
+
     def test_invalid_sensor_count_exits_2(self):
         assert run(["demo-sensors", "--sensors", 1]) == 2
 

@@ -31,6 +31,7 @@ from dsshift import (
 )
 
 from dsshift import graphs
+from dsshift.demo import _sensor_geometry
 from dsshift.graphs import DENSE_LIMIT, _is_symmetric, _product
 
 from conftest import random_geometry
@@ -601,6 +602,17 @@ class TestValidateWeights:
         assert validate_weights(a).min_positive == np.min(values, where=values > 0,
                                                          initial=np.inf) == 2.5e-4
         assert validate_weights(storage(np.zeros((600, 600)))).min_positive == 0.0
+
+    @pytest.mark.parametrize("n, scale", [(600, 1800.0), (1500, 600.0)], ids=["dense", "csr"])
+    def test_balanced_operator_is_reported_on_its_kernel(self, n, scale):
+        # diag(r) W diag(c) with r, c > 0 has W's zero pattern: its report is
+        # W's, with W's symmetry (a formed S misses its mirror by an ulp)
+        geo = _sensor_geometry(n, np.random.default_rng(1))
+        g = build_weight_matrix(geo, scale=scale, threshold=1e-4, self_loops=True)
+        op = sinkhorn_knopp(g, tol=1e-10).operator
+        assert sp.issparse(g.weights) == (n == 1500)
+        assert validate_weights(op) == validate_weights(g)
+        assert op._stored._s is None  # S was not formed
 
 
 def _assert_total_support_verdict(support):

@@ -73,5 +73,7 @@ def test_validating_a_self_looped_kernel_skips_the_exact_test():
                 "geo = dsshift.demo._sensor_geometry(600, np.random.default_rng(1)); "
                 "g = dsshift.build_weight_matrix(geo, scale=1800.0, threshold=1e-4, "
                 "self_loops=True); "
-                "assert dsshift.validate_weights(g).balanceable")
+                "assert dsshift.validate_weights(g).balanceable; "
+                # a balanced operator is read on its W, with W's kept symmetry
+                "assert dsshift.validate_weights(dsshift.sinkhorn_knopp(g).operator).balanceable")
     assert "scipy.sparse.csgraph" not in _loaded_after(validate).split()

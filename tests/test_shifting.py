@@ -36,15 +36,23 @@ class TestApplyShift:
             apply_shift(UNIFORM2, [1.0, 2.0, 3.0])
 
 
-@pytest.mark.parametrize("call", [
-    apply_shift,
-    lambda s, x: apply_filter(s, [0.5, 0.5], x),
-    lambda s, x: diffuse(s, x, 0),
-    diffusion_convergence,  # reported "non-convergent diffusion" on a NaN
-], ids=["shift", "filter", "diffuse", "diffusion_convergence"])
+@pytest.mark.parametrize("call, message", [
+    (apply_shift, "signal must be finite, got {} at vertex 0"),
+    (lambda s, x: apply_filter(s, [0.5, 0.5], x), "signal must be finite, got {} at vertex 0"),
+    (lambda s, x: diffuse(s, x, 0), "signal must be finite, got {} at vertex 0"),
+    # reported "non-convergent diffusion" on a NaN
+    (diffusion_convergence, "signal must be finite, got {} at vertex 0"),
+    # the taps returned [nan, nan] or [inf, inf]
+    (lambda s, h: apply_filter(s, h, [1.0, 2.0]), "coefficients must be finite, got {} at index 0"),
+    # wss_check returned passed=False with NaN residuals (and warned on an inf covariance)
+    (lambda s, mu: wss_check(s, mu, np.eye(2), 1.0), "mean must be finite, got {} at vertex 0"),
+    (lambda s, row: wss_check(s, [0.0, 0.0], [row, [1.0, 1.0]], 1.0),
+     r"covariance must be finite, got {} at entry \(0, 0\)"),
+], ids=["shift", "filter", "diffuse", "diffusion_convergence", "filter-taps", "wss-mean",
+        "wss-covariance"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_signal_rejected(call, bad):
-    with pytest.raises(ValueError, match=f"^signal must be finite, got {bad} at vertex 0"):
+def test_non_finite_signal_rejected(call, message, bad):
+    with pytest.raises(ValueError, match="^" + message.format(bad)):
         call(UNIFORM2, [bad, 1.0])
 
 
