@@ -241,8 +241,8 @@ def monte_carlo_shift_stats(
     ``(seed, trials)`` pair whatever the CPU count.  (Versions that drew
     every trial from one generator give other values for the same seed.)
     """
-    if trials < 2:
-        raise ValueError(f"trials must be at least 2, got {trials}")
+    if not np.issubdtype(type(trials), np.integer) or trials < 2:
+        raise ValueError(f"trials must be an integer of at least 2, got {trials!r}")
     weights = _row_weights(S, m)
 
     # The draws of sample_local_signal, block by block, but the shift is

@@ -111,12 +111,12 @@ class SensorFieldConfig:
     shifts: int = 1
 
     def __post_init__(self):
-        if self.n_sensors < 2:
-            raise ValueError(f"n_sensors must be at least 2, got {self.n_sensors}")
+        if not np.issubdtype(type(self.n_sensors), np.integer) or self.n_sensors < 2:
+            raise ValueError(f"n_sensors must be an integer of at least 2, got {self.n_sensors!r}")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
-        if self.shifts < 0:
-            raise ValueError(f"shifts must be nonnegative, got {self.shifts}")
+        if not np.issubdtype(type(self.shifts), np.integer) or self.shifts < 0:
+            raise ValueError(f"shifts must be a nonnegative integer, got {self.shifts!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -25,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .birkhoff import BirkhoffDecomposition
-from .graphs import DENSE_LIMIT, Graph, VertexGeometry, _is_symmetric, _stored, _values, as_matrix
+from .graphs import (DENSE_LIMIT, Graph, VertexGeometry, _is_symmetric, _row_blocks, _stored,
+                     _value_blocks, as_matrix)
 
 __all__ = [
     "FileFormatError",
@@ -74,11 +75,10 @@ def _parse_int(token: str, path, lineno: int, what: str) -> int:
 
 def _lower_triangle(a):
     """The entries on and below the diagonal of a square dense or CSR ``a``; dense
-    rows are taken 256 at a time, so no N x N copy or full coordinate list is made."""
+    rows are taken a row block at a time, so no N x N copy or full coordinate list is made."""
     if sp.issparse(a):
         return sp.tril(a)
-    return sp.vstack([sp.csr_array(np.tril(a[i:i + 256], i)) for i in range(0, len(a), 256)],
-                     format="csr")
+    return sp.vstack([sp.csr_array(np.tril(rows, lo)) for lo, rows in _row_blocks(a)], format="csr")
 
 
 def save_matrix_market(path, matrix) -> None:
@@ -91,7 +91,7 @@ def save_matrix_market(path, matrix) -> None:
     from scipy.io import mmwrite
 
     a = as_matrix(matrix)
-    if not np.isfinite(_values(a)).all():
+    if not all(np.isfinite(v).all() for v in _value_blocks(a)):
         raise ValueError("matrix entries must be finite")
     symmetric = 0 < a.shape[0] == a.shape[1] and (
         matrix.is_symmetric() if isinstance(matrix, Graph) else _is_symmetric(a))

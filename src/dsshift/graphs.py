@@ -34,7 +34,7 @@ EARTH_RADIUS_M = 6_371_000.0
 # Matrices up to this size are always stored dense (see _stored).
 DENSE_LIMIT = 512
 
-# Rows of the dense kernel built at a time: at N = 5000 a block is 2.5 MB, in cache.
+# Rows in every pass over a matrix by rows (_row_blocks), the kernel fill too: 2.5 MB at N = 5000.
 _BLOCK = 64
 
 # Threads for block work (the dense kernel's rows, the Monte Carlo's trials): one
@@ -90,18 +90,21 @@ def _require_square(obj, what: str = "matrix"):
     return a, a.shape[0]
 
 
-def _values(a) -> np.ndarray:
-    """The stored entries: all of a dense matrix, the explicit ones of CSR."""
-    return a.data if sp.issparse(a) else a
+def _row_blocks(a):
+    """``(lo, a[lo:lo + _BLOCK])`` for each run of ``_BLOCK`` rows of a dense or CSR matrix."""
+    return ((lo, a[lo:lo + _BLOCK]) for lo in range(0, a.shape[0], _BLOCK))
+
+
+def _value_blocks(a):
+    """The stored entries in pieces: a dense matrix ``_BLOCK`` rows (views) at a
+    time, CSR ``data`` and a 1-D row whole (nnz-sized, cheaper read whole)."""
+    v = a.data if sp.issparse(a) else a
+    return (v,) if v.ndim == 1 else (rows for _, rows in _row_blocks(v))
 
 
 def _min_positive(a) -> float:
-    """The smallest positive stored entry of a dense or CSR matrix (inf if none), read
-    ``_BLOCK`` dense rows (views) or as many rows' worth of CSR values at a time."""
-    values = _values(a)
-    step = _BLOCK * (a.shape[1] if values.ndim == 1 else 1)
-    blocks = (values[i:i + step] for i in range(0, len(values), step))
-    return float(min((np.min(b, where=b > 0, initial=np.inf) for b in blocks), default=np.inf))
+    """The smallest positive stored entry of a dense or CSR matrix (inf if none)."""
+    return float(min(np.where(v > 0, v, np.inf).min(initial=np.inf) for v in _value_blocks(a)))
 
 
 def _dense(a) -> np.ndarray:
@@ -110,10 +113,9 @@ def _dense(a) -> np.ndarray:
 
 
 def _require_finite_nonnegative(a, what: str) -> None:
-    data = _values(a)
-    if data.size and not np.isfinite(data).all():
+    if not all(np.isfinite(v).all() for v in _value_blocks(a)):
         raise ValueError(f"{what} must be finite")
-    if data.size and data.min() < 0:
+    if any(v.min(initial=0.0) < 0 for v in _value_blocks(a)):
         raise ValueError(f"{what} must be nonnegative")
 
 
@@ -152,9 +154,9 @@ class _Scaled:
         return (self.matvec if axis == 1 else self.rmatvec)(np.ones(self.shape[0]))
 
     def min(self) -> float:
-        """The smallest entry (an implicit zero of CSR counts), formed 64 rows at a time."""
-        return min(_Scaled(self.w[i:i + 64], self.r[i:i + 64], self.c, False).formed().min()
-                   for i in range(0, self.shape[0], 64))
+        """The smallest entry (an implicit zero of CSR counts), formed a row block at a time."""
+        return min(_Scaled(w, self.r[lo:lo + w.shape[0]], self.c, False).formed().min()
+                   for lo, w in _row_blocks(self.w))
 
     def formed(self):
         """``S`` as a read-only ndarray or a ``csr_array``, built in O(nnz) on the first call."""
@@ -217,21 +219,21 @@ def _stored(w):
 
 
 def _is_symmetric(a) -> bool:
-    """Whether a square dense or CSR matrix equals its transpose exactly; dense
-    triangles are compared 256 rows at a time, with no N x N temporary."""
+    """Whether a square dense or CSR matrix equals its transpose exactly; dense row blocks
+    are compared from the diagonal on with those of ``a.T`` (views): no N x N temporary."""
     if sp.issparse(a):
         return (a != a.T).nnz == 0
-    return all(np.array_equal(a[i:i + 256, i:], a[i:, i:i + 256].T)
-               for i in range(0, a.shape[0], 256))
+    return all(np.array_equal(rows[:, lo:], cols[:, lo:])
+               for (lo, rows), (_, cols) in zip(_row_blocks(a), _row_blocks(a.T)))
 
 
 def _positive_row(a, m: int):
     """Columns (``intp``) and values of the positive entries in row ``m`` of
-    ``a``, a matrix from :func:`_require_square`; ValueError for ``m`` out of
-    range, or a row holding a NaN, an infinite or a negative entry.  A CSR row
-    is its stored slice, each column once and in order (see :func:`as_matrix`)."""
-    if not (0 <= m < a.shape[0]):
-        raise ValueError(f"vertex id {m} out of range [0, {a.shape[0]})")
+    ``a``, a matrix from :func:`_require_square`; ValueError for ``m`` not an
+    integer (Python or numpy; a bool is not) in range, or a row holding a NaN,
+    an infinite or a negative entry.  A CSR row is its stored slice."""
+    if not (np.issubdtype(type(m), np.integer) and 0 <= (m := int(m)) < a.shape[0]):
+        raise ValueError(f"vertex id {m!r} out of range [0, {a.shape[0]})")
     if isinstance(a, _Scaled):  # W's positive entries, scaled
         columns, row = _positive_row(a.w, m)
         return columns, a.r[m] * row * a.c[columns]
@@ -269,7 +271,7 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return int(np.count_nonzero(_values(self._weights)))
+        return int(sum(np.count_nonzero(v) for v in _value_blocks(self._weights)))
 
     def dense(self) -> np.ndarray:
         return _dense(self._weights)
@@ -483,17 +485,17 @@ def _total_support_issue(w, symmetric: bool):
         return None
     from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
-    n, blocks = w.shape[0], range(0, w.shape[0], 256)
+    n = w.shape[0]
     if sp.issparse(w):
         support = w > 0
-    else:  # 256 rows at a time, counted, then filled into the final arrays: no N x N
+    else:  # a row block at a time, counted, then filled into the final arrays: no N x N
         # mask, no nonzero() pair of the support, and no parts stacked in a copy
-        counts = np.concatenate([np.count_nonzero(w[lo:lo + 256] > 0, axis=1) for lo in blocks])
+        counts = np.concatenate([np.count_nonzero(rows > 0, axis=1) for _, rows in _row_blocks(w)])
         indptr = np.zeros(n + 1, np.int32 if counts.sum() < 2**31 else np.int64)
         np.cumsum(counts, out=indptr[1:])
         indices = np.empty(indptr[-1], indptr.dtype)
-        for lo in blocks:
-            indices[indptr[lo]:indptr[min(lo + 256, n)]] = np.nonzero(w[lo:lo + 256] > 0)[1]
+        for lo, rows in _row_blocks(w):
+            indices[indptr[lo]:indptr[lo + len(rows)]] = np.nonzero(rows > 0)[1]
         support = sp.csr_array((np.ones(indices.size, bool), indices, indptr), shape=(n, n))
         del indices  # held by support, and freed with it below
     indptr, image = support.indptr, maximum_bipartite_matching(support, perm_type="column")
@@ -508,9 +510,8 @@ def _total_support_issue(w, symmetric: bool):
     del support
     graph = sp.csr_array((np.ones(k.size), k, indptr), shape=(n, n))
     label = connected_components(graph, connection="strong")[1]
-    for lo in blocks:  # k is in the support's row-major order: the first off is named
-        i = np.repeat(np.arange(lo, hi := min(lo + 256, n)), np.diff(indptr[lo:hi + 1]))
-        kb = k[indptr[lo]:indptr[hi]]
+    for lo, rows in _row_blocks(graph):  # in the support's row-major order: the first off is named
+        i, kb = np.repeat(np.arange(lo, lo + rows.shape[0]), np.diff(rows.indptr)), rows.indices
         if (off := np.flatnonzero(label[i] != label[kb])).size:
             return _OFF_DIAGONAL.format(i[off[0]], image[kb[off[0]]])
     return None
@@ -534,10 +535,9 @@ def validate_weights(graph) -> WeightDiagnostics:
         symmetric = graph.is_symmetric() if isinstance(graph, Graph) else _is_symmetric(w)
     zero_rows = tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0))
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))
-    values = _values(w)
-    negative = int(np.count_nonzero(values < 0))
+    negative = int(sum(np.count_nonzero(v < 0) for v in _value_blocks(w)))
     min_positive = _min_positive(w)
-    n_edges = int(np.count_nonzero(values))
+    n_edges = int(sum(np.count_nonzero(v) for v in _value_blocks(w)))
 
     issues = [f"unbalanceable: empty row {i}" for i in zero_rows]
     issues += [f"unbalanceable: empty column {j}" for j in zero_cols]

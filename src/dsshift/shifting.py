@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _require_square, _Scaled
+from .graphs import _require_square, _row_blocks, _Scaled
 
 __all__ = [
     "DiffusionResult",
@@ -127,15 +127,15 @@ def matrix_norm(A, p) -> float:
     p=1 is the maximum absolute column sum, p=inf the maximum absolute row
     sum, and p=2 the spectral norm (largest singular value), computed by
     scipy's ``svds`` (ARPACK on ``A.T @ A``, to machine precision) from a
-    fixed-seed start vector, so the result is deterministic.  Dense and
-    sparse storage give the same norms; a balanced operator is read unformed.
+    fixed-seed start vector, so the result is deterministic.  Dense (``|a|`` summed a
+    row block at a time) and sparse storage agree; a balanced operator is read unformed.
     """
     a, n = _require_square(A)
     if p not in (1, 2, np.inf):
         raise ValueError(f"unsupported norm order {p!r}; expected 1, 2, or inf")
     axis = 1 if p == np.inf else 0
-    if isinstance(a, np.ndarray):  # |a| 64 rows at a time, never a dense copy
-        sums = [np.abs(a[i:i + 64]).sum(axis) for i in range(0, n, 64)]
+    if isinstance(a, np.ndarray):  # |a| a row block at a time, never a dense copy
+        sums = [np.abs(rows).sum(axis) for _, rows in _row_blocks(a)]
         sums = np.sum(sums, 0) if axis == 0 else np.concatenate(sums)
     else:  # CSR's abs copies only its data; a balanced operator's entries are nonnegative
         sums = a.sum(axis) if isinstance(a, _Scaled) else abs(a).sum(axis)

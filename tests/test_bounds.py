@@ -386,3 +386,12 @@ class TestMonteCarloShiftStats:
         model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.0)
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_shift_stats(ROW_THIRDS, 0, model, trials=1)
+
+    @pytest.mark.parametrize("trials", [2.5, 3.0, np.float64(10.0), True, "10", None], ids=repr)
+    def test_non_integer_trials(self, trials):
+        # a count of trials is a Python or numpy integer, checked before any draw
+        model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.0)
+        with pytest.raises(ValueError, match="^trials must be an integer of at least 2, got"):
+            monte_carlo_shift_stats(ROW_THIRDS, 0, model, trials=trials)
+        assert (monte_carlo_shift_stats(ROW_THIRDS, 0, model, trials=np.int64(10))
+                == monte_carlo_shift_stats(ROW_THIRDS, 0, model, trials=10))

@@ -58,6 +58,16 @@ class TestSensorFieldConfig:
         assert cfg.noise_sigma == 2.0
         assert cfg.shifts == 1
 
+    @pytest.mark.parametrize("field, bad", [
+        ("n_sensors", 2.5), ("n_sensors", 64.0), ("n_sensors", True), ("n_sensors", "64"),
+        ("shifts", 1.5), ("shifts", 1.0), ("shifts", "1"),
+    ])
+    def test_non_integer_counts_rejected(self, field, bad):
+        # rejected on construction, before a kernel is built or balanced
+        with pytest.raises(ValueError, match=f"^{field} must be .*integer"):
+            SensorFieldConfig(**{field: bad})
+        assert SensorFieldConfig(**{field: np.int64(3)}) == SensorFieldConfig(**{field: 3})
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n_sensors"):
             SensorFieldConfig(n_sensors=1)

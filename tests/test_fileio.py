@@ -340,7 +340,7 @@ class TestMatrixMarket:
         assert np.array_equal(w.toarray() if sp.issparse(w) else w, g.dense())
 
     def test_symmetric_dense_writer_makes_no_full_coordinate_list(self, tmp_path):
-        # the lower triangle is taken 256 rows at a time into CSR: beyond the
+        # the lower triangle is taken a row block at a time into CSR: beyond the
         # text, the writer holds about half of a full coo_array of the input
         import tracemalloc
 

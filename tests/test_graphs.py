@@ -1,4 +1,5 @@
 import itertools
+import re
 import threading
 import tracemalloc
 import warnings
@@ -20,18 +21,22 @@ from dsshift import (
     build_weight_matrix,
     diffuse,
     diffusion_convergence,
+    exact_shift_variance,
     incoming_neighborhood,
+    kantorovich_bound,
     local_bounds,
     matrix_norm,
     monte_carlo_shift_stats,
     sinkhorn_knopp,
     validate_weights,
+    variance_upper_bound,
     verify_doubly_stochastic,
     wss_check,
 )
 
 from dsshift import graphs
 from dsshift.demo import _sensor_geometry
+from dsshift.fileio import save_matrix_market
 from dsshift.graphs import DENSE_LIMIT, _is_symmetric, _product
 
 from conftest import random_geometry
@@ -212,15 +217,22 @@ class TestCanonicalCsr:
     @pytest.mark.parametrize("make", [
         lambda a: a, DSOperator, lambda a: sinkhorn_knopp(a).operator,
     ], ids=["raw", "DSOperator", "balanced"])
-    @pytest.mark.parametrize("m", [-1, 3])
+    @pytest.mark.parametrize("m", [-1, 3, 1.5, 1.0, np.float64(1.0), True, "1", None], ids=repr)
     def test_out_of_range_vertex(self, make, m):
+        # a vertex id is a Python or numpy integer in range: a float, even an
+        # integral one, or a bool is a ValueError naming it, not numpy's IndexError
         model = RandomSignalModel(mu=0.5, sigma=1.0, rho=0.3)
         for s in map(make, _stored_twice()):
-            calls = [lambda: local_bounds(s, m), lambda: incoming_neighborhood(s, m),
+            assert local_bounds(s, np.int64(1)) == local_bounds(s, 1)
+            calls = [lambda: local_bounds(s, m), lambda: kantorovich_bound(s, m),
+                     lambda: variance_upper_bound(s, m, 1.0, 0.3),
+                     lambda: exact_shift_variance(s, m, 1.0, 0.3),
+                     lambda: incoming_neighborhood(s, m),
                      lambda: monte_carlo_shift_stats(s, m, model, trials=10)]
             calls += [lambda: s.row(m)] if hasattr(s, "row") else []
             for call in calls:
-                with pytest.raises(ValueError, match=rf"^vertex id {m} out of range \[0, 3\)$"):
+                with pytest.raises(ValueError,
+                                   match=rf"^vertex id {re.escape(repr(m))} out of range \[0, 3\)$"):
                     call()
 
 
@@ -562,7 +574,7 @@ class TestValidateWeights:
         # Diagonal blocks on rows 0-299, 300-449 and 450-599, each with total
         # support, and entries above the last one: rows 450-599 take every
         # column from 450 on, so those entries lie on no positive diagonal.
-        # The first sits in the search's second 256-row block.
+        # The first, (397, 460), sits past the search's first row block.
         rng = np.random.default_rng(12)
         w = np.zeros((600, 600))
         for lo, hi in ((0, 300), (300, 450), (450, 600)):
@@ -591,7 +603,7 @@ class TestValidateWeights:
                                          _csr_with_stored_zeros],
                              ids=["dense", "fortran", "strided", "csr"])
     def test_min_positive_is_the_masked_minimum(self, storage):
-        # 600 rows: two full 256-row blocks and a partial one, which holds
+        # 600 rows: full row blocks and a partial last one, which holds
         # the smallest positive entry among negatives and zeros
         rng = np.random.default_rng(13)
         w = rng.uniform(-1.0, 1.0, (600, 600)) * (rng.random((600, 600)) < 0.3)
@@ -613,6 +625,60 @@ class TestValidateWeights:
         assert sp.issparse(g.weights) == (n == 1500)
         assert validate_weights(op) == validate_weights(g)
         assert op._stored._s is None  # S was not formed
+
+    def test_row_block_size_changes_no_reader(self, tmp_path, monkeypatch):
+        # every pass that walks a dense matrix in graphs._BLOCK rows reads
+        # alike at 1, 7 and all 200 rows; the asymmetric, negative, smallest
+        # positive and first off-diagonal entries sit in the last, partial
+        # block (rows 192-199 at the default 64, 196-199 at 7).  Its entries
+        # are multiples of 2**-20, so column sums are exact in any order.
+        rng = np.random.default_rng(21)
+        w = rng.integers(512, 1536, (200, 200)) / 1024 * (rng.random((200, 200)) < 0.1)
+        w = w + w.T + np.eye(200)
+        w[196:, :196] = w[:196, 196:] = 0.0
+        w[196:, 196:] = 1.0  # two diagonal blocks, each with total support
+        w[197, 10] = 1.0  # asymmetric, and on no positive diagonal
+        w[198, 199], w[196, 198] = -0.5, 2.0**-20
+        positive = rng.uniform(0.5, 1.5, (200, 200))
+        positive[197, 3] = 1e-6
+        op = sinkhorn_knopp(positive).operator  # kept unformed
+        symmetric = positive + positive.T
+
+        def read():
+            for name, a in (("w", w), ("symmetric", symmetric)):
+                save_matrix_market(tmp_path / f"{name}.mtx", a)
+            return (validate_weights(w), Graph(np.abs(w)).is_symmetric(),
+                    Graph(symmetric).is_symmetric(), matrix_norm(w, 1), matrix_norm(w, np.inf),
+                    verify_doubly_stochastic(op).min_entry,
+                    (tmp_path / "w.mtx").read_bytes(), (tmp_path / "symmetric.mtx").read_bytes())
+
+        expected = read()
+        assert expected[0].issues == (
+            "1 negative entries", "asymmetric weight matrix",
+            "unbalanceable: entry (197, 10) is on no positive diagonal")
+        assert expected[0].min_positive == 2.0**-20 and expected[1:3] == (False, True)
+        for block in (1, 7, 200):
+            monkeypatch.setattr(graphs, "_BLOCK", block)
+            assert read() == expected
+
+    def test_dense_checks_hold_no_mask_of_every_entry(self):
+        # validate_weights and Graph read a dense W in row blocks: beyond
+        # Graph's own copy they hold under W.nbytes / 16, where a mask of
+        # every entry is W.nbytes / 8.  (n = 2000: a 64-row float block of
+        # the masked minimum is W.nbytes / 31 here, but W.nbytes / 15.6 at
+        # n = 1000.)  Symmetric with a positive diagonal: no support search.
+        w = np.random.default_rng(9).random((2000, 2000))
+        w += w.T
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for call, kept in ((validate_weights, 0), (Graph, w.nbytes)):
+                tracemalloc.reset_peak()
+                call(w)
+                peaks[call.__name__] = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        assert max(peaks.values()) < w.nbytes / 16, peaks
 
 
 def _assert_total_support_verdict(support):
@@ -645,8 +711,8 @@ def test_total_support_matches_permutation_scan(n, data):
 @pytest.mark.parametrize("storage", [np.asarray, sp.csr_array], ids=["dense", "csr"])
 def test_symmetry_is_decided_alike_by_every_caller(storage):
     """Graph.is_symmetric, validate_weights and the balancer's choice between
-    W and its embedding agree, also for one asymmetric entry in the last
-    (partial) 256-row block of the dense comparison."""
+    W and its embedding agree, also for one asymmetric entry, (597, 530), which
+    the dense comparison reaches in a late row block."""
     rng = np.random.default_rng(5)
     n = 600
     mask = rng.random((n, n)) < 0.02
