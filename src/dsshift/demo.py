@@ -117,6 +117,9 @@ class SensorFieldConfig:
             raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
         if not np.issubdtype(type(self.shifts), np.integer) or self.shifts < 0:
             raise ValueError(f"shifts must be a nonnegative integer, got {self.shifts!r}")
+        for name in ("n_sensors", "shifts", "seed"):  # stored as the int that JSON can write
+            if isinstance(getattr(self, name), np.integer):
+                object.__setattr__(self, name, int(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -6,10 +6,10 @@ geometry CSV, and JSON for Birkhoff decompositions and reports.
 Matrix Market values are written in their shortest round-trip form and
 signal values at 17 significant digits, so every save/load round-trips bit
 for bit; the writers refuse NaN and infinite values, which the readers
-would reject.  numpy parses the matrices and CSV files; a per-line parse
-runs only to name the first bad line, so every parser raises
-FileFormatError with the offending line number, also for NaN and infinite
-values.
+would reject.  numpy parses the matrices and CSV files.  Only to name the
+first bad line, one line walker (``_lines``, which skips Matrix Market's ``%``
+comments) feeds the tokens of every format to one parser (``_parse``), so each
+reader raises FileFormatError with the line number, also for NaN and infinity.
 """
 
 from __future__ import annotations
@@ -51,26 +51,28 @@ def _fail(path, lineno: int, message: str):
 
 # float() and int() also read Python's digit separators ("1_0" is 10), which
 # the file formats do not have and numpy's parser rejects.
-def _parse_float(token: str, path, lineno: int, what: str) -> float:
+def _parse(token: str, kind, path, lineno: int, what: str):
+    """``token`` read by ``kind`` (float or int); one it rejects, or a non-finite
+    float, fails with the line number."""
     try:
-        value = float(token)
+        value = kind(token)
     except ValueError:
         value = None
     if value is None or "_" in token:
-        _fail(path, lineno, f"non-numeric {what} {token!r}")
-    if not math.isfinite(value):
+        _fail(path, lineno, f"non-{'numeric' if kind is float else 'integer'} {what} {token!r}")
+    if kind is float and not math.isfinite(value):
         _fail(path, lineno, f"non-finite {what} {token!r}")
     return value
 
 
-def _parse_int(token: str, path, lineno: int, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        value = None
-    if value is None or "_" in token:
-        _fail(path, lineno, f"non-integer {what} {token!r}")
-    return value
+def _lines(path, comment=None, start: int = 1):
+    """``(line number, stripped text)`` of each nonblank line from line ``start`` on,
+    skipping those that begin with ``comment`` (Matrix Market's ``%``; the CSVs have none)."""
+    with open(path, encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if lineno >= start and line and not (comment and line.startswith(comment)):
+                yield lineno, line
 
 
 def _lower_triangle(a):
@@ -105,26 +107,16 @@ def save_matrix_market(path, matrix) -> None:
         fh.write(text[buf.tell():])
 
 
-def _entry_lines(path, after: int):
-    """``(line number, text)`` of each entry line below line ``after``."""
-    with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if lineno > after and line and not line.startswith("%"):
-                yield lineno, line
-
-
 def _entry_error(path, after: int, size, symmetric: bool, reason: str):
     """Raise the error of the first bad entry below line ``after``, with its line
     number; Python per line, so called only once numpy's parse found a fault."""
     rows, cols, nnz = size
-    for count, (lineno, line) in enumerate(_entry_lines(path, after), start=1):
+    for count, (lineno, line) in enumerate(_lines(path, "%", after + 1), start=1):
         tokens = line.split()
         if len(tokens) != 3:
             _fail(path, lineno, f"entry must be 'row col value', got {line!r}")
-        i = _parse_int(tokens[0], path, lineno, "row index")
-        j = _parse_int(tokens[1], path, lineno, "column index")
-        _parse_float(tokens[2], path, lineno, "value")
+        i, j, _ = (_parse(t, kind, path, lineno, what) for t, kind, what in
+                   zip(tokens, (int, int, float), ("row index", "column index", "value")))
         if not (1 <= i <= rows and 1 <= j <= cols):
             _fail(path, lineno, f"index ({i}, {j}) outside {rows} x {cols}")
         if symmetric and i < j:
@@ -160,15 +152,14 @@ def load_matrix_market(path):
         _fail(path, 1, f"unsupported symmetry {symmetry!r}")
     symmetric = symmetry == "symmetric"
 
-    lineno, line = next(_entry_lines(path, 1), (1, ""))  # the size line
+    lineno, line = next(_lines(path, "%", 2), (1, ""))  # the size line
     if not line:
         raise FileFormatError(f"{path}:1: missing size line")
     tokens = line.split()
     if len(tokens) != 3:
         _fail(path, lineno, "size line must be 'rows cols nnz'")
-    rows = _parse_int(tokens[0], path, lineno, "row count")
-    cols = _parse_int(tokens[1], path, lineno, "column count")
-    nnz = _parse_int(tokens[2], path, lineno, "entry count")
+    rows, cols, nnz = (_parse(t, int, path, lineno, what) for t, what in
+                       zip(tokens, ("row count", "column count", "entry count")))
     if rows < 1 or cols < 1 or nnz < 0:
         _fail(path, lineno, f"invalid dimensions {rows} x {cols}, nnz {nnz}")
     if symmetric and rows != cols:
@@ -199,7 +190,7 @@ def load_matrix_market(path):
     first = np.unique(key, return_index=True)[1]
     if first.size < key.size:
         k = np.setdiff1d(np.arange(key.size), first)[0]
-        repeat = next(islice(_entry_lines(path, lineno), k, None))[0]
+        repeat = next(islice(_lines(path, "%", lineno + 1), k, None))[0]
         _fail(path, repeat, f"duplicate entry ({i[k]}, {j[k]})")
     if symmetric:
         off = i != j
@@ -209,29 +200,16 @@ def load_matrix_market(path):
     return _stored(sp.coo_array((v, ij), shape=(rows, cols)))
 
 
-def _csv_rows(path, header: list):
-    """``(line number, fields)`` of each nonblank row below the ``header`` row."""
-    with open(path, encoding="ascii") as fh:
-        first = fh.readline()
-        if not first:
-            raise FileFormatError(f"{path}:1: empty file")
-        if [t.strip() for t in first.strip().split(",")] != header:
-            _fail(path, 1, f"header must be {','.join(header)!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            if line := raw.strip():
-                tokens = [t.strip() for t in line.split(",")]
-                if len(tokens) != len(header):
-                    _fail(path, lineno, f"expected {len(header)} fields, got {len(tokens)}")
-                yield lineno, tokens
-
-
 def _csv_array(path, dtype, header=()):
     """numpy's parse of the comma-separated rows below the ``header`` line (if
-    given) as ``dtype`` records; None if numpy or the header rejects the text."""
+    given) as ``dtype`` records, None if numpy rejects the text.  An empty file
+    or another header fails on line 1."""
     with open(path, encoding="ascii") as fh:
         first, text = fh.readline() if header else "", fh.read()
+    if header and not first:
+        _fail(path, 1, "empty file")
     if header and [t.strip() for t in first.split(",")] != header:
-        return None
+        _fail(path, 1, f"header must be {','.join(header)!r}")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows
@@ -256,10 +234,8 @@ def load_signal_csv(path) -> np.ndarray:
     rows = _csv_array(path, [("v", "f8")])
     if rows is not None and rows.size and np.isfinite(rows["v"]).all():
         return rows["v"]
-    with open(path, encoding="ascii") as fh:  # name the first bad line
-        for lineno, raw in enumerate(fh, start=1):
-            if line := raw.strip():
-                _parse_float(line, path, lineno, "signal value")
+    for lineno, line in _lines(path):  # name the first bad line
+        _parse(line, float, path, lineno, "signal value")
     raise FileFormatError(f"{path}:1: empty signal file")  # numpy reads every line float() does
 
 
@@ -277,15 +253,18 @@ def load_geometry_csv(path) -> VertexGeometry:
         if np.array_equal(rows["id"], np.arange(rows.size)) and np.isfinite(rows["xyz"]).all():
             return VertexGeometry(*rows["xyz"].T)
     seen = {}  # vertex id -> line, read per line to name the first bad one
-    for lineno, tokens in _csv_rows(path, header):
-        vid = _parse_int(tokens[0], path, lineno, "vertex id")
+    for lineno, line in _lines(path, start=2):
+        tokens = [t.strip() for t in line.split(",")]
+        if len(tokens) != len(header):
+            _fail(path, lineno, f"expected {len(header)} fields, got {len(tokens)}")
+        vid = _parse(tokens[0], int, path, lineno, "vertex id")
         if vid < 0:
             _fail(path, lineno, f"negative vertex id {vid}")
         if vid in seen:
             _fail(path, lineno, f"duplicate vertex id {vid}")
         seen[vid] = lineno
         for token, what in zip(tokens[1:], ("latitude", "longitude", "altitude")):
-            _parse_float(token, path, lineno, what)
+            _parse(token, float, path, lineno, what)
     n = len(seen)
     if not n:
         _fail(path, 1, "no geometry rows below the header")

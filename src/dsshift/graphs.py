@@ -163,28 +163,35 @@ class _Scaled:
         w, r, c = self.w, self.r, self.c
         if self._s is None and sp.issparse(w):
             rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
-            self._s = sp.csr_array((r[rows] * w.data * c[w.indices], w.indices.copy(),
-                                    w.indptr.copy()), shape=w.shape)
+            self._s = _read_only(sp.csr_array((r[rows] * w.data * c[w.indices], w.indices.copy(),
+                                               w.indptr.copy()), shape=w.shape))
         elif self._s is None:
             self._s = r[:, None] * w
             self._s *= c
-            self._s.setflags(write=False)
+            _read_only(self._s)
         return self._s
 
 
+def _read_only(a):
+    """``a``, a dense or CSR matrix, with its storage made read-only (a CSR's
+    ``data``, ``indices`` and ``indptr``), for the checked matrices the package keeps."""
+    for part in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+        part.setflags(write=False)
+    return a
+
+
 def _checked(obj, what: str):
-    """A private copy of the square matrix ``obj``, checked finite and
-    nonnegative: a read-only ndarray, or a canonical CSR with no explicit
-    zeros.  The caller's later writes never reach the copy."""
+    """A private read-only copy of the square matrix ``obj``, checked finite
+    and nonnegative: an ndarray, or a canonical CSR with no explicit zeros.
+    The caller's later writes never reach the copy."""
     a, _ = _require_square(as_matrix(obj), what)
     if sp.issparse(a):
         a = a.copy()
         a.eliminate_zeros()
     else:
         a = np.array(a)
-        a.setflags(write=False)
     _require_finite_nonnegative(a, what)
-    return a
+    return _read_only(a)
 
 
 def _trusted(cls, **fields):
@@ -456,11 +463,10 @@ def build_weight_matrix(
             return np.count_nonzero(block)
 
         nnz = sum(_map_blocks(fill, range(0, n, _BLOCK)))
-        w.setflags(write=False)  # the Graph keeps this buffer
         w = w if _dense_storage((n, n), lambda: nnz) else sp.csr_array(w)  # counted above
     # exp of a nonpositive number: every weight is in [0, 1], nothing to check;
     # and symmetric, since (a - b)**2 == (b - a)**2 exactly in IEEE arithmetic
-    return _trusted(Graph, _weights=w, _symmetric=True)
+    return _trusted(Graph, _weights=_read_only(w), _symmetric=True)
 
 
 def incoming_neighborhood(graph, m: int) -> Neighborhood:

@@ -71,12 +71,13 @@ def apply_filter(S, coefficients, x) -> np.ndarray:
 
 
 def diffuse(S, x, k: int) -> np.ndarray:
-    """``k`` repeated shifts, ``y = S**k @ x`` (``k = 0`` returns a copy of x)."""
-    if k < 0 or int(k) != k:
+    """``k`` repeated shifts, ``y = S**k @ x`` (``k = 0`` returns a copy of x).
+    ``k`` must be a Python or numpy integer: a float or a bool is a ValueError."""
+    if not np.issubdtype(type(k), np.integer) or k < 0:
         raise ValueError(f"shift count must be a nonnegative integer, got {k}")
     a, v = _operator_and_signal(S, x)
     y = v.copy()
-    for _ in range(int(k)):
+    for _ in range(k):
         y = a @ y
     return y
 

@@ -68,6 +68,13 @@ class TestSensorFieldConfig:
             SensorFieldConfig(**{field: bad})
         assert SensorFieldConfig(**{field: np.int64(3)}) == SensorFieldConfig(**{field: 3})
 
+    def test_numpy_integers_write_the_same_json(self):
+        fields = dict(n_sensors=48, shifts=2, seed=5)
+        numpy_ints = SensorFieldConfig(**{k: np.int64(v) for k, v in fields.items()})
+        assert all(type(getattr(numpy_ints, k)) is int for k in fields)
+        assert (run_sensor_demo(numpy_ints).to_json()
+                == run_sensor_demo(SensorFieldConfig(**fields)).to_json())
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n_sensors"):
             SensorFieldConfig(n_sensors=1)

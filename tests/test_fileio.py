@@ -163,6 +163,20 @@ class TestMatrixMarket:
         a = load_matrix_market(path)
         assert a[0, 1] == 0.25
 
+    @pytest.mark.parametrize("last, message", [
+        ("2 2 3.0", None),
+        ("3 2 3.0", r"w\.mtx:6: index \(3, 2\) outside 2 x 2$"),
+        ("1 1 3.0", r"w\.mtx:6: duplicate entry \(1, 1\)$"),
+    ], ids=["valid", "bad-entry", "duplicate"])
+    def test_comment_inside_the_body_is_skipped(self, tmp_path, last, message):
+        path = tmp_path / "w.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"2 2 2\n1 1 1.0\n% between entries\n\n{last}\n")
+        if message is None:
+            assert np.array_equal(load_matrix_market(path), [[1.0, 0.0], [0.0, 3.0]])
+        else:
+            with pytest.raises(FileFormatError, match=message):
+                load_matrix_market(path)
 
     def test_duplicate_entry_names_line(self, tmp_path):
         path = tmp_path / "bad.mtx"
@@ -410,6 +424,12 @@ class TestSignalCSV:
         with pytest.raises(FileFormatError, match=r"x\.csv:3: non-finite"):
             load_signal_csv(path)
 
+    def test_percent_line_is_a_bad_line(self, tmp_path):
+        path = tmp_path / "x.csv"  # CSV has no comment lines
+        path.write_text("1.0\n% x\n2.0\n")
+        with pytest.raises(FileFormatError, match=r"x\.csv:2: non-numeric signal value '% x'$"):
+            load_signal_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("")
@@ -432,7 +452,7 @@ class TestSignalCSV:
         assert (tmp_path / "empty.csv").read_bytes() == b""
 
     def test_valid_file_is_not_parsed_per_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fileio, "_parse_float", None)  # the per-line parse would fail
+        monkeypatch.setattr(fileio, "_parse", None)  # the per-line parse would fail
         path = tmp_path / "x.csv"
         path.write_text("1.5\n\n   \n -2e-3 \r\n0.1\n")
         assert np.array_equal(load_signal_csv(path), [1.5, -2e-3, 0.1])
@@ -496,14 +516,25 @@ class TestGeometryCSV:
             load_geometry_csv(path)
 
     def test_valid_file_is_not_parsed_per_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fileio, "_parse_float", None)  # the per-line parse would fail
-        monkeypatch.setattr(fileio, "_parse_int", None)
+        monkeypatch.setattr(fileio, "_parse", None)  # the per-line parse would fail
         path = tmp_path / "geo.csv"
         path.write_text(" id , lat,lon,alt\n2,45.2,7.2,20.0\n\n  \n0, 45.0 ,7.0,0\r\n"
                         "1,45.1,7.1,1e1\n")
         geo = load_geometry_csv(path)
         assert geo.lat.tolist() == [45.0, 45.1, 45.2]
         assert geo.alt.tolist() == [0.0, 10.0, 20.0]
+
+    def test_percent_line_is_a_bad_line(self, tmp_path):
+        path = tmp_path / "geo.csv"  # CSV has no comment lines
+        path.write_text("id,lat,lon,alt\n0,45.0,7.0,0.0\n% x\n1,45.1,7.1,1.0\n")
+        with pytest.raises(FileFormatError, match=r"geo\.csv:3: expected 4 fields, got 1$"):
+            load_geometry_csv(path)
+
+    def test_empty_file_names_line_1(self, tmp_path):
+        path = tmp_path / "geo.csv"
+        path.write_text("")
+        with pytest.raises(FileFormatError, match=r"geo\.csv:1: empty file$"):
+            load_geometry_csv(path)
 
     @pytest.mark.parametrize("text", ["id,lat,lon,alt", "id,lat,lon,alt\n", "id,lat,lon,alt\n\n"])
     def test_header_only_names_line_1(self, tmp_path, text):
@@ -546,8 +577,7 @@ def _rejected_by(parse):
 
 
 # Non-numeric and non-integer tokens are the ones float() and int() reject,
-# plus those with a digit separator, as in the loaders' own _parse_float and
-# _parse_int.
+# plus those with a digit separator, as in the loaders' own _parse.
 _tokens = st.text(alphabet="0123456789.eE+-_xnaifINF", min_size=1, max_size=6)
 _non_numeric = _tokens.filter(_rejected_by(float))
 _non_integer = _tokens.filter(_rejected_by(int))

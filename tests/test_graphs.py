@@ -36,7 +36,7 @@ from dsshift import (
 
 from dsshift import graphs
 from dsshift.demo import _sensor_geometry
-from dsshift.fileio import save_matrix_market
+from dsshift.fileio import load_matrix_market, save_matrix_market
 from dsshift.graphs import DENSE_LIMIT, _is_symmetric, _product
 
 from conftest import random_geometry
@@ -94,6 +94,20 @@ class TestGraph:
         g = Graph(np.ones((2, 2)))
         with pytest.raises(ValueError):
             g.weights[0, 0] = 2.0
+
+    def test_kept_csr_storage_is_read_only(self, tmp_path):
+        kernel = build_weight_matrix(random_geometry(600, 0), scale=800.0, threshold=1e-3)
+        kept = {"Graph": Graph(sp.csr_array(kernel.weights)).weights, "kernel": kernel.weights,
+                "operator": sinkhorn_knopp(kernel).operator.matrix}
+        for where, a in kept.items():
+            assert isinstance(a, sp.csr_array), where
+            for part in (a.data, a.indices, a.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    part[0] = part[0]
+        save_matrix_market(tmp_path / "w.mtx", kernel)
+        loaded = load_matrix_market(tmp_path / "w.mtx")  # the caller's to change
+        loaded.data[0] = 2.0
+        assert loaded[0, loaded.indices[0]] == 2.0
 
     def test_callers_array_is_copied(self):
         w = np.ones((2, 2))

@@ -1,8 +1,12 @@
+import ast
 import dataclasses
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import dsshift
 from dsshift.cli import build_parser
@@ -77,3 +81,14 @@ def test_validating_a_self_looped_kernel_skips_the_exact_test():
                 # a balanced operator is read on its W, with W's kept symmetry
                 "assert dsshift.validate_weights(dsshift.sinkhorn_knopp(g).operator).balanceable")
     assert "scipy.sparse.csgraph" not in _loaded_after(validate).split()
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # requires-python is 3.10: its grammar, checked under any newer interpreter
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = sorted(p for d in ("src", "tests", "demos") for p in (root / d).rglob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError, match="3.11"):  # the guard does reject newer grammar
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

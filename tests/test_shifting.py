@@ -104,6 +104,12 @@ class TestDiffuse:
         with pytest.raises(ValueError, match="nonnegative"):
             diffuse(UNIFORM2, [1.0, 2.0], -1)
 
+    @pytest.mark.parametrize("k", [2.0, 1.5, True, False, "2", None, np.float64(1.0)], ids=repr)
+    def test_non_integer_steps_rejected(self, k):
+        with pytest.raises(ValueError, match="^shift count must be a nonnegative integer, got "):
+            diffuse(UNIFORM2, [1.0, 2.0], k)
+        assert diffuse(UNIFORM2, [0.0, 2.0], np.int64(2)).tolist() == [1.0, 1.0]
+
 
 class TestMatrixNorm:
     def test_doubly_stochastic_norms_are_unity(self):
