@@ -148,7 +148,9 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
         raise ValueError(f"tol must be positive, got {tol}")
 
     graph = weights if isinstance(weights, Graph) else Graph(weights)
-    w, symmetric = graph.weights, graph.is_symmetric()  # checked, private
+    # checked, private; a built kernel's upper triangle, which dsymv reads, until
+    # graph.weights mirrors it for the rare paths below
+    w, symmetric = graph._weights, graph.is_symmetric()
     n = w.shape[0]
     supported = False  # W passed the exact total-support test, which then never runs again
 
@@ -157,7 +159,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
 
     def require_total_support():
         nonlocal supported
-        if not supported and (issue := _total_support_issue(w, symmetric)):
+        if not supported and (issue := _total_support_issue(graph.weights, symmetric)):
             raise UnbalanceableError(issue)
         supported = True
 
@@ -217,7 +219,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
         # Without total support x tends to 0 and infinity: test W when x spreads wide.
         if not supported and x.max() * _SQRT_EPS > x.min():
             if spread_limit is None:
-                spread_limit = w.max() / _min_positive(w) / _SQRT_EPS
+                spread_limit = graph.weights.max() / _min_positive(graph.weights) / _SQRT_EPS
             if x.max() > x.min() * spread_limit:
                 require_total_support()
         v = x * matvec(x)
@@ -225,6 +227,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
     r, c = x[:n], x[-n:]
     # Positive scalings of checked weights: no second pass of DSOperator's checks;
     # copies, since the result's scalings are the caller's to change.
-    operator = _trusted(DSOperator, _stored=_Scaled(w, r.copy(), c.copy(), symmetric),
+    stored = _Scaled(w, r.copy(), c.copy(), symmetric, graph._mirror)  # the Graph's one mirror
+    operator = _trusted(DSOperator, _stored=stored,
                         tolerance_achieved=residual, iterations_used=iteration)
     return BalanceResult(operator, r, c, matvecs=matvecs, residual_history=np.array(history))

@@ -186,12 +186,14 @@ def load_matrix_market(path):
         raise FileFormatError(f"{path}: expected {nnz} entries, found {i.size}")
 
     # A coordinate build would sum duplicates; report the first repeat instead.
+    # Keys in strictly increasing (row-major) order, as dsshift writes them, repeat none.
     key = i * cols + j
-    first = np.unique(key, return_index=True)[1]
-    if first.size < key.size:
-        k = np.setdiff1d(np.arange(key.size), first)[0]
-        repeat = next(islice(_lines(path, "%", lineno + 1), k, None))[0]
-        _fail(path, repeat, f"duplicate entry ({i[k]}, {j[k]})")
+    if not (key[1:] > key[:-1]).all():
+        first = np.unique(key, return_index=True)[1]
+        if first.size < key.size:
+            k = np.setdiff1d(np.arange(key.size), first)[0]
+            repeat = next(islice(_lines(path, "%", lineno + 1), k, None))[0]
+            _fail(path, repeat, f"duplicate entry ({i[k]}, {j[k]})")
     if symmetric:
         off = i != j
         i, j, v = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[v, v[off]]

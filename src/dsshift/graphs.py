@@ -9,7 +9,9 @@ zero; stored weights are strictly positive.
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -37,11 +39,42 @@ DENSE_LIMIT = 512
 # Rows in every pass over a matrix by rows (_row_blocks), the kernel fill too: 2.5 MB at N = 5000.
 _BLOCK = 64
 
-# Threads for block work (the dense kernel's rows, the Monte Carlo's trials): one
-# per CPU this process may use, at most 16; the CPU counts ignore cgroup quotas.
-_WORKERS = min(16, (os.process_cpu_count() if hasattr(os, "process_cpu_count")  # 3.13+
-                    else len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count()) or 1)
+
+def _cgroup_text(name: str):
+    """The stripped text of ``/sys/fs/cgroup/<name>``, or None if unreadable."""
+    try:
+        with open(os.path.join("/sys/fs/cgroup", name), encoding="ascii") as fh:
+            return fh.read().strip()
+    except (OSError, ValueError):
+        return None
+
+
+def _quota_cpus():
+    """The CPUs a cgroup CPU quota allows, ``ceil(quota / period)``, or None for
+    no quota: cgroup v2 ``cpu.max`` ("max" is none), else v1 ``cpu.cfs_quota_us``
+    over ``cpu.cfs_period_us`` (-1 is none), as mounted at ``/sys/fs/cgroup``."""
+    if (text := _cgroup_text("cpu.max")) is not None:
+        quota, _, period = text.partition(" ")
+    else:
+        quota, period = _cgroup_text("cpu/cpu.cfs_quota_us"), _cgroup_text("cpu/cpu.cfs_period_us")
+    try:
+        quota, period = int(quota), int(period)
+    except (TypeError, ValueError):  # "max", or nothing to read
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
+def _worker_count() -> int:
+    """One thread per CPU this process may use (its affinity mask, and its cgroup's
+    CPU quota if any), at most 16."""
+    cpus = (os.process_cpu_count() if hasattr(os, "process_cpu_count")  # 3.13+
+            else len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()) or 1
+    return min(16, cpus, _quota_cpus() or cpus)
+
+
+# Threads for block work (the dense kernel's tiles, the Monte Carlo's trials).
+_WORKERS = _worker_count()
 
 
 def _map_blocks(task, blocks) -> list:
@@ -130,24 +163,60 @@ def _product(w, x, symmetric: bool):
     return dsymv(1.0, w.T, x, lower=1)
 
 
+class _Mirror:
+    """The lower half of a dense kernel built as its upper triangle (see
+    :func:`build_weight_matrix`), copied from the upper one in place, a 64 x 64
+    tile at a time, by the first call; later calls return at once.  One owner,
+    shared by the kernel's Graph and every operator made from it; threads that
+    call first at once wait for the one copy."""
+
+    def __init__(self, w):
+        self._w, self._lock = w, threading.Lock()  # w: a writable view, dropped once copied
+
+    def __call__(self) -> None:
+        with self._lock:
+            if self._w is not None:
+                self._fill()
+                self._w = None
+
+    def _fill(self) -> None:
+        w = self._w
+        for lo in range(_BLOCK, w.shape[0], _BLOCK):
+            for c in range(0, lo, _BLOCK):
+                w[lo:lo + _BLOCK, c:c + _BLOCK] = w[c:c + _BLOCK, lo:lo + _BLOCK].T
+
+
 class _Scaled:
     """``S = diag(r) W diag(c)`` over ``W``, a Graph's checked storage, kept
     unformed: a product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``;
-    scipy takes it as a ``LinearOperator``.  :meth:`formed` builds ``S`` and keeps it."""
+    scipy takes it as a ``LinearOperator``.  :meth:`formed` builds ``S`` and keeps it.
+    A vector product reads a built kernel's upper triangle as it is; any other
+    read of ``w`` runs the Graph's ``mirror`` first."""
 
-    def __init__(self, w, r, c, symmetric: bool):
-        self.w, self.r, self.c, self.shape, self.dtype, self._s = w, r, c, w.shape, w.dtype, None
-        self.symmetric = symmetric  # W's, so products may read one triangle
+    def __init__(self, w, r, c, symmetric: bool, mirror=None):
+        self._w, self.r, self.c, self.shape, self.dtype, self._s = w, r, c, w.shape, w.dtype, None
+        self.symmetric, self._mirror = symmetric, mirror  # W's, so products may read one triangle
+
+    @property
+    def w(self):
+        if self._mirror is not None:
+            self._mirror()
+        return self._w
+
+    def __getstate__(self):  # a pickle or a copy holds both halves, and no mirror
+        return {**self.__dict__, "_w": self.w, "_mirror": None}
 
     def __matmul__(self, x):
         col = (slice(None),) + (None,) * (np.ndim(x) - 1)  # scale the rows of a 2-D x
-        return self.r[col] * _product(self.w, self.c[col] * x, self.symmetric)
+        w = self._w if np.ndim(x) == 1 else self.w  # only dsymv reads one triangle
+        return self.r[col] * _product(w, self.c[col] * x, self.symmetric)
 
     matvec = __matmul__
 
     def rmatvec(self, x):
         """``S.T @ x``; a symmetric ``W`` serves as ``W.T``, which ``dsymv`` would copy."""
-        return _Scaled(self.w if self.symmetric else self.w.T, self.c, self.r, self.symmetric) @ x
+        w = self._w if self.symmetric else self._w.T
+        return _Scaled(w, self.c, self.r, self.symmetric, self._mirror) @ x
 
     def sum(self, axis: int) -> np.ndarray:
         """Row (``axis=1``) or column (``axis=0``) sums, ``r * (W @ c)`` or ``c * (W.T @ r)``."""
@@ -263,6 +332,7 @@ class Graph:
     """
 
     _symmetric = None  # set by is_symmetric(), or by build_weight_matrix
+    _mirror = None  # a dense built kernel's _Mirror: _weights holds its upper triangle until run
 
     def __init__(self, weights):
         self._weights = _checked(weights, "weights")
@@ -270,7 +340,12 @@ class Graph:
     @property
     def weights(self):
         """Weight matrix (dense ndarray or ``csr_array``, never modified)."""
+        if self._mirror is not None:
+            self._mirror()
         return self._weights
+
+    def __getstate__(self):  # a pickle or a copy holds both halves, and no mirror
+        return {**self.__dict__, "_weights": self.weights, "_mirror": None}
 
     @property
     def n_vertices(self) -> int:
@@ -278,14 +353,14 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return int(sum(np.count_nonzero(v) for v in _value_blocks(self._weights)))
+        return int(sum(np.count_nonzero(v) for v in _value_blocks(self.weights)))
 
     def dense(self) -> np.ndarray:
-        return _dense(self._weights)
+        return _dense(self.weights)
 
     def is_symmetric(self) -> bool:
         if self._symmetric is None:
-            self._symmetric = _is_symmetric(self._weights)
+            self._symmetric = _is_symmetric(self.weights)
         return self._symmetric
 
     def __repr__(self):
@@ -410,12 +485,17 @@ def build_weight_matrix(
     otherwise.  A pruned kernel whose pairs within the threshold's distance
     fill under a quarter (bounded from every 16th site, counted only when the
     bounds straddle it) is built from a k-d tree's neighbour pairs and never
-    forms an N x N array; any other is evaluated in its N x N buffer in
-    64-row blocks (distances, then weights, while the rows are in cache) on
-    up to 16 threads, one per usable CPU, under the caller's ``np.errstate``.
-    Each block writes only its own rows, so the entries are the same for
-    any thread count.  Both paths apply the same float operations to the
-    same distances.  The graph is marked symmetric without a check.
+    forms an N x N array.  Any other is evaluated as the upper triangle of
+    its N x N buffer, an anonymous memory map advised against huge pages, so
+    the lower half takes no memory until a reader other than a vector product
+    asks for the weights (then it is mirrored in place, once).  Rows
+    ``[i, i + 64)`` evaluate columns ``[i, N)`` in tiles (distances, then
+    weights, while the tile is in cache; the tiles in flight hold at most
+    1/64 of the kernel) on up to 16 threads, one per usable CPU, under the
+    caller's ``np.errstate``.  Each tile writes only its own entries, so the
+    entries are the same for any thread count.  Both paths apply the same
+    float operations to the same distances.  The graph is marked symmetric
+    without a check.
 
     Raises ValueError for fewer than 2 vertices, a nonpositive or
     non-finite scale, or a negative or NaN threshold.  Distinct vertices at
@@ -441,7 +521,7 @@ def build_weight_matrix(
             stacklevel=2,
         )
 
-    sparse = False
+    sparse, mirror = False, None
     if threshold > 0:
         # Farther pairs weigh less than threshold; the relative 1e-9 widening
         # leaves ties to the ``>= threshold`` test of _kernel.
@@ -455,18 +535,33 @@ def build_weight_matrix(
     else:
         from scipy.spatial.distance import cdist
 
-        w = np.empty((n, n))
-        def fill(i: int) -> int:  # the block's passes run while its rows are in cache
-            block = cdist(points[i:i + _BLOCK], points, out=w[i:i + _BLOCK])
-            _kernel(block, scale, threshold)
-            np.fill_diagonal(block[:, i:], 1.0 if self_loops else 0.0)
-            return np.count_nonzero(block)
+        buf = mmap.mmap(-1, 8 * n * n)  # untouched pages take no memory
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):  # advice for this mapping only, not the process
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+        w = np.frombuffer(buf).reshape(n, n)
+        # tiles of _BLOCK x width: those of all threads hold at most 1/64 of the kernel
+        width = min(256, max(16, n * n // (64 * _BLOCK * _WORKERS)))
+
+        def fill(i: int) -> int:  # columns [i, n) of rows [i, hi): the upper triangle's rows
+            hi, count = min(i + _BLOCK, n), 0
+            for j in range(i, n, width):
+                tile = cdist(points[i:hi], points[j:j + width])
+                _kernel(tile, scale, threshold)
+                np.fill_diagonal(tile[j - i:], 1.0 if self_loops else 0.0)
+                w[i:hi, j:j + width] = tile
+                # an entry right of the diagonal block [i, hi)^2 stands for two
+                count += 2 * np.count_nonzero(tile) - np.count_nonzero(tile[:, :max(hi - j, 0)])
+            return count
 
         nnz = sum(_map_blocks(fill, range(0, n, _BLOCK)))
-        w = w if _dense_storage((n, n), lambda: nnz) else sp.csr_array(w)  # counted above
+        if _dense_storage((n, n), lambda: nnz):  # counted above
+            mirror, w = _Mirror(w), w.view()  # the view is made read-only, the mirror's is not
+        else:
+            _Mirror(w)()
+            w = sp.csr_array(w)
     # exp of a nonpositive number: every weight is in [0, 1], nothing to check;
     # and symmetric, since (a - b)**2 == (b - a)**2 exactly in IEEE arithmetic
-    return _trusted(Graph, _weights=_read_only(w), _symmetric=True)
+    return _trusted(Graph, _weights=_read_only(w), _symmetric=True, _mirror=mirror)
 
 
 def incoming_neighborhood(graph, m: int) -> Neighborhood:

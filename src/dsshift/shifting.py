@@ -73,8 +73,9 @@ def apply_filter(S, coefficients, x) -> np.ndarray:
 def diffuse(S, x, k: int) -> np.ndarray:
     """``k`` repeated shifts, ``y = S**k @ x`` (``k = 0`` returns a copy of x).
     ``k`` must be a Python or numpy integer: a float or a bool is a ValueError."""
-    if not np.issubdtype(type(k), np.integer) or k < 0:
-        raise ValueError(f"shift count must be a nonnegative integer, got {k}")
+    if not (integer := np.issubdtype(type(k), np.integer)) or k < 0:
+        got = k if integer else repr(k)  # "2" reads '2', not a count
+        raise ValueError(f"shift count must be a nonnegative integer, got {got}")
     a, v = _operator_and_signal(S, x)
     y = v.copy()
     for _ in range(k):

@@ -93,6 +93,19 @@ class TestRunSensorDemo:
         assert report.gain_db == 0.0
         assert np.array_equal(report.denoised, report.true_field)
 
+    def test_demo_reads_its_kernel_as_one_triangle(self, monkeypatch):
+        # balancing and the shifts read the built kernel through dsymv alone:
+        # its lower half is never mirrored
+        from dsshift import graphs
+
+        made, fills = [], []
+        init, fill = graphs._Mirror.__init__, graphs._Mirror._fill
+        monkeypatch.setattr(graphs._Mirror, "__init__", lambda m, w: made.append(m) or init(m, w))
+        monkeypatch.setattr(graphs._Mirror, "_fill", lambda m: fills.append(m) or fill(m))
+        report = run_sensor_demo(SensorFieldConfig(n_sensors=2000, seed=1))
+        assert report.gain_db > 0
+        assert len(made) == 1 and not fills
+
     def test_gain_is_exactly_output_minus_input(self):
         report = run_sensor_demo(SensorFieldConfig(seed=2))
         assert report.gain_db == report.output_snr_db - report.input_snr_db

@@ -187,6 +187,31 @@ class TestMatrixMarket:
         with pytest.raises(FileFormatError, match=r"bad\.mtx:5: duplicate entry \(1, 2\)"):
             load_matrix_market(path)
 
+    def test_adjacent_duplicate_in_row_major_order_names_line(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 3\n1 1 0.5\n1 2 1.0\n1 2 0.75\n"
+        )
+        with pytest.raises(FileFormatError, match=r"bad\.mtx:5: duplicate entry \(1, 2\)$"):
+            load_matrix_market(path)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_written_file_is_not_scanned_for_duplicates(self, tmp_path, monkeypatch, storage):
+        # dsshift writes entries in row-major order: strictly increasing keys repeat none
+        from dsshift import build_weight_matrix
+
+        g = build_weight_matrix(random_geometry(600, 0), scale=800.0 if storage == "csr" else 4000.0,
+                                threshold=1e-3)
+        assert sp.issparse(g.weights) == (storage == "csr")
+        paths = [tmp_path / "sym.mtx", tmp_path / "general.mtx"]
+        save_matrix_market(paths[0], g)
+        save_matrix_market(paths[1], sp.csr_array(np.triu(g.dense())))
+        monkeypatch.setattr(np, "unique", lambda *a, **k: pytest.fail("np.unique was called"))
+        loaded = [sp.csr_array(load_matrix_market(p)).toarray() for p in paths]
+        assert np.array_equal(loaded[0], g.dense())
+        assert np.array_equal(loaded[1], np.triu(g.dense()))
+
     def test_symmetric_duplicate_names_line(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_text(

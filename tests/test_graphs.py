@@ -1,8 +1,13 @@
 import itertools
+import os
+import pickle
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from dsshift import (
     UnbalanceableError,
     VertexGeometry,
     apply_filter,
+    apply_shift,
     as_matrix,
     birkhoff_decompose,
     build_weight_matrix,
@@ -296,7 +302,8 @@ class TestBuildWeightMatrix:
         finally:
             tracemalloc.stop()
         assert not sp.issparse(g.weights)
-        assert peak < 1.6 * 8 * n * n  # a copy of the N x N buffer would make it 2x
+        # the buffer is a memory map, which tracemalloc does not see: a copy would make it 1x
+        assert peak < 0.6 * 8 * n * n
 
     def test_self_loop_flag(self):
         geo = geometry_at_altitudes([0.0, 1.0])
@@ -374,8 +381,9 @@ class TestBuildWeightMatrix:
         assert peak < 4 * n * n  # half of one dense float64 buffer
 
     def test_dense_kernel_is_pruned_without_a_mask_of_its_size(self):
-        # the threshold mask is taken 16 KB of a 64-row block at a time: an
-        # N x N bool mask would add an eighth of the kernel's bytes to the peak
+        # the threshold mask is taken 16 KB of a tile at a time: an N x N bool
+        # mask would add an eighth of the kernel's bytes to the peak; the
+        # kernel's own buffer is a memory map, which tracemalloc does not see
         geo = random_geometry(1500, 3)
         build_weight_matrix(random_geometry(600, 3), scale=2000.0, threshold=1e-4)
         tracemalloc.start()
@@ -385,7 +393,7 @@ class TestBuildWeightMatrix:
         finally:
             tracemalloc.stop()
         assert isinstance(g.weights, np.ndarray)
-        assert peak < 1.0625 * g.weights.nbytes
+        assert peak < 0.0625 * g.weights.nbytes
         assert np.array_equal(g.weights, reference_kernel(geo, 2000.0, 1e-4, False))
 
     def test_dense_kernel_on_16_workers_is_pruned_without_a_mask_of_its_size(self, monkeypatch):
@@ -405,6 +413,145 @@ class TestBuildWeightMatrix:
         before = threading.active_count()
         build_weight_matrix(random_geometry(650, 4), scale=2000.0)
         assert threading.active_count() == before
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+    def test_dense_kernel_takes_half_its_bytes_until_read(self):
+        # the lower half of the map is never touched while the upper triangle is
+        # built.  The peak RSS is VmHWM: a child's ru_maxrss starts at its parent's
+        code = ("import numpy as np\n"
+                "from dsshift import build_weight_matrix\n"
+                "from dsshift.demo import _sensor_geometry\n"
+                "def peak_kib():\n"
+                "    with open('/proc/self/status') as fh:\n"
+                "        return int(fh.read().split('VmHWM:')[1].split()[0])\n"
+                "def kernel(n):\n"
+                "    geo = _sensor_geometry(n, np.random.default_rng(1))\n"
+                "    return build_weight_matrix(geo, 1800.0, 1e-4, self_loops=True)\n"
+                "kernel(600)\n"  # imports and warms everything first
+                "before = peak_kib()\n"
+                "g = kernel(3000)\n"
+                "print(type(g._weights).__name__, (peak_kib() - before) * 1024 / g._weights.nbytes)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphs.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=300).stdout.split()
+        assert out[0] == "ndarray"
+        assert float(out[1]) < 0.75  # 0.96 with the whole N x N buffer written
+
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_products_read_the_triangle_and_other_reads_mirror_it(self, monkeypatch,
+                                                                  self_loops):
+        fills = []
+        fill = graphs._Mirror._fill
+        monkeypatch.setattr(graphs._Mirror, "_fill", lambda m: fills.append(m) or fill(m))
+        geo = random_geometry(650, 4)
+        g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=self_loops)
+        x = np.random.default_rng(5).uniform(0.5, 1.5, 650)
+        result = sinkhorn_knopp(g, tol=1e-10)
+        shifted = apply_shift(result.operator, x)
+        assert not fills
+        ref = reference_kernel(geo, 2000.0, 1e-4, self_loops)
+        block = np.arange(650) // 64
+        below = block[:, None] > block  # below the 64 x 64 diagonal blocks: not yet filled
+        assert not g._weights[below].any() and ref[below].any()
+        full = sinkhorn_knopp(Graph(ref), tol=1e-10)  # a full copy: the same triangle read
+        assert np.array_equal(result.row_scaling, full.row_scaling)
+        assert np.array_equal(shifted, apply_shift(full.operator, x))
+        assert np.array_equal(result.operator.row(3), full.operator.row(3))  # a row mirrors
+        assert len(fills) == 1
+        assert np.array_equal(g.weights, ref) and g.n_edges == np.count_nonzero(ref)
+        assert len(fills) == 1  # once per kernel, shared by the Graph and its operators
+
+    @pytest.mark.parametrize("read", ["weights", "n_edges", "dense", "operator rows",
+                                      "operator matrix", "2-D product", "validate"])
+    def test_each_reader_of_both_halves_mirrors(self, read):
+        geo = random_geometry(650, 4)
+        g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=True)
+        op = sinkhorn_knopp(g, tol=1e-10).operator
+        ref = reference_kernel(geo, 2000.0, 1e-4, True)
+        scaled = ref * op._stored.r[:, None] * op._stored.c
+        got, want = {"weights": (lambda: g.weights, ref),
+                     "n_edges": (lambda: g.n_edges, np.count_nonzero(ref)),
+                     "dense": (lambda: g.dense(), ref),
+                     "operator rows": (lambda: [op.row(m) for m in range(650)], scaled),
+                     "operator matrix": (lambda: op.matrix, scaled),
+                     "2-D product": (lambda: op._stored @ np.eye(650), scaled),
+                     "validate": (lambda: validate_weights(op).n_edges, np.count_nonzero(ref)),
+                     }[read]
+        assert g._mirror._w is not None  # balancing read the triangle alone
+        np.testing.assert_allclose(got(), want, rtol=1e-15, atol=0)
+        assert g._mirror._w is None  # mirrored
+
+    def test_pickles_and_copies_hold_the_whole_kernel(self):
+        geo = random_geometry(650, 4)
+        ref = reference_kernel(geo, 2000.0, 1e-4, True)
+        for copy in (lambda a: pickle.loads(pickle.dumps(a)), deepcopy):
+            g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=True)
+            op = sinkhorn_knopp(g, tol=1e-10).operator
+            op2, g2 = copy(op), copy(g)  # the operator's copy mirrors the shared kernel
+            assert g2._mirror is None and op2._stored._mirror is None
+            assert np.array_equal(g2.weights, ref)
+            np.testing.assert_allclose(op2.dense(), op.dense(), rtol=0, atol=0)
+
+    def test_threads_that_read_first_at_once_get_the_whole_kernel(self, monkeypatch):
+        fills = []
+        fill = graphs._Mirror._fill
+        monkeypatch.setattr(graphs._Mirror, "_fill", lambda m: fills.append(m) or fill(m))
+        geo = random_geometry(1300, 4)
+        ref = reference_kernel(geo, 2000.0, 1e-4, True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, inside the copy too
+        try:
+            for _ in range(3):
+                g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=True)
+                op = sinkhorn_knopp(g, tol=1e-10).operator
+                start, got = threading.Barrier(8, timeout=60), [None] * 8
+
+                def read(k):
+                    start.wait()
+                    got[k] = g.weights.copy() if k % 2 else op.row(k)
+
+                threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                for k in range(1, 8, 2):
+                    assert np.array_equal(got[k], ref)
+                for k in range(0, 8, 2):
+                    np.testing.assert_allclose(got[k], op.matrix[k], rtol=1e-15)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(fills) == 3  # one copy per kernel
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("files, cpus", [
+        ({"cpu.max": "200000 100000"}, 2),
+        ({"cpu.max": "150000 100000"}, 2),  # rounded up
+        ({"cpu.max": "50000 100000"}, 1),
+        ({"cpu.max": "max 100000"}, None),
+        ({"cpu/cpu.cfs_quota_us": "300000", "cpu/cpu.cfs_period_us": "100000"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "-1", "cpu/cpu.cfs_period_us": "100000"}, None),
+        ({"cpu/cpu.cfs_quota_us": "250000"}, None),  # no period to divide by
+        ({}, None),
+    ], ids=["v2", "v2-fraction", "v2-under-one", "v2-max", "v1", "v1-none", "v1-partial",
+            "none"])
+    def test_quota_is_read_from_cgroup_files(self, monkeypatch, files, cpus):
+        monkeypatch.setattr(graphs, "_cgroup_text", files.get)
+        assert graphs._quota_cpus() == cpus
+
+    def test_reader_gives_none_for_a_missing_file(self):
+        assert graphs._cgroup_text("no-such-controller/cpu.max") is None
+
+    @pytest.mark.parametrize("quota", [None, 1, 2, 64])
+    def test_worker_count_takes_the_smallest_limit(self, monkeypatch, quota):
+        monkeypatch.setattr(graphs, "_quota_cpus", lambda: quota)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        assert graphs._worker_count() == min(4, quota or 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert graphs._worker_count() == min(16, quota or 16)
 
 
 class TestStorageRule:

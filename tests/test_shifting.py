@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -103,6 +105,15 @@ class TestDiffuse:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             diffuse(UNIFORM2, [1.0, 2.0], -1)
+
+    @pytest.mark.parametrize("k, shown", [("2", "'2'"), (2.0, "2.0"), (None, "None"),
+                                          (True, "True"), (-1, "-1"), (np.int64(-1), "-1")],
+                             ids=repr)
+    def test_error_shows_the_count_passed(self, k, shown):
+        # a count that is not an integer is shown by repr: "2" must not read as 2
+        with pytest.raises(ValueError, match=f"^shift count must be a nonnegative integer, "
+                                             f"got {re.escape(shown)}$"):
+            diffuse(UNIFORM2, [1.0, 2.0], k)
 
     @pytest.mark.parametrize("k", [2.0, 1.5, True, False, "2", None, np.float64(1.0)], ids=repr)
     def test_non_integer_steps_rejected(self, k):
