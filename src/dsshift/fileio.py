@@ -83,11 +83,30 @@ def _lower_triangle(a):
     return sp.vstack([sp.csr_array(np.tril(rows, lo)) for lo, rows in _row_blocks(a)], format="csr")
 
 
+class _Uncommented:
+    """A binary file's ``write`` that drops the second line: the ``%`` line
+    mmwrite writes even for an empty comment.  Everything else goes through."""
+
+    def __init__(self, fh):
+        self._fh, self._newlines = fh, 0
+
+    def write(self, chunk) -> int:
+        size = len(chunk)
+        while self._newlines < 2 and chunk:  # the banner is kept, the comment dropped
+            line, newline, chunk = bytes(chunk).partition(b"\n")
+            if self._newlines == 0:
+                self._fh.write(line + newline)
+            self._newlines += len(newline)
+        self._fh.write(chunk)
+        return size
+
+
 def save_matrix_market(path, matrix) -> None:
     """Write a matrix in Matrix Market coordinate real format: two header lines,
     then one ``row col value`` line per entry in row-major order.  A square
     matrix equal to its transpose (a Graph's cached verdict) is ``symmetric``,
     its entries on and below the diagonal written; any other is ``general``.
+    The text goes to the file as mmwrite makes it, never whole in memory.
     Raises ValueError for a NaN or infinite entry, before the file is opened."""
     # Imported here: scipy.io is not needed by ``import dsshift``.
     from scipy.io import mmwrite
@@ -97,14 +116,11 @@ def save_matrix_market(path, matrix) -> None:
         raise ValueError("matrix entries must be finite")
     symmetric = 0 < a.shape[0] == a.shape[1] and (
         matrix.is_symmetric() if isinstance(matrix, Graph) else _is_symmetric(a))
-    buf = io.BytesIO()  # passed inline: mmwrite frees a triangle once masked, before the text
-    mmwrite(buf, sp.coo_array(_lower_triangle(a) if symmetric else a), field="real",
-            symmetry="symmetric" if symmetric else "general")
-    buf.seek(0)
-    banner, _comment = buf.readline(), buf.readline()  # drop mmwrite's '%' line
-    with buf.getbuffer() as text, open(path, "wb") as fh:  # no copy of the whole text
-        fh.write(banner)
-        fh.write(text[buf.tell():])
+    # mmwrite writes 1 KiB at a time: the 1 MiB buffer saves a system call for each 8 of them.
+    # The triangle is passed inline: mmwrite frees it once masked.
+    with open(path, "wb", buffering=1 << 20) as fh:
+        mmwrite(_Uncommented(fh), sp.coo_array(_lower_triangle(a) if symmetric else a),
+                field="real", symmetry="symmetric" if symmetric else "general")
 
 
 def _entry_error(path, after: int, size, symmetric: bool, reason: str):
@@ -126,16 +142,35 @@ def _entry_error(path, after: int, size, symmetric: bool, reason: str):
     raise FileFormatError(f"{path}: {reason}")
 
 
-def load_matrix_market(path):
-    """Read a Matrix Market coordinate (real) matrix.
+def _csr(i, j, v, shape, symmetric: bool):
+    """The CSR of 1-based entries ``(i, j, v)`` in row-major order, each position
+    once.  A symmetric file's lower triangle is merged with its mirror in each
+    row: the row's own entries first (columns up to the diagonal), then the
+    mirrored ones (columns past it), both placed by one boolean mask."""
+    rows = shape[0]
+    own = np.bincount(i, minlength=rows + 1)[1:]
+    mirror = np.flatnonzero(i != j) if symmetric else np.empty(0, np.intp)  # entries mirrored
+    # by column, then row (keys unique): row-major once mirrored
+    mirror = mirror[np.argsort(np.multiply(j[mirror], rows + 1, dtype=np.int64) + i[mirror])]
+    mirrored = np.bincount(j[mirror], minlength=rows + 1)[1:]
+    size = v.size + mirror.size
+    # the index dtype scipy picks for the size (a built kernel's int32), not the parse's
+    index = np.int32 if max(*shape, size) < 2**31 else np.int64
+    indptr = np.zeros(rows + 1, index)
+    np.cumsum(own + mirrored, out=indptr[1:])
+    data, indices = np.empty(size), np.empty(size, index)
+    placed = np.repeat(np.tile([True, False], rows), np.column_stack((own, mirrored)).ravel())
+    data[placed], indices[placed] = v, j
+    np.logical_not(placed, out=placed)
+    data[placed] = v[mirror]  # one gathered copy at a time
+    indices[placed] = i[mirror]
+    indices -= 1
+    return sp.csr_array((data, indices, indptr), shape=shape)
 
-    Supports the ``general`` and (square only) ``symmetric`` storage
-    qualifiers; symmetric files are expanded to full storage.  numpy parses the
-    entries into coordinate arrays (never a dense N x N), returned dense when
-    N <= 512 or at least a quarter are nonzero, ``csr_array`` otherwise.
-    Duplicates are rejected, and so is a size line with a dimension above
-    ``max(DENSE_LIMIT, 2 * nnz)``, which the entries could not fill.
-    """
+
+def _symmetric_file(path) -> bool:
+    """Whether the Matrix Market banner on line 1 of ``path`` declares the
+    ``symmetric`` qualifier; FileFormatError for a banner the loader rejects."""
     with open(path, encoding="ascii") as fh:
         banner = fh.readline()
     if not banner:
@@ -150,8 +185,21 @@ def load_matrix_market(path):
         _fail(path, 1, f"unsupported type {obj}/{fmt}/{field}")
     if symmetry not in ("general", "symmetric"):
         _fail(path, 1, f"unsupported symmetry {symmetry!r}")
-    symmetric = symmetry == "symmetric"
+    return symmetry == "symmetric"
 
+
+def load_matrix_market(path):
+    """Read a Matrix Market coordinate (real) matrix.
+
+    Supports the ``general`` and (square only) ``symmetric`` storage
+    qualifiers; symmetric files are expanded to full storage.  numpy parses the
+    entries, which fill CSR arrays directly (never a dense N x N or a
+    coordinate list), returned dense when N <= 512 or at least a quarter are
+    nonzero, ``csr_array`` otherwise.  Entries out of row-major order are
+    sorted first; duplicates are rejected, and so is a size line with a
+    dimension above ``max(DENSE_LIMIT, 2 * nnz)``, which the entries could not fill.
+    """
+    symmetric = _symmetric_file(path)
     lineno, line = next(_lines(path, "%", 2), (1, ""))  # the size line
     if not line:
         raise FileFormatError(f"{path}:1: missing size line")
@@ -169,8 +217,10 @@ def load_matrix_market(path):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty body
-            # Integer columns reject "1.5" and "1e0" as indices, as int() does.
-            body = np.loadtxt(path, dtype="i8,i8,f8", comments="%", skiprows=lineno,
+            # Integer columns reject "1.5" and "1e0" as indices, as int() does; int32
+            # when the dimensions fit, which a larger index fails as out of range.
+            index = "i4" if max(rows, cols) < 2**31 else "i8"
+            body = np.loadtxt(path, dtype=f"{index},{index},f8", comments="%", skiprows=lineno,
                               ndmin=1, encoding="ascii")
     except ValueError as exc:  # a token or a line numpy cannot parse
         _entry_error(path, lineno, (rows, cols, nnz), symmetric, str(exc))
@@ -185,21 +235,22 @@ def load_matrix_market(path):
     if i.size < nnz:
         raise FileFormatError(f"{path}: expected {nnz} entries, found {i.size}")
 
-    # A coordinate build would sum duplicates; report the first repeat instead.
-    # Keys in strictly increasing (row-major) order, as dsshift writes them, repeat none.
-    key = i * cols + j
+    # Row-major order is CSR order.  Keys out of it are sorted first, and a repeat,
+    # which a CSR would store twice, is named at its line.  Keys strictly
+    # increasing, as dsshift writes them, repeat none.
+    key = np.multiply(i, cols, dtype=np.int64)
+    key += j
     if not (key[1:] > key[:-1]).all():
-        first = np.unique(key, return_index=True)[1]
-        if first.size < key.size:
-            k = np.setdiff1d(np.arange(key.size), first)[0]
+        order = np.argsort(key, kind="stable")  # a key's entries in file order
+        key = key[order]
+        if (repeats := order[1:][key[1:] == key[:-1]]).size:
+            k = repeats.min()
             repeat = next(islice(_lines(path, "%", lineno + 1), k, None))[0]
             _fail(path, repeat, f"duplicate entry ({i[k]}, {j[k]})")
-    if symmetric:
-        off = i != j
-        i, j, v = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[v, v[off]]
-    # the index dtype scipy picks for the size (a built kernel's int32), not the parse's int64
-    ij = (np.stack((i, j)) - 1).astype(np.int32 if max(rows, cols, v.size) < 2**31 else np.int64)
-    return _stored(sp.coo_array((v, ij), shape=(rows, cols)))
+        body = body[order]
+        i, j, v = body["f0"], body["f1"], body["f2"]
+    del key  # 8 B an entry, freed before the CSR arrays are made
+    return _stored(_csr(i, j, v, (rows, cols), symmetric))
 
 
 def _csv_array(path, dtype, header=()):

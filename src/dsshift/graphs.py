@@ -8,6 +8,7 @@ zero; stored weights are strictly positive.
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import os
@@ -38,6 +39,9 @@ DENSE_LIMIT = 512
 
 # Rows in every pass over a matrix by rows (_row_blocks), the kernel fill too: 2.5 MB at N = 5000.
 _BLOCK = 64
+
+# The fewest site pairs a block of the CSR kernel build queries (the query lists 24 B a pair).
+_MIN_BLOCK_PAIRS = 1 << 16
 
 
 def _cgroup_text(name: str):
@@ -231,9 +235,11 @@ class _Scaled:
         """``S`` as a read-only ndarray or a ``csr_array``, built in O(nnz) on the first call."""
         w, r, c = self.w, self.r, self.c
         if self._s is None and sp.issparse(w):
-            rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
-            self._s = _read_only(sp.csr_array((r[rows] * w.data * c[w.indices], w.indices.copy(),
-                                               w.indptr.copy()), shape=w.shape))
+            data = np.repeat(r, np.diff(w.indptr))  # (r_i w_ij) c_j in place: one temporary
+            data *= w.data
+            data *= c[w.indices]
+            self._s = _read_only(sp.csr_array((data, w.indices.copy(), w.indptr.copy()),
+                                              shape=w.shape))
         elif self._s is None:
             self._s = r[:, None] * w
             self._s *= c
@@ -295,10 +301,18 @@ def _stored(w):
 
 
 def _is_symmetric(a) -> bool:
-    """Whether a square dense or CSR matrix equals its transpose exactly; dense row blocks
-    are compared from the diagonal on with those of ``a.T`` (views): no N x N temporary."""
+    """Whether a square dense or CSR matrix equals its transpose exactly.  CSR,
+    summed and without explicit zeros, is compared array by array with one
+    transposed copy; dense row blocks from the diagonal on with those of
+    ``a.T`` (views): no N x N temporary."""
     if sp.issparse(a):
-        return (a != a.T).nnz == 0
+        a = as_matrix(a)  # canonical: each position once, columns sorted
+        if not a.data.all():  # an explicit zero equals an absent mirror
+            a = a.copy()
+            a.eliminate_zeros()
+        t = a.T.tocsr()  # the transpose's rows, columns sorted
+        return all(np.array_equal(getattr(a, k), getattr(t, k))
+                   for k in ("indptr", "indices", "data"))
     return all(np.array_equal(rows[:, lo:], cols[:, lo:])
                for (lo, rows), (_, cols) in zip(_row_blocks(a), _row_blocks(a.T)))
 
@@ -451,22 +465,67 @@ def _kernel(d, scale: float, threshold: float) -> None:
 
 
 def _pair_count(tree, points, cutoff: float):
-    """The site pairs within ``cutoff``, self pairs included, or a bound on that
-    count which the storage rule reads alike.  Each site lies within ``delta``
-    of its nearest among every 16th site, so counts around those, weighted by
-    the sites nearest each, bound it at ``cutoff -+ delta`` (triangle
-    inequality); the exact count runs only when the bounds straddle the rule."""
+    """The site pairs within ``cutoff``, self pairs included, or a lower bound
+    on that count when the bound already puts the kernel on the storage rule's
+    dense side.  Each site lies within ``delta`` of its nearest among every 16th
+    site, so counts around those, weighted by the sites nearest each, bound it
+    below at ``cutoff - delta`` (triangle inequality); the exact count, which
+    the CSR build allocates by, runs only when that bound does not decide."""
     from scipy.spatial import cKDTree  # not needed by ``import dsshift``
 
     n, sub = len(points), cKDTree(points[::16])
     gap, nearest = sub.query(points)
     low_r = cutoff * (1 - 1e-9) - gap.max() * (1 + 1e-9)  # 1e-9 margins for rounding
-    low, high = sub.count_neighbors(tree, [max(low_r, 0.0), (cutoff + gap.max()) * (1 + 1e-9)],
-                                    weights=(np.bincount(nearest, minlength=sub.n), None))
-    low *= low_r >= 0  # cKDTree would square a negative radius
-    if _dense_storage((n, n), lambda: low) == _dense_storage((n, n), lambda: high):
-        return high
+    if low_r >= 0:  # cKDTree would square a negative radius
+        low = sub.count_neighbors(tree, low_r,
+                                  weights=(np.bincount(nearest, minlength=sub.n), None))
+        if _dense_storage((n, n), lambda: low):
+            return low
     return tree.count_neighbors(tree, cutoff)
+
+
+def _csr_kernel(tree, points, cutoff: float, count: int, scale: float, threshold: float,
+                self_loops: bool):
+    """The pruned kernel as a canonical CSR, written into arrays of ``count``
+    entries (the pairs within ``cutoff``, a bound on the kept ones) and cut to
+    the kept ones in place.  Blocks of sites, each of about count / (16 *
+    threads) pairs, one per thread at a time (one thread for a kernel under
+    16 blocks of ``_MIN_BLOCK_PAIRS``), are queried against the tree; a
+    block's pairs are sorted row-major and weighed, its diagonal set, its zeros
+    dropped and its rows written in order.  Entries and index dtype are those
+    of one ``sparse_distance_matrix`` of the whole tree: a pair's distance is
+    the same from either end, as ``(a - b)**2 == (b - a)**2`` exactly."""
+    from scipy.spatial import cKDTree  # not needed by ``import dsshift``
+
+    n = len(points)
+    index = np.int32 if max(n, count) < 2**31 else np.int64  # scipy's choice for the size
+    # Blocks of count / (16 * threads) pairs, at least _MIN_BLOCK_PAIRS: a kernel
+    # of fewer than 16 such blocks per thread takes fewer threads, each of which
+    # would keep its own heap.
+    workers = max(min(_WORKERS, count // (16 * _MIN_BLOCK_PAIRS)), 1)
+    step = max(n * max(count // (16 * workers), _MIN_BLOCK_PAIRS) // count, 1)  # sites
+
+    def rows(lo: int):  # the kept entries of rows [lo, lo + step) and their count per row
+        pairs = cKDTree(points[lo:lo + step]).sparse_distance_matrix(tree, cutoff,
+                                                                      output_type="ndarray")
+        order = (pairs["i"] * n + pairs["j"]).argsort()  # row-major; each pair is listed once
+        d, i, j = (pairs[f][order] for f in "vij")
+        del pairs, order
+        _kernel(d, scale, threshold)
+        d[i + lo == j] = 1.0 if self_loops else 0.0  # the diagonal's distance-0 pairs
+        kept = d != 0
+        return d[kept], j[kept].astype(index), np.bincount(i[kept], minlength=min(step, n - lo))
+
+    data, indices, indptr, nnz = np.empty(count), np.empty(count, index), np.zeros(n + 1, index), 0
+    blocks = range(0, n, step)
+    for k in range(0, len(blocks), workers):  # one block per thread in flight
+        for lo, (d, j, counts) in zip(blocks[k:], _map_blocks(rows, blocks[k:k + workers])):
+            data[nnz:nnz + d.size], indices[nnz:nnz + d.size], nnz = d, j, nnz + d.size
+            indptr[lo + 1:lo + 1 + counts.size] = counts
+    np.cumsum(indptr, out=indptr)
+    for a in (data, indices):  # in place (realloc): no view of them is left
+        a.resize(nnz, refcheck=False)
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
 
 
 def build_weight_matrix(
@@ -483,9 +542,11 @@ def build_weight_matrix(
     and 0 otherwise.  Storage follows the package's rule: dense when
     N <= 512 or at least a quarter of the entries are nonzero, CSR
     otherwise.  A pruned kernel whose pairs within the threshold's distance
-    fill under a quarter (bounded from every 16th site, counted only when the
-    bounds straddle it) is built from a k-d tree's neighbour pairs and never
-    forms an N x N array.  Any other is evaluated as the upper triangle of
+    fill under a quarter (counted, unless a bound from every 16th site shows
+    a quarter) is built from a k-d tree's neighbour pairs, a block of sites at
+    a time on up to 16 threads (fewer for a small kernel), into CSR arrays of
+    the counted size: it never forms an N x N array, and the blocks in flight
+    hold about 1/16 of the pairs.  Any other is evaluated as the upper triangle of
     its N x N buffer, an anonymous memory map advised against huge pages, so
     the lower half takes no memory until a reader other than a vector product
     asks for the weights (then it is mirrored in place, once).  Rows
@@ -526,12 +587,10 @@ def build_weight_matrix(
         # Farther pairs weigh less than threshold; the relative 1e-9 widening
         # leaves ties to the ``>= threshold`` test of _kernel.
         cutoff = scale * math.sqrt(max(0.0, -math.log(threshold))) * (1 + 1e-9)
-        sparse = not _dense_storage((n, n), lambda: _pair_count(tree, points, cutoff))
+        pairs = functools.cache(lambda: int(_pair_count(tree, points, cutoff)))
+        sparse = not _dense_storage((n, n), pairs)
     if sparse:
-        w = tree.sparse_distance_matrix(tree, cutoff, output_type="coo_matrix")
-        _kernel(w.data, scale, threshold)  # the diagonal's distance-0 pairs are stored
-        w.data[w.row == w.col] = 1.0 if self_loops else 0.0
-        w = _stored(w)
+        w = _csr_kernel(tree, points, cutoff, pairs(), scale, threshold, self_loops)
     else:
         from scipy.spatial.distance import cdist
 

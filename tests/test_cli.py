@@ -137,6 +137,26 @@ class TestBalanceCommand:
         assert sidecars[0] == sidecars[1]
 
 
+    def test_symmetric_file_is_balanced_without_a_symmetry_check(self, tmp_path, monkeypatch):
+        # the loader mirrors a symmetric file, so its W is exactly symmetric;
+        # a general file's W is checked once, and both give the same S.mtx
+        from scipy.io import mmwrite
+
+        from dsshift import graphs
+
+        g = demo_kernel(*np.random.default_rng(2).uniform(0.0, 1.0, (2, 1000)), scale=600.0)
+        w_sym, w_gen = tmp_path / "W.mtx", tmp_path / "W_general.mtx"
+        save_matrix_market(w_sym, g)
+        mmwrite(w_gen, sp.coo_array(g.weights), field="real", symmetry="general")
+        checks = []
+        check = graphs._is_symmetric
+        monkeypatch.setattr(graphs, "_is_symmetric", lambda a: checks.append(a) or check(a))
+        for name, w, calls in (("S.mtx", w_sym, 0), ("S_general.mtx", w_gen, 1)):
+            assert run(["balance", "--input", w, "--output", tmp_path / name]) == 0
+            assert len(checks) == calls
+        assert (tmp_path / "S.mtx").read_bytes() == (tmp_path / "S_general.mtx").read_bytes()
+
+
 class TestShiftCommand:
     def test_shift_writes_signal_and_norms(self, tmp_path, operator_file, capsys):
         x = tmp_path / "x.csv"

@@ -53,7 +53,7 @@ class TestMatrixMarket:
         assert a.nnz == 3  # the caller's matrix keeps its storage
 
     def test_writer_holds_one_copy_of_the_text(self, tmp_path):
-        # mmwrite's text goes to the file from its buffer: copying the whole
+        # mmwrite's text goes through the file's buffer: copying the whole
         # text (and splitting off its comment line) would more than double the peak
         import tracemalloc
 
@@ -72,6 +72,32 @@ class TestMatrixMarket:
         assert path.read_bytes() == text
         assert text.startswith(b"%%MatrixMarket matrix coordinate real general\n20000 20000 ")
         assert peak < 1.6 * len(text)
+
+    def test_writer_holds_no_copy_of_the_text(self, tmp_path):
+        # the text goes to the file as mmwrite makes it, 1 KiB at a time
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        a = sp.diags_array([rng.random(20000 - abs(k)) for k in range(-2, 3)],
+                           offsets=range(-2, 3), format="csr")
+        path = tmp_path / "a.mtx"
+        save_matrix_market(path, a)  # imports scipy.io before tracing starts
+        text = path.read_bytes()
+        tracemalloc.start()
+        try:
+            save_matrix_market(path, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == text
+        assert peak < 0.5 * len(text)  # 1.2 with the whole text in memory
+
+    @pytest.mark.parametrize("name", ["a.txt", "a", "a.mtx.gz"])
+    def test_writer_writes_the_path_it_is_given(self, tmp_path, name):
+        save_matrix_market(tmp_path / name, np.array([[0.0, 2.0], [1.0, 0.0]]))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+        assert (tmp_path / name).read_text().splitlines() == [
+            "%%MatrixMarket matrix coordinate real general", "2 2 2", "1 2 2", "2 1 1"]
 
     def test_symmetric_file_expanded(self, tmp_path):
         path = tmp_path / "s.mtx"
@@ -293,6 +319,48 @@ class TestMatrixMarket:
         w = load_matrix_market(tmp_path / "w.mtx")
         assert isinstance(w, np.ndarray if dense else sp.csr_array)
         assert np.array_equal(w if dense else w.toarray(), g.dense())
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+    def test_loader_peaks_below_three_times_its_result(self, tmp_path, symmetric):
+        # numpy's parse fills the CSR arrays directly: the coordinate arrays,
+        # the mirror stacked onto them and a COO sort peaked at 5x the result
+        import tracemalloc
+
+        from dsshift import build_weight_matrix, sinkhorn_knopp
+
+        g = build_weight_matrix(random_geometry(3000, 9), scale=300.0, threshold=1e-3,
+                                self_loops=True)
+        path = tmp_path / "w.mtx"
+        # the formed S of a symmetric kernel misses its mirror by an ulp: general
+        save_matrix_market(path, g if symmetric else sinkhorn_knopp(g).operator.matrix)
+        kind = "symmetric" if symmetric else "general"
+        assert path.read_text().startswith(f"%%MatrixMarket matrix coordinate real {kind}\n")
+        load_matrix_market(path)  # imports and warms everything first
+        tracemalloc.start()
+        try:
+            w = load_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(w, sp.csr_array) and w.nnz == g.weights.nnz
+        assert peak < 3 * (w.data.nbytes + w.indices.nbytes + w.indptr.nbytes)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+    def test_unsorted_file_loads_as_its_sorted_twin(self, tmp_path, symmetric):
+        # entries out of row-major order are sorted first, then take the one route
+        from dsshift import build_weight_matrix
+
+        g = build_weight_matrix(random_geometry(600, 0), scale=800.0, threshold=1e-3)
+        path, shuffled = tmp_path / "w.mtx", tmp_path / "shuffled.mtx"
+        save_matrix_market(path, g if symmetric else sp.csr_array(np.triu(g.dense())))
+        header, size, *entries = path.read_text().splitlines()
+        entries = np.random.default_rng(1).permutation(entries).tolist()
+        shuffled.write_text("\n".join([header, size, *entries]) + "\n")
+        want, got = load_matrix_market(path), load_matrix_market(shuffled)
+        assert isinstance(got, sp.csr_array) and got.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_reloaded_csr_kernel_keeps_its_index_dtype(self, tmp_path):
         from dsshift import build_weight_matrix

@@ -380,6 +380,56 @@ class TestBuildWeightMatrix:
         assert g.n_edges < 0.03 * n * n
         assert peak < 4 * n * n  # half of one dense float64 buffer
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_csr_kernel_is_the_same_in_blocks_of_any_size(self, monkeypatch, workers, self_loops):
+        # blocks of about n / (16 * workers) sites: 43 or 14, of which 700 is no
+        # multiple; sites 350 and 699 coincide with 0 and 1, in other blocks
+        geo = random_geometry(700, 7)
+        for a in (geo.lat, geo.lon, geo.alt):
+            a[[350, 699]] = a[[0, 1]]
+        blocks = []  # the blocks of each round
+        map_blocks = graphs._map_blocks
+        monkeypatch.setattr(graphs, "_map_blocks",
+                            lambda task, b: blocks.append(len(b)) or map_blocks(task, b))
+        with pytest.warns(UserWarning, match="^2 vertex pair"):
+            whole = build_weight_matrix(geo, scale=300.0, threshold=1e-3, self_loops=self_loops)
+        assert blocks == [1]
+        monkeypatch.setattr(graphs, "_MIN_BLOCK_PAIRS", 1)
+        monkeypatch.setattr(graphs, "_WORKERS", workers)
+        with pytest.warns(UserWarning, match="^2 vertex pair"):
+            g = build_weight_matrix(geo, scale=300.0, threshold=1e-3, self_loops=self_loops)
+        assert sum(blocks) > 16 * workers and max(blocks) == workers
+        assert isinstance(g.weights, sp.csr_array) and g.weights.has_canonical_format
+        assert np.array_equal(g.dense(), reference_kernel(geo, 300.0, 1e-3, self_loops))
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(g.weights, name), getattr(whole.weights, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+    def test_csr_kernel_peaks_near_its_own_bytes(self):
+        # blocks of sites are written into arrays of the counted pairs: one
+        # k-d tree query of every pair (24 B each) peaked at 4.2x the CSR's bytes
+        code = ("import numpy as np\n"
+                "from dsshift import build_weight_matrix\n"
+                "from dsshift.demo import _sensor_geometry\n"
+                "def peak_kib():\n"
+                "    with open('/proc/self/status') as fh:\n"
+                "        return int(fh.read().split('VmHWM:')[1].split()[0])\n"
+                "def kernel(n, scale):\n"
+                "    geo = _sensor_geometry(n, np.random.default_rng(1))\n"
+                "    return build_weight_matrix(geo, scale, 1e-4, self_loops=True)\n"
+                "kernel(1000, 800.0)\n"  # imports and warms everything first
+                "before = peak_kib()\n"
+                "w = kernel(10000, 200.0)._weights\n"
+                "print(type(w).__name__, (peak_kib() - before) * 1024\n"
+                "      / (w.data.nbytes + w.indices.nbytes + w.indptr.nbytes))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphs.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=300).stdout.split()
+        assert out[0] == "csr_array"
+        assert float(out[1]) < 2.5  # 1.3 in blocks
+
     def test_dense_kernel_is_pruned_without_a_mask_of_its_size(self):
         # the threshold mask is taken 16 KB of a tile at a time: an N x N bool
         # mask would add an eighth of the kernel's bytes to the peak; the
@@ -889,6 +939,48 @@ def test_symmetry_is_decided_alike_by_every_caller(storage):
         # A symmetric W is balanced through one scaling vector, so r and c alias.
         result = sinkhorn_knopp(stored)
         assert np.shares_memory(result.row_scaling, result.col_scaling) is symmetric
+
+
+def _csr(entries, n=3):
+    """A CSR of ``(row, column, value)`` entries in the given order, as stored."""
+    rows, cols, values = zip(*entries)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(np.array(rows)[order], np.arange(n + 1))
+    return sp.csr_array((np.array(values)[order], np.array(cols)[order], indptr), shape=(n, n))
+
+
+@pytest.mark.parametrize("entries, symmetric", [
+    ([(0, 1, 0.0), (2, 2, 1.0)], True),  # an explicit zero mirrors an absent entry
+    ([(0, 1, 0.0), (1, 0, 2.0)], False),
+    ([(0, 1, 1.5), (0, 1, 0.5), (1, 0, 2.0)], True),  # summed duplicates
+    ([(0, 1, 1.5), (0, 1, 0.5), (1, 0, 1.5)], False),
+    ([(0, 2, 1.0), (0, 1, 3.0), (1, 0, 3.0), (2, 0, 1.0)], True),  # unsorted columns
+    ([(0, 1, 1 / 3), (1, 0, np.nextafter(1 / 3, 1.0))], False),  # one ulp off
+])
+def test_csr_symmetry_reads_the_summed_matrix(entries, symmetric):
+    a = _csr(entries)
+    assert _is_symmetric(a) is symmetric
+    assert _is_symmetric(a.toarray()) is symmetric
+    assert Graph(a).is_symmetric() is symmetric
+
+
+@pytest.mark.parametrize("nudge", [False, True])
+def test_csr_symmetry_holds_one_transposed_copy(nudge):
+    # compared array by array with one transposed copy: a != a.T held about
+    # twice the CSR's bytes besides its input
+    w = build_weight_matrix(random_geometry(3000, 9), scale=300.0, threshold=1e-3,
+                            self_loops=True).weights.copy()
+    off = np.flatnonzero(w.indices != np.repeat(np.arange(3000), np.diff(w.indptr)))
+    w.data[off[0]] *= 1 + nudge
+    _is_symmetric(w)
+    tracemalloc.start()
+    try:
+        verdict = _is_symmetric(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is not nudge
+    assert peak < 1.25 * (w.data.nbytes + w.indices.nbytes + w.indptr.nbytes)
 
 
 @given(n=st.sampled_from([1, 2, 65, DENSE_LIMIT, DENSE_LIMIT + 37]),

@@ -86,9 +86,9 @@ def test_validating_a_self_looped_kernel_skips_the_exact_test():
 def test_every_source_file_parses_as_python_3_10():
     # requires-python is 3.10: its grammar, checked under any newer interpreter
     root = pathlib.Path(__file__).resolve().parents[1]
-    dirs = ("src", "tests", "demos", "benchmarks")
+    dirs = ("src", "tests", "demos", "benchmarks", "tools")
     files = sorted(p for d in dirs for p in (root / d).rglob("*.py"))
-    assert {p.name for p in files} >= {"run.py", "tracing.py", "workloads.py"}
+    assert {p.name for p in files} >= {"run.py", "tracing.py", "workloads.py", "scale_probe.py"}
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
     with pytest.raises(SyntaxError, match="3.11"):  # the guard does reject newer grammar
