@@ -28,7 +28,7 @@ from .bounds import (
 from .demo import SensorFieldConfig, run_sensor_demo
 from .fileio import (
     FileFormatError,
-    _symmetric_file,
+    _load_graph,
     load_matrix_market,
     load_signal_csv,
     save_birkhoff_json,
@@ -36,7 +36,6 @@ from .fileio import (
     save_matrix_market,
     save_signal_csv,
 )
-from .graphs import Graph
 from .shifting import apply_filter, diffuse
 
 __all__ = ["main", "entrypoint"]
@@ -69,10 +68,7 @@ def _emit_signal(values, args, record: dict) -> None:
 
 
 def _cmd_balance(args) -> int:
-    graph = Graph(load_matrix_market(args.input))  # one copy
-    if _symmetric_file(args.input):  # mirrored by the loader: no check needed
-        graph._symmetric = True
-    op = sinkhorn_knopp(graph, tol=args.tol).operator
+    op = sinkhorn_knopp(_load_graph(args.input), tol=args.tol).operator
     save_matrix_market(args.output, op.matrix)
     sidecar = {"residual": op.tolerance_achieved, "iterations": op.iterations_used}
     save_json(args.output + ".json", sidecar)

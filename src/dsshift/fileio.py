@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import re
 import warnings
 from itertools import islice
@@ -106,8 +107,9 @@ def save_matrix_market(path, matrix) -> None:
     then one ``row col value`` line per entry in row-major order.  A square
     matrix equal to its transpose (a Graph's cached verdict) is ``symmetric``,
     its entries on and below the diagonal written; any other is ``general``.
-    The text goes to the file as mmwrite makes it, never whole in memory.
-    Raises ValueError for a NaN or infinite entry, before the file is opened."""
+    The text goes to the file as mmwrite makes it, never whole in memory, and
+    replaces an existing file only once written whole.  Raises ValueError for
+    a NaN or infinite entry, before any file is opened."""
     # Imported here: scipy.io is not needed by ``import dsshift``.
     from scipy.io import mmwrite
 
@@ -117,10 +119,17 @@ def save_matrix_market(path, matrix) -> None:
     symmetric = 0 < a.shape[0] == a.shape[1] and (
         matrix.is_symmetric() if isinstance(matrix, Graph) else _is_symmetric(a))
     # mmwrite writes 1 KiB at a time: the 1 MiB buffer saves a system call for each 8 of them.
-    # The triangle is passed inline: mmwrite frees it once masked.
-    with open(path, "wb", buffering=1 << 20) as fh:
-        mmwrite(_Uncommented(fh), sp.coo_array(_lower_triangle(a) if symmetric else a),
-                field="real", symmetry="symmetric" if symmetric else "general")
+    # The triangle is passed inline: mmwrite frees it once masked.  The text goes to a
+    # sibling file that replaces ``path`` only once whole: a failed write leaves the old file.
+    part = os.fspath(path) + ".part"
+    try:
+        with open(part, "wb", buffering=1 << 20) as fh:
+            mmwrite(_Uncommented(fh), sp.coo_array(_lower_triangle(a) if symmetric else a),
+                    field="real", symmetry="symmetric" if symmetric else "general")
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
 
 def _entry_error(path, after: int, size, symmetric: bool, reason: str):
@@ -251,6 +260,15 @@ def load_matrix_market(path):
         i, j, v = body["f0"], body["f1"], body["f2"]
     del key  # 8 B an entry, freed before the CSR arrays are made
     return _stored(_csr(i, j, v, (rows, cols), symmetric))
+
+
+def _load_graph(path) -> Graph:
+    """The Graph of a Matrix Market file.  A ``symmetric`` file is mirrored on
+    load, so its weights equal their transpose exactly: the Graph's verdict is
+    set from the banner, not by comparing the weights with a transposed copy."""
+    graph = Graph(load_matrix_market(path))  # one copy
+    graph._symmetric = _symmetric_file(path) or None  # a general file is checked on request
+    return graph
 
 
 def _csv_array(path, dtype, header=()):

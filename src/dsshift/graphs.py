@@ -345,7 +345,7 @@ class Graph:
     so whether it is symmetric is decided once, on first request, and kept.
     """
 
-    _symmetric = None  # set by is_symmetric(), or by build_weight_matrix
+    _symmetric = None  # set by is_symmetric(), build_weight_matrix or fileio._load_graph
     _mirror = None  # a dense built kernel's _Mirror: _weights holds its upper triangle until run
 
     def __init__(self, weights):
@@ -488,9 +488,8 @@ def _csr_kernel(tree, points, cutoff: float, count: int, scale: float, threshold
                 self_loops: bool):
     """The pruned kernel as a canonical CSR, written into arrays of ``count``
     entries (the pairs within ``cutoff``, a bound on the kept ones) and cut to
-    the kept ones in place.  Blocks of sites, each of about count / (16 *
-    threads) pairs, one per thread at a time (one thread for a kernel under
-    16 blocks of ``_MIN_BLOCK_PAIRS``), are queried against the tree; a
+    the kept ones in place.  Blocks of sites, each of about count / 16 pairs
+    (at least ``_MIN_BLOCK_PAIRS``), are queried against the tree in turn; a
     block's pairs are sorted row-major and weighed, its diagonal set, its zeros
     dropped and its rows written in order.  Entries and index dtype are those
     of one ``sparse_distance_matrix`` of the whole tree: a pair's distance is
@@ -499,13 +498,9 @@ def _csr_kernel(tree, points, cutoff: float, count: int, scale: float, threshold
 
     n = len(points)
     index = np.int32 if max(n, count) < 2**31 else np.int64  # scipy's choice for the size
-    # Blocks of count / (16 * threads) pairs, at least _MIN_BLOCK_PAIRS: a kernel
-    # of fewer than 16 such blocks per thread takes fewer threads, each of which
-    # would keep its own heap.
-    workers = max(min(_WORKERS, count // (16 * _MIN_BLOCK_PAIRS)), 1)
-    step = max(n * max(count // (16 * workers), _MIN_BLOCK_PAIRS) // count, 1)  # sites
-
-    def rows(lo: int):  # the kept entries of rows [lo, lo + step) and their count per row
+    step = max(n * max(count // 16, _MIN_BLOCK_PAIRS) // count, 1)  # sites
+    data, indices, indptr, nnz = np.empty(count), np.empty(count, index), np.zeros(n + 1, index), 0
+    for lo in range(0, n, step):  # rows [lo, lo + step)
         pairs = cKDTree(points[lo:lo + step]).sparse_distance_matrix(tree, cutoff,
                                                                       output_type="ndarray")
         order = (pairs["i"] * n + pairs["j"]).argsort()  # row-major; each pair is listed once
@@ -514,14 +509,10 @@ def _csr_kernel(tree, points, cutoff: float, count: int, scale: float, threshold
         _kernel(d, scale, threshold)
         d[i + lo == j] = 1.0 if self_loops else 0.0  # the diagonal's distance-0 pairs
         kept = d != 0
-        return d[kept], j[kept].astype(index), np.bincount(i[kept], minlength=min(step, n - lo))
-
-    data, indices, indptr, nnz = np.empty(count), np.empty(count, index), np.zeros(n + 1, index), 0
-    blocks = range(0, n, step)
-    for k in range(0, len(blocks), workers):  # one block per thread in flight
-        for lo, (d, j, counts) in zip(blocks[k:], _map_blocks(rows, blocks[k:k + workers])):
-            data[nnz:nnz + d.size], indices[nnz:nnz + d.size], nnz = d, j, nnz + d.size
-            indptr[lo + 1:lo + 1 + counts.size] = counts
+        size = np.count_nonzero(kept)
+        data[nnz:nnz + size], indices[nnz:nnz + size] = d[kept], j[kept]
+        counts = np.bincount(i[kept], minlength=min(step, n - lo))
+        indptr[lo + 1:lo + 1 + counts.size], nnz = counts, nnz + size
     np.cumsum(indptr, out=indptr)
     for a in (data, indices):  # in place (realloc): no view of them is left
         a.resize(nnz, refcheck=False)
@@ -544,12 +535,12 @@ def build_weight_matrix(
     otherwise.  A pruned kernel whose pairs within the threshold's distance
     fill under a quarter (counted, unless a bound from every 16th site shows
     a quarter) is built from a k-d tree's neighbour pairs, a block of sites at
-    a time on up to 16 threads (fewer for a small kernel), into CSR arrays of
-    the counted size: it never forms an N x N array, and the blocks in flight
-    hold about 1/16 of the pairs.  Any other is evaluated as the upper triangle of
-    its N x N buffer, an anonymous memory map advised against huge pages, so
-    the lower half takes no memory until a reader other than a vector product
-    asks for the weights (then it is mirrored in place, once).  Rows
+    a time, into CSR arrays of the counted size: it never forms an N x N
+    array, and a block holds about 1/16 of the pairs.  Any other is evaluated
+    as the upper triangle of its N x N buffer, an anonymous memory map advised
+    against huge pages, so the lower half takes no memory until a reader
+    other than a vector product asks for the weights (then it is mirrored in
+    place, once).  Rows
     ``[i, i + 64)`` evaluate columns ``[i, N)`` in tiles (distances, then
     weights, while the tile is in cache; the tiles in flight hold at most
     1/64 of the kernel) on up to 16 threads, one per usable CPU, under the

@@ -99,6 +99,25 @@ class TestMatrixMarket:
         assert (tmp_path / name).read_text().splitlines() == [
             "%%MatrixMarket matrix coordinate real general", "2 2 2", "1 2 2", "2 1 1"]
 
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        # the text goes to a sibling file, which replaces the old one only once whole
+        import scipy.io
+
+        old, new = tmp_path / "old.mtx", tmp_path / "new.mtx"
+        save_matrix_market(old, np.array([[0.0, 2.0], [1.0, 0.0]]))
+        text = old.read_bytes()
+
+        def fail_partway(target, a, **kwargs):
+            target.write(b"%%MatrixMarket matrix coordinate real general\n%\n2 2 2\n1 2 ")
+            raise MemoryError
+
+        monkeypatch.setattr(scipy.io, "mmwrite", fail_partway)
+        for path in (old, new):
+            with pytest.raises(MemoryError):
+                save_matrix_market(path, np.array([[0.0, 3.0], [1.0, 0.0]]))
+        assert old.read_bytes() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.mtx"]
+
     def test_symmetric_file_expanded(self, tmp_path):
         path = tmp_path / "s.mtx"
         path.write_text(

@@ -380,26 +380,23 @@ class TestBuildWeightMatrix:
         assert g.n_edges < 0.03 * n * n
         assert peak < 4 * n * n  # half of one dense float64 buffer
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("self_loops", [False, True])
-    def test_csr_kernel_is_the_same_in_blocks_of_any_size(self, monkeypatch, workers, self_loops):
-        # blocks of about n / (16 * workers) sites: 43 or 14, of which 700 is no
+    def test_csr_kernel_is_the_same_in_blocks(self, monkeypatch, self_loops):
+        # blocks of about 1/16 of the pairs: 43 sites, of which 700 is no
         # multiple; sites 350 and 699 coincide with 0 and 1, in other blocks
         geo = random_geometry(700, 7)
         for a in (geo.lat, geo.lon, geo.alt):
             a[[350, 699]] = a[[0, 1]]
-        blocks = []  # the blocks of each round
-        map_blocks = graphs._map_blocks
-        monkeypatch.setattr(graphs, "_map_blocks",
-                            lambda task, b: blocks.append(len(b)) or map_blocks(task, b))
+        blocks = []  # the pairs each block weighs
+        kernel = graphs._kernel
+        monkeypatch.setattr(graphs, "_kernel", lambda d, *a: blocks.append(d.size) or kernel(d, *a))
         with pytest.warns(UserWarning, match="^2 vertex pair"):
             whole = build_weight_matrix(geo, scale=300.0, threshold=1e-3, self_loops=self_loops)
-        assert blocks == [1]
+        assert len(blocks) == 1
         monkeypatch.setattr(graphs, "_MIN_BLOCK_PAIRS", 1)
-        monkeypatch.setattr(graphs, "_WORKERS", workers)
         with pytest.warns(UserWarning, match="^2 vertex pair"):
             g = build_weight_matrix(geo, scale=300.0, threshold=1e-3, self_loops=self_loops)
-        assert sum(blocks) > 16 * workers and max(blocks) == workers
+        assert len(blocks) == 1 + 17 and sum(blocks[1:]) == blocks[0]  # 16 of 43 sites, one of 12
         assert isinstance(g.weights, sp.csr_array) and g.weights.has_canonical_format
         assert np.array_equal(g.dense(), reference_kernel(geo, 300.0, 1e-3, self_loops))
         for name in ("data", "indices", "indptr"):
