@@ -26,8 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .birkhoff import BirkhoffDecomposition
-from .graphs import (DENSE_LIMIT, Graph, VertexGeometry, _is_symmetric, _row_blocks, _stored,
-                     _value_blocks, as_matrix)
+from .graphs import (DENSE_LIMIT, Graph, VertexGeometry, _index_dtype, _is_symmetric, _row_blocks,
+                     _stored, _value_blocks, as_matrix)
 
 __all__ = [
     "FileFormatError",
@@ -77,10 +77,7 @@ def _lines(path, comment=None, start: int = 1):
 
 
 def _lower_triangle(a):
-    """The entries on and below the diagonal of a square dense or CSR ``a``; dense
-    rows are taken a row block at a time, so no N x N copy or full coordinate list is made."""
-    if sp.issparse(a):
-        return sp.tril(a)
+    """A square ndarray's entries on and below the diagonal as CSR, a row block at a time."""
     return sp.vstack([sp.csr_array(np.tril(rows, lo)) for lo, rows in _row_blocks(a)], format="csr")
 
 
@@ -119,12 +116,15 @@ def save_matrix_market(path, matrix) -> None:
     symmetric = 0 < a.shape[0] == a.shape[1] and (
         matrix.is_symmetric() if isinstance(matrix, Graph) else _is_symmetric(a))
     # mmwrite writes 1 KiB at a time: the 1 MiB buffer saves a system call for each 8 of them.
-    # The triangle is passed inline: mmwrite frees it once masked.  The text goes to a
-    # sibling file that replaces ``path`` only once whole: a failed write leaves the old file.
+    # mmwrite keeps the entries on and below the diagonal of a symmetric sparse input; a
+    # dense one is cut to them first, passed inline: mmwrite frees it once masked.  The text
+    # goes to a sibling file that replaces ``path`` only once whole: a failed write leaves
+    # the old file.
+    cut = symmetric and not sp.issparse(a)
     part = os.fspath(path) + ".part"
     try:
         with open(part, "wb", buffering=1 << 20) as fh:
-            mmwrite(_Uncommented(fh), sp.coo_array(_lower_triangle(a) if symmetric else a),
+            mmwrite(_Uncommented(fh), sp.coo_array(_lower_triangle(a) if cut else a),
                     field="real", symmetry="symmetric" if symmetric else "general")
         os.replace(part, path)
     finally:
@@ -151,32 +151,6 @@ def _entry_error(path, after: int, size, symmetric: bool, reason: str):
     raise FileFormatError(f"{path}: {reason}")
 
 
-def _csr(i, j, v, shape, symmetric: bool):
-    """The CSR of 1-based entries ``(i, j, v)`` in row-major order, each position
-    once.  A symmetric file's lower triangle is merged with its mirror in each
-    row: the row's own entries first (columns up to the diagonal), then the
-    mirrored ones (columns past it), both placed by one boolean mask."""
-    rows = shape[0]
-    own = np.bincount(i, minlength=rows + 1)[1:]
-    mirror = np.flatnonzero(i != j) if symmetric else np.empty(0, np.intp)  # entries mirrored
-    # by column, then row (keys unique): row-major once mirrored
-    mirror = mirror[np.argsort(np.multiply(j[mirror], rows + 1, dtype=np.int64) + i[mirror])]
-    mirrored = np.bincount(j[mirror], minlength=rows + 1)[1:]
-    size = v.size + mirror.size
-    # the index dtype scipy picks for the size (a built kernel's int32), not the parse's
-    index = np.int32 if max(*shape, size) < 2**31 else np.int64
-    indptr = np.zeros(rows + 1, index)
-    np.cumsum(own + mirrored, out=indptr[1:])
-    data, indices = np.empty(size), np.empty(size, index)
-    placed = np.repeat(np.tile([True, False], rows), np.column_stack((own, mirrored)).ravel())
-    data[placed], indices[placed] = v, j
-    np.logical_not(placed, out=placed)
-    data[placed] = v[mirror]  # one gathered copy at a time
-    indices[placed] = i[mirror]
-    indices -= 1
-    return sp.csr_array((data, indices, indptr), shape=shape)
-
-
 def _symmetric_file(path) -> bool:
     """Whether the Matrix Market banner on line 1 of ``path`` declares the
     ``symmetric`` qualifier; FileFormatError for a banner the loader rejects."""
@@ -201,12 +175,12 @@ def load_matrix_market(path):
     """Read a Matrix Market coordinate (real) matrix.
 
     Supports the ``general`` and (square only) ``symmetric`` storage
-    qualifiers; symmetric files are expanded to full storage.  numpy parses the
-    entries, which fill CSR arrays directly (never a dense N x N or a
-    coordinate list), returned dense when N <= 512 or at least a quarter are
-    nonzero, ``csr_array`` otherwise.  Entries out of row-major order are
-    sorted first; duplicates are rejected, and so is a size line with a
-    dimension above ``max(DENSE_LIMIT, 2 * nnz)``, which the entries could not fill.
+    qualifiers; scipy adds a symmetric file's mirror.  numpy parses the
+    entries; in row-major order they fill CSR arrays directly (never a dense
+    N x N), out of it scipy's COO -> CSR sorts them.  The result is dense when
+    N <= 512 or at least a quarter are nonzero, ``csr_array`` otherwise.
+    Duplicates are rejected, and so is a size line with a dimension above
+    ``max(DENSE_LIMIT, 2 * nnz)``, which the entries could not fill.
     """
     symmetric = _symmetric_file(path)
     lineno, line = next(_lines(path, "%", 2), (1, ""))  # the size line
@@ -228,13 +202,13 @@ def load_matrix_market(path):
             warnings.simplefilter("ignore", UserWarning)  # an empty body
             # Integer columns reject "1.5" and "1e0" as indices, as int() does; int32
             # when the dimensions fit, which a larger index fails as out of range.
-            index = "i4" if max(rows, cols) < 2**31 else "i8"
-            body = np.loadtxt(path, dtype=f"{index},{index},f8", comments="%", skiprows=lineno,
-                              ndmin=1, encoding="ascii")
+            index = _index_dtype(rows, cols)
+            body = np.loadtxt(path, dtype=[("i", index), ("j", index), ("v", "f8")],
+                              comments="%", skiprows=lineno, ndmin=1, encoding="ascii")
     except ValueError as exc:  # a token or a line numpy cannot parse
         _entry_error(path, lineno, (rows, cols, nnz), symmetric, str(exc))
 
-    i, j, v = body["f0"], body["f1"], body["f2"]
+    i, j, v = body["i"], body["j"], body["v"]
     bad = (i < 1) | (i > rows) | (j < 1) | (j > cols) | ~np.isfinite(v)
     if symmetric:
         bad |= i < j
@@ -244,22 +218,27 @@ def load_matrix_market(path):
     if i.size < nnz:
         raise FileFormatError(f"{path}: expected {nnz} entries, found {i.size}")
 
-    # Row-major order is CSR order.  Keys out of it are sorted first, and a repeat,
-    # which a CSR would store twice, is named at its line.  Keys strictly
-    # increasing, as dsshift writes them, repeat none.
+    # Keys strictly increasing, as dsshift writes them, are CSR order, each position
+    # once: the CSR arrays are filled directly.  scipy sorts any other body and sums a
+    # repeated position into one entry; only then is the repeat named at its line.
     key = np.multiply(i, cols, dtype=np.int64)
     key += j
-    if not (key[1:] > key[:-1]).all():
-        order = np.argsort(key, kind="stable")  # a key's entries in file order
-        key = key[order]
-        if (repeats := order[1:][key[1:] == key[:-1]]).size:
-            k = repeats.min()
+    increasing = (key[1:] > key[:-1]).all()
+    del key, bad  # 8 B and 1 B an entry, freed before the CSR arrays are made
+    if increasing:
+        indptr = np.zeros(rows + 1, _index_dtype(rows, cols, nnz))
+        np.cumsum(np.bincount(i, minlength=rows + 1)[1:], out=indptr[1:])
+        a = sp.csr_array((np.ascontiguousarray(v), np.subtract(j, 1, dtype=indptr.dtype), indptr),
+                         shape=(rows, cols))
+    else:
+        a = sp.coo_array((v, (i - 1, j - 1)), shape=(rows, cols)).tocsr()
+        if a.nnz < nnz:
+            order = np.lexsort((j, i))  # stable: a position's entries in file order
+            k = order[1:][(np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)].min()
             repeat = next(islice(_lines(path, "%", lineno + 1), k, None))[0]
             _fail(path, repeat, f"duplicate entry ({i[k]}, {j[k]})")
-        body = body[order]
-        i, j, v = body["f0"], body["f1"], body["f2"]
-    del key  # 8 B an entry, freed before the CSR arrays are made
-    return _stored(_csr(i, j, v, (rows, cols), symmetric))
+    del body, i, j, v
+    return _stored(a + sp.triu(a.T, 1, format="csr") if symmetric else a)  # + the mirror
 
 
 def _load_graph(path) -> Graph:

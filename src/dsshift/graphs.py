@@ -140,8 +140,8 @@ def _value_blocks(a):
 
 
 def _min_positive(a) -> float:
-    """The smallest positive stored entry of a dense or CSR matrix (inf if none)."""
-    return float(min(np.where(v > 0, v, np.inf).min(initial=np.inf) for v in _value_blocks(a)))
+    """The smallest positive stored entry of a dense or CSR matrix (inf if none), copying none."""
+    return float(min(v.min(where=v > 0, initial=np.inf) for v in _value_blocks(a)))
 
 
 def _dense(a) -> np.ndarray:
@@ -238,8 +238,8 @@ class _Scaled:
             data = np.repeat(r, np.diff(w.indptr))  # (r_i w_ij) c_j in place: one temporary
             data *= w.data
             data *= c[w.indices]
-            self._s = _read_only(sp.csr_array((data, w.indices.copy(), w.indptr.copy()),
-                                              shape=w.shape))
+            # W's zero pattern: S shares W's read-only indices and indptr
+            self._s = _read_only(sp.csr_array((data, w.indices, w.indptr), shape=w.shape))
         elif self._s is None:
             self._s = r[:, None] * w
             self._s *= c
@@ -278,6 +278,11 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _index_dtype(*sizes):
+    """scipy's CSR index dtype for these dimensions and entry counts: int32 while all fit."""
+    return np.int32 if max(sizes) < 2**31 else np.int64
+
+
 def _dense_storage(shape, count_nonzero) -> bool:
     """The one storage rule for matrices the package builds or loads: dense
     when at most ``DENSE_LIMIT`` on a side or at least a quarter full (where
@@ -288,16 +293,11 @@ def _dense_storage(shape, count_nonzero) -> bool:
 
 
 def _stored(w):
-    """``w`` stored by the storage rule, as an ndarray or a ``csr_array``.
-    Explicit zeros of a sparse input are dropped; the input's storage may be
-    reused."""
-    sparse = sp.issparse(w)
-    if sparse:
-        w = sp.csr_array(w)
-        w.eliminate_zeros()
-    if _dense_storage(w.shape, lambda: w.nnz if sparse else np.count_nonzero(w)):
-        return w.toarray() if sparse else w
-    return w if sparse else sp.csr_array(w)
+    """``w`` stored by the storage rule, as an ndarray or a ``csr_array``
+    without explicit zeros; the storage of a CSR ``w`` may be reused."""
+    w = sp.csr_array(w)
+    w.eliminate_zeros()
+    return w.toarray() if _dense_storage(w.shape, lambda: w.nnz) else w
 
 
 def _is_symmetric(a) -> bool:
@@ -497,7 +497,7 @@ def _csr_kernel(tree, points, cutoff: float, count: int, scale: float, threshold
     from scipy.spatial import cKDTree  # not needed by ``import dsshift``
 
     n = len(points)
-    index = np.int32 if max(n, count) < 2**31 else np.int64  # scipy's choice for the size
+    index = _index_dtype(n, count)
     step = max(n * max(count // 16, _MIN_BLOCK_PAIRS) // count, 1)  # sites
     data, indices, indptr, nnz = np.empty(count), np.empty(count, index), np.zeros(n + 1, index), 0
     for lo in range(0, n, step):  # rows [lo, lo + step)
@@ -642,7 +642,7 @@ def _total_support_issue(w, symmetric: bool):
     else:  # a row block at a time, counted, then filled into the final arrays: no N x N
         # mask, no nonzero() pair of the support, and no parts stacked in a copy
         counts = np.concatenate([np.count_nonzero(rows > 0, axis=1) for _, rows in _row_blocks(w)])
-        indptr = np.zeros(n + 1, np.int32 if counts.sum() < 2**31 else np.int64)
+        indptr = np.zeros(n + 1, _index_dtype(n, counts.sum()))
         np.cumsum(counts, out=indptr[1:])
         indices = np.empty(indptr[-1], indptr.dtype)
         for lo, rows in _row_blocks(w):

@@ -159,7 +159,7 @@ class TestSinkhornKnopp:
 
 def _sparse_nonsymmetric():
     rng = np.random.default_rng(0)
-    a = sp.random_array((2000, 2000), density=0.01, rng=rng, format="csr")
+    a = sp.random_array((2000, 2000), density=0.01, random_state=rng, format="csr")
     return sp.csr_array(a + sp.eye_array(2000, format="csr"))
 
 

@@ -115,6 +115,14 @@ class TestGraph:
         loaded.data[0] = 2.0
         assert loaded[0, loaded.indices[0]] == 2.0
 
+    def test_formed_operator_shares_its_kernels_pattern(self):
+        # diag(r) W diag(c) has W's zero pattern: S takes W's read-only index arrays
+        kernel = build_weight_matrix(random_geometry(600, 0), scale=800.0, threshold=1e-3)
+        s = sinkhorn_knopp(kernel).operator.matrix
+        for name in ("indices", "indptr"):
+            assert np.shares_memory(getattr(s, name), getattr(kernel.weights, name))
+        assert not any(part.flags.writeable for part in (s.data, s.indices, s.indptr))
+
     def test_callers_array_is_copied(self):
         w = np.ones((2, 2))
         frozen_view = w[:]
@@ -822,6 +830,22 @@ class TestValidateWeights:
         assert validate_weights(a).min_positive == np.min(values, where=values > 0,
                                                          initial=np.inf) == 2.5e-4
         assert validate_weights(storage(np.zeros((600, 600)))).min_positive == 0.0
+
+    def test_min_positive_makes_no_copy_of_the_values(self):
+        # a masked reduction holds a bool mask, 1/8 of the float64 values;
+        # np.where(v > 0, v, inf) held a copy of them as well, 9/8
+        from dsshift.graphs import _min_positive
+
+        w = sp.csr_array(np.random.default_rng(3).uniform(-0.5, 0.5, (400, 500)))
+        _min_positive(w)
+        tracemalloc.start()
+        try:
+            got = _min_positive(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == w.data[w.data > 0].min()
+        assert peak < 0.5 * w.data.nbytes
 
     @pytest.mark.parametrize("n, scale", [(600, 1800.0), (1500, 600.0)], ids=["dense", "csr"])
     def test_balanced_operator_is_reported_on_its_kernel(self, n, scale):
