@@ -17,12 +17,16 @@ Every extraction zeroes at least one entry, so the process terminates
 within nnz terms; for an N x N input the term count stays within
 (N-1)**2 + 1 on the tested operators.  Repair keeps the old matching where
 it can, so it takes somewhat more terms than matching each residual from
-scratch (about a quarter more on the demo-kernel grids).
+scratch (about a quarter more on the demo-kernel grids).  It also means a
+term differs from the one before only in the rows its augmenting paths
+moved, which is all a decomposition stores of it: O(n + k + changes), not
+the k x n images.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,11 +58,16 @@ def max_terms(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class BirkhoffDecomposition:
-    """Convex combination ``sum_i a_i P_i`` of permutation matrices.
+    """Convex combination ``sum_i a_i P_i`` of permutation matrices, stored as
+    the rows each term changes.
 
-    ``coefficients`` has shape (k,) and sums to 1; ``permutations`` has
-    shape (k, n) where row i is the image array of P_i, meaning
-    ``P_i[m, permutations[i, m]] = 1``.
+    ``coefficients`` has shape (k,) and sums to 1.  The image array ``p_i`` of
+    term i (``P_i[m, p_i[m]] = 1``) is ``p_{i-1}`` with the rows
+    ``rows[indptr[i]:indptr[i + 1]]`` sent to the columns ``cols[...]`` at the
+    same places, and ``p_{-1}`` is ``first``: ``indptr`` holds k + 1 offsets.
+    A decomposition from :func:`birkhoff_decompose` changes nothing at term 0,
+    so ``first`` is its first image, and lists a later term's rows ascending.
+    :meth:`terms` rebuilds the images in order; ``permutations`` forms them all.
 
     ``birkhoff_decompose`` also reports its work, in fields that take no
     part in comparisons and are None on a decomposition built elsewhere
@@ -68,18 +77,43 @@ class BirkhoffDecomposition:
     """
 
     coefficients: np.ndarray
-    permutations: np.ndarray
+    first: np.ndarray
+    indptr: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     repairs: int | None = field(default=None, compare=False)
     dust: float | None = field(default=None, compare=False)
     dust_bound: float | None = field(default=None, compare=False)
 
     @property
+    def n(self) -> int:
+        return int(self.first.shape[0])
+
+    @property
     def n_terms(self) -> int:
         return int(self.coefficients.shape[0])
 
+    def _images(self):
+        """``(coefficient, image)`` in order, the image one int64 array changed in place."""
+        image, ends = np.array(self.first, dtype=np.int64), np.asarray(self.indptr).tolist()
+        for a, lo, hi in zip(self.coefficients, ends, ends[1:]):
+            image[self.rows[lo:hi]] = self.cols[lo:hi]
+            yield a, image
+
     def terms(self):
-        """Iterate ``(coefficient, image_array)`` pairs in extraction order."""
-        return zip(self.coefficients, self.permutations)
+        """Iterate ``(coefficient, image_array)`` pairs in extraction order,
+        each image a fresh int64 array."""
+        return ((a, image.copy()) for a, image in self._images())
+
+    @property
+    def permutations(self) -> np.ndarray:
+        """The (k, n) int64 array of the images, row i term i's, formed on
+        each request: O(k n) memory, where the decomposition holds O(n + k +
+        changes)."""
+        out = np.empty((self.n_terms, self.n), dtype=np.int64)
+        for i, (_, image) in enumerate(self._images()):
+            out[i] = image
+        return out
 
 
 def birkhoff_decompose(S) -> BirkhoffDecomposition:
@@ -92,14 +126,16 @@ def birkhoff_decompose(S) -> BirkhoffDecomposition:
     permutation has one more entry in ``I x J`` than in ``I' x J'``, so the
     residual ``E`` measures ``dust = 1 - sum(a_i) = E[I, J] - E[I', J'] -
     delta``, with ``delta = sum_J (colsum_j(S) - 1) - sum_I' (rowsum_i(S) -
-    1)``, up to the rounding of the ``n k`` subtractions (``eps`` each, on
-    entries below 2) and of the input's sums (``nnz eps``).  ``dust_bound``
-    is ``E[I, J] + |delta|``, plus the negative mass of ``E[I', J']`` and
-    the rounding the check measured.
+    1)``, up to the rounding of the subtractions (``a - w`` with ``0 <= w <=
+    a`` rounds by at most ``eps a``, so ``M eps`` in all, ``M`` the sum over
+    the terms of their matched entries before the subtraction) and of the
+    input's sums (``nnz eps``).  ``dust_bound`` is ``E[I, J] + |delta|``,
+    plus the negative mass of ``E[I', J']`` and the rounding the check
+    measured.
 
     Raises ValueError when ``S`` is not doubly stochastic to 1e-8, and
     DecompositionError when the measure misses ``dust`` by more than
-    ``(nnz + n k) eps`` or no term was found.
+    ``(nnz + M) eps`` or no term was found.
     """
     a, n = _require_square(as_matrix(S))
     check = verify_doubly_stochastic(a, tol=1e-8)
@@ -111,19 +147,28 @@ def birkhoff_decompose(S) -> BirkhoffDecomposition:
 
     residual = sp.csr_array(a, copy=True)  # canonical: each position once, in column order
     data, indices, indptr = residual.data, residual.indices, residual.indptr
-    coefficients, permutations = [], []
+    # 8 bytes an entry, not a Python object's 32: hundreds of thousands of terms at n = 5000
+    coefficients, ends, rows, cols = array("d"), array("q", [0]), array("q"), array("q")
+    mass = 0.0  # M: the matched entries, summed once per term
     augment = _Augmenter(data, indices.tolist(), indptr)
     free = range(n)  # the first matching: every row starts free
     # Each step takes the smallest matched entry to exactly 0, which no
     # later matching uses, so the loop ends within nnz steps.
     while all(augment(r) for r in free):
+        moved, to = augment.moves()
+        if coefficients:
+            rows.extend(moved)
+            cols.extend(to)
+        else:  # every row moved from no entry: the whole first image
+            first = np.array(to, dtype=np.int64)
+        ends.append(len(rows))
         matched = data[augment.pos]
         weight = float(matched.min())
         coefficients.append(weight)
-        permutations.append(indices[augment.pos])
+        mass += float(matched.sum())
         matched -= weight
         data[augment.pos] = matched
-        free = np.flatnonzero(matched <= _CUT).tolist()
+        free = (matched <= _CUT).nonzero()[0].tolist()
         augment.free(free)
 
     in_i, in_c = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
@@ -135,18 +180,21 @@ def birkhoff_decompose(S) -> BirkhoffDecomposition:
     k, eps = len(coefficients), np.finfo(float).eps
     dust = 1.0 - math.fsum(coefficients)
     miss = dust - (e_ij - float(e_other.sum()) - delta)
-    if abs(miss) > (residual.nnz + n * k) * eps:
+    if abs(miss) > (residual.nnz + mass) * eps:
         raise DecompositionError(
             f"unextracted mass {dust:.3e} after {k} terms misses the Koenig "
             f"block's measure by {miss:.3e}")
     if not k:
         raise DecompositionError("no perfect matching on the entries above the cut")
 
-    coeffs = np.asarray(coefficients, dtype=float)
+    coeffs = np.array(coefficients)
     coeffs /= coeffs.sum()
     return BirkhoffDecomposition(
         coefficients=coeffs,
-        permutations=np.asarray(permutations, dtype=np.int64),
+        first=first,
+        indptr=np.frombuffer(ends, dtype=np.int64),
+        rows=np.frombuffer(rows, dtype=np.int64),
+        cols=np.frombuffer(cols, dtype=np.int64),
         repairs=augment.repairs - n,  # the first matching's n paths are no repairs
         dust=dust,
         dust_bound=e_ij + abs(delta) - float(e_other[e_other < 0].sum()) + max(miss, 0.0),
@@ -159,9 +207,11 @@ class _Augmenter:
     ``live`` lists each row's data indices above the cut in the residual
     ``data``, in column order: the caller lowers only matched entries and
     frees the rows whose entry fell to the cut.  ``pos`` maps each matched
-    row to the data index of its entry, ``owner`` each column to its matched
-    row (-1 when free); all three change in place.  After a failed search,
-    ``rows`` and ``cols`` are the rows it visited and the columns it reached.
+    row to the data index of its entry (-1 before its first), ``owner`` each
+    column to its matched row (-1 when free); all three change in place.
+    ``held`` maps each row a path moved since the last :meth:`moves` to the
+    entry it held then.  After a failed search, ``rows`` and ``cols`` are the
+    rows it visited and the columns it reached.
     """
 
     def __init__(self, data, indices: list, indptr):
@@ -169,10 +219,19 @@ class _Augmenter:
         live = np.flatnonzero(data > _CUT)
         ends, live = np.searchsorted(live, indptr).tolist(), live.tolist()
         self.live = [live[a:b] for a, b in zip(ends, ends[1:])]
-        self.pos = np.zeros(len(indptr) - 1, dtype=np.int64)
+        self.pos = np.full(len(indptr) - 1, -1, dtype=np.int64)
         self.owner = [-1] * (len(indptr) - 1)
+        self.held = {}
         self.repairs = 0  # augmenting paths found
         self.rows = self.cols = []
+
+    def moves(self) -> tuple:
+        """The rows whose entry changed since the last call (a path may move a
+        row back), ascending, and their new columns; the next call counts from here."""
+        at, indices = self.pos.item, self.indices
+        moved = sorted((u, k) for u, held in self.held.items() if (k := at(u)) != held)
+        self.held = {}
+        return [u for u, _ in moved], [indices[k] for _, k in moved]
 
     def free(self, rows: list) -> None:
         """Unmatch ``rows`` and their columns."""
@@ -199,7 +258,8 @@ class _Augmenter:
                 # that reached a column and gives up the one it held.
                 while True:
                     u, k = via[c]
-                    held = int(self.pos[u])
+                    held = self.pos.item(u)
+                    self.held.setdefault(u, held)
                     owner[c] = u
                     self.pos[u] = k
                     if u == root:
@@ -210,26 +270,61 @@ class _Augmenter:
         return False
 
 
-def reconstruct(decomposition: BirkhoffDecomposition, n: int | None = None) -> np.ndarray:
-    """Rebuild ``sum_i a_i P_i`` as a dense matrix.
+def _check_terms(coefficients, first, indptr, rows, cols) -> None:
+    """ValueError unless ``first`` is a permutation of range(n) and each term's
+    changes (see :class:`BirkhoffDecomposition`) keep the image one: ``indptr``
+    holds k + 1 offsets rising from 0 to the changes' count, every index lies
+    in range(n), no term lists a row twice, and a term's new columns are those
+    its rows vacate.  The message names the first bad term.  O(k + changes)
+    sorted passes: a change's vacated column is that of its row's last change
+    before it, else the row's in ``first``."""
+    k, n = len(coefficients), len(first)
+    if not np.array_equal(np.sort(first), np.arange(n)):
+        raise ValueError(f"first image is not a permutation of 0..{n - 1}")
+    if (len(indptr) != k + 1 or indptr[0] != 0 or indptr[-1] != len(rows)
+            or len(cols) != len(rows)):
+        raise ValueError(f"indptr must hold {k + 1} offsets, one per term and one more, "
+                         f"from 0 to the {len(rows)} rows and {len(cols)} columns")
+    if (fall := np.flatnonzero(np.diff(indptr) < 0)).size:
+        t = fall[0]
+        raise ValueError(f"term {t}: indptr falls from {indptr[t]} to {indptr[t + 1]}")
+    term = np.repeat(np.arange(k), np.diff(indptr))
+    for what, v in (("row", rows), ("column", cols)):
+        if (bad := np.flatnonzero((v < 0) | (v >= n))).size:
+            raise ValueError(f"term {term[bad[0]]}: {what} {v[bad[0]]} out of range 0..{n - 1}")
+    order = np.lexsort((term, rows))  # by row, then term
+    row, t = rows[order], term[order]
+    same = row[1:] == row[:-1]
+    if (twice := np.flatnonzero(same & (t[1:] == t[:-1]))).size:
+        i = twice[np.argmin(t[twice])]
+        raise ValueError(f"term {t[i]}: row {row[i]} listed twice")
+    vacated = np.empty_like(cols)
+    vacated[order] = first[row]
+    vacated[order[1:][same]] = cols[order[:-1][same]]
+    new, old = cols[np.lexsort((cols, term))], vacated[np.lexsort((vacated, term))]
+    if (bad := np.flatnonzero(new != old)).size:
+        raise ValueError(f"term {term[bad[0]]}: its new columns are not the ones its rows vacate")
 
-    ``n`` defaults to the decomposition's own dimension; a mismatch, or a
-    row that is not a permutation of range(n), raises ValueError.
+
+def reconstruct(decomposition: BirkhoffDecomposition, n: int | None = None) -> np.ndarray:
+    """Rebuild ``sum_i a_i P_i`` as a dense matrix, adding the terms in order.
+
+    ``n`` defaults to the decomposition's own dimension; a mismatch, or
+    changes that do not keep each image a permutation of range(n) (see
+    :func:`_check_terms`), raises ValueError.
     """
-    perms = np.asarray(decomposition.permutations)
     coeffs = np.asarray(decomposition.coefficients, dtype=float)
-    if perms.ndim != 2 or perms.shape[0] != coeffs.shape[0]:
-        raise ValueError("coefficients and permutations disagree in length")
+    first, indptr, rows, cols = (np.asarray(getattr(decomposition, k))
+                                 for k in ("first", "indptr", "rows", "cols"))
     if n is None:
-        n = perms.shape[1]
-    if perms.shape[1] != n:
-        raise ValueError(
-            f"permutations act on {perms.shape[1]} elements, expected {n}"
-        )
+        n = len(first)
+    if len(first) != n:
+        raise ValueError(f"permutations act on {len(first)} elements, expected {n}")
+    _check_terms(coeffs, first, indptr, rows, cols)
     out = np.zeros((n, n))
-    rows = np.arange(n)
-    for weight, image in zip(coeffs, perms):
-        if not np.array_equal(np.sort(image), rows):
-            raise ValueError(f"{image.tolist()} is not a permutation of range({n})")
-        out[rows, image] += weight
+    flat, at = out.reshape(-1), np.arange(n) * n + first  # each row's entry, flat
+    ends = indptr.tolist()
+    for weight, lo, hi in zip(coeffs, ends, ends[1:]):
+        at[rows[lo:hi]] = rows[lo:hi] * n + cols[lo:hi]
+        flat[at] += weight
     return out

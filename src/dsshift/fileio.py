@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 import scipy.sparse as sp
 
-from .birkhoff import BirkhoffDecomposition
+from .birkhoff import BirkhoffDecomposition, _check_terms
 from .graphs import (DENSE_LIMIT, Graph, VertexGeometry, _index_dtype, _is_symmetric, _row_blocks,
                      _stored, _value_blocks, as_matrix)
 
@@ -332,39 +332,74 @@ def save_json(path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
+# The integer arrays of a decomposition's JSON layout, besides "n" and the coefficients "a".
+_BIRKHOFF_ARRAYS = ("first", "indptr", "rows", "cols")
+
+
 def save_birkhoff_json(path, decomposition: BirkhoffDecomposition) -> None:
-    """Write a decomposition as ``{"terms": [{"a": ..., "perm": [...]}]}``."""
-    coeffs = np.asarray(decomposition.coefficients, dtype=float).tolist()
-    perms = np.asarray(decomposition.permutations, dtype=np.int64).tolist()
-    save_json(path, {"terms": [{"a": a, "perm": p} for a, p in zip(coeffs, perms)]})
+    """Write a decomposition in its columnar layout, ``{"n", "a", "first",
+    "indptr", "rows", "cols"}``: ``a`` the coefficients and the rest the
+    arrays of :class:`BirkhoffDecomposition`, keys sorted, one line each.  The
+    lists are written 2^16 values at a time, so the text is never held whole;
+    a NaN or infinite coefficient, which strict JSON lacks, is a ValueError
+    before the file opens."""
+    d = decomposition
+    fields = {"n": d.n, "a": np.asarray(d.coefficients, dtype=float),
+              **{k: np.asarray(getattr(d, k), dtype=np.int64) for k in _BIRKHOFF_ARRAYS}}
+    if not np.isfinite(fields["a"]).all():
+        raise ValueError("a NaN or infinite coefficient has no JSON form")
+    with open(path, "w", encoding="ascii") as fh:
+        for i, key in enumerate(sorted(fields)):
+            fh.write(f'{"," if i else "{"}\n  "{key}": ')
+            v = fields[key]
+            if isinstance(v, int):
+                fh.write(str(v))
+                continue
+            fh.write("[")
+            for lo in range(0, v.size, 1 << 16):  # repr: JSON's form of a finite float or an int
+                fh.write((", " if lo else "") + ", ".join(map(repr, v[lo:lo + (1 << 16)].tolist())))
+            fh.write("]")
+        fh.write("\n}\n")
 
 
 def load_birkhoff_json(path) -> BirkhoffDecomposition:
     """Read a decomposition written by :func:`save_birkhoff_json`.  Raises
-    FileFormatError naming the path for invalid JSON, no terms, a ``perm``
-    that is not a permutation of 0..N-1 (ragged, non-integer, out of range
-    or repeated entries), and a NaN, infinite or negative coefficient."""
+    FileFormatError naming the path for invalid JSON, the per-term
+    ``"terms"`` layout of earlier versions (README shows how to convert it),
+    a missing key, an ``n`` that is not a positive integer or not the
+    length of ``first``, an array that is not a list of integers, no terms,
+    a NaN, infinite or negative coefficient, and changes that do not keep
+    each image a permutation of 0..n-1 (see ``birkhoff.reconstruct``),
+    naming the first bad term where there is one."""
     with open(path, encoding="ascii") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    if isinstance(payload, dict) and "terms" in payload:
+        raise FileFormatError(f'{path}: the per-term "terms"/"perm" layout of earlier versions '
+                              'is not read; convert it to the columnar layout (see README)')
     try:
-        terms = payload["terms"]
-        coeffs = np.array([t["a"] for t in terms], dtype=float)
-        perms = np.array([t["perm"] for t in terms])  # ragged lists raise
+        n, coeffs = payload["n"], np.array(payload["a"], dtype=float)
+        arrays = [np.array(payload[k]) for k in _BIRKHOFF_ARRAYS]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed decomposition ({exc})") from None
+    for k, v in zip(_BIRKHOFF_ARRAYS, arrays):
+        if v.ndim != 1 or (v.size and v.dtype.kind not in "iu"):
+            raise FileFormatError(f"{path}: {k} must be a list of integers")
+    first, indptr, rows, cols = (v.astype(np.int64) for v in arrays)
+    if type(n) is not int or n < 1 or n != first.size:
+        raise FileFormatError(f"{path}: n must be a positive integer, the length of first "
+                              f"({first.size}), got {n!r}")
+    if coeffs.ndim != 1:
+        raise FileFormatError(f"{path}: a must be a list of coefficients")
     if not coeffs.size:
         raise FileFormatError(f"{path}: decomposition has no terms")
-    if perms.ndim != 2 or perms.dtype.kind not in "iu":
-        raise FileFormatError(f"{path}: every perm must be a list of integers of one length")
-    n = perms.shape[1]
-    for bad, what in (
-        (~np.isfinite(coeffs) | (coeffs < 0), "coefficient must be finite and nonnegative"),
-        ((np.sort(perms, axis=1) != np.arange(n)).any(axis=1),
-         f"perm is not a permutation of 0..{n - 1}"),
-    ):
-        if bad.any():
-            raise FileFormatError(f"{path}: term {np.flatnonzero(bad)[0]}: {what}")
-    return BirkhoffDecomposition(coefficients=coeffs, permutations=perms.astype(np.int64))
+    if (bad := np.flatnonzero(~np.isfinite(coeffs) | (coeffs < 0))).size:
+        raise FileFormatError(f"{path}: term {bad[0]}: coefficient must be finite and nonnegative")
+    try:
+        _check_terms(coeffs, first, indptr, rows, cols)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    return BirkhoffDecomposition(coefficients=coeffs, first=first, indptr=indptr, rows=rows,
+                                 cols=cols)

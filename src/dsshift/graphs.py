@@ -140,8 +140,12 @@ def _value_blocks(a):
 
 
 def _min_positive(a) -> float:
-    """The smallest positive stored entry of a dense or CSR matrix (inf if none), copying none."""
-    return float(min(v.min(where=v > 0, initial=np.inf) for v in _value_blocks(a)))
+    """The smallest positive stored entry of a dense or CSR matrix (inf if none):
+    CSR ``data`` by a masked reduction, copying none; a dense row block through
+    one block-sized ``np.where``, about twice as fast there."""
+    return float(min(v.min(where=v > 0, initial=np.inf) if v.ndim == 1
+                     else np.where(v > 0, v, np.inf).min(initial=np.inf)
+                     for v in _value_blocks(a)))
 
 
 def _dense(a) -> np.ndarray:
@@ -194,8 +198,8 @@ class _Scaled:
     """``S = diag(r) W diag(c)`` over ``W``, a Graph's checked storage, kept
     unformed: a product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``;
     scipy takes it as a ``LinearOperator``.  :meth:`formed` builds ``S`` and keeps it.
-    A vector product reads a built kernel's upper triangle as it is; any other
-    read of ``w`` runs the Graph's ``mirror`` first."""
+    A vector product and a row (:func:`_positive_row`) read a built kernel's
+    upper triangle as it is; any other read of ``w`` runs the Graph's ``mirror`` first."""
 
     def __init__(self, w, r, c, symmetric: bool, mirror=None):
         self._w, self.r, self.c, self.shape, self.dtype, self._s = w, r, c, w.shape, w.dtype, None
@@ -321,20 +325,26 @@ def _positive_row(a, m: int):
     """Columns (``intp``) and values of the positive entries in row ``m`` of
     ``a``, a matrix from :func:`_require_square`; ValueError for ``m`` not an
     integer (Python or numpy; a bool is not) in range, or a row holding a NaN,
-    an infinite or a negative entry.  A CSR row is its stored slice."""
+    an infinite or a negative entry.  A CSR row is its stored slice; a built
+    kernel's (one with a ``_Mirror``) is read from its upper triangle, column
+    ``m`` down to the diagonal and row ``m`` from it, equal bit for bit to the
+    mirrored row, so no reader of one row mirrors the kernel."""
     if not (np.issubdtype(type(m), np.integer) and 0 <= (m := int(m)) < a.shape[0]):
         raise ValueError(f"vertex id {m!r} out of range [0, {a.shape[0]})")
-    if isinstance(a, _Scaled):  # W's positive entries, scaled
-        columns, row = _positive_row(a.w, m)
-        return columns, a.r[m] * row * a.c[columns]
+    scaled = a if isinstance(a, _Scaled) else None  # W's positive entries, scaled
+    if scaled is not None:
+        a = scaled._w
     if sp.issparse(a):
         lo, hi = a.indptr[m], a.indptr[m + 1]
         columns, row = a.indices[lo:hi].astype(np.intp), a.data[lo:hi]
     else:
-        columns, row = np.arange(a.shape[1]), np.asarray(a[m])
+        triangle = scaled is not None and scaled._mirror is not None
+        columns = np.arange(a.shape[1])
+        row = np.concatenate((a[:m, m], a[m, m:])) if triangle else np.asarray(a[m])
     _require_finite_nonnegative(row, f"row {m}")
     members = np.flatnonzero(row)
-    return columns[members], row[members]
+    columns, row = columns[members], row[members]
+    return (columns, row) if scaled is None else (columns, scaled.r[m] * row * scaled.c[columns])
 
 
 class Graph:

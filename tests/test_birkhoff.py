@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from dsshift import (
+    BirkhoffDecomposition,
     DecompositionError,
     birkhoff,
     birkhoff_decompose,
@@ -21,6 +23,7 @@ from dsshift import (
 )
 from dsshift.birkhoff import _CUT
 from dsshift.demo import _sensor_geometry
+from dsshift.fileio import load_birkhoff_json, save_birkhoff_json
 
 from conftest import balanced_operator, demo_kernel_operator
 
@@ -128,17 +131,19 @@ class TestBirkhoffDecompose:
         assert d.dust == 0.0
         assert d.dust_bound == 0.0
 
-    def test_misrecorded_coefficient_is_caught(self, monkeypatch):
+    @pytest.mark.parametrize("n", [64, 300])
+    def test_misrecorded_coefficient_is_caught(self, monkeypatch, n):
         # a fault that records one coefficient 1e-9 above what it subtracted:
-        # far beyond the check's rounding term, though well inside the old
-        # worst-case bound (3.3e-9 on this operator)
-        g = build_weight_matrix(_sensor_geometry(64, np.random.default_rng(0)),
+        # far beyond the check's rounding term, (nnz + M) eps with M the
+        # matched mass, about 5e-11 at n = 300 (n k eps, the old term, was
+        # 3.3e-9 there and let the fault pass)
+        g = build_weight_matrix(_sensor_geometry(n, np.random.default_rng(0)),
                                 scale=1800.0, threshold=1e-4, self_loops=True)
         s = sinkhorn_knopp(g).operator
         assert birkhoff_decompose(s).dust <= 1e-10
         fsum = math.fsum
         monkeypatch.setattr(birkhoff, "math", SimpleNamespace(
-            fsum=lambda terms: fsum([terms[0] + 1e-9] + terms[1:])))
+            fsum=lambda terms: fsum([terms[0] + 1e-9, *terms[1:]])))
         with pytest.raises(DecompositionError, match="misses the Koenig block"):
             birkhoff_decompose(s)
 
@@ -251,7 +256,93 @@ def test_round_trip_on_demo_kernel():
     _assert_round_trip(s, s.dense())
 
 
+def _images_spy(monkeypatch):
+    """The full image after each term's matching, as the (k, n) route stored
+    it, recorded by an ``_Augmenter`` whose ``moves`` is called once a term."""
+    images = []
+
+    class Spy(birkhoff._Augmenter):
+        def moves(self):
+            images.append(np.asarray(self.indices, dtype=np.int64)[self.pos])
+            return super().moves()
+
+    monkeypatch.setattr(birkhoff, "_Augmenter", Spy)
+    return images
+
+
+@given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1), fill=st.floats(0.05, 1.0),
+       storage=st.sampled_from(["dense", "csr", "unformed"]))
+@settings(max_examples=40)
+def test_stored_changes_rebuild_the_full_images(n, seed, fill, storage, tmp_path_factory):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < fill
+    w = rng.uniform(0.5, 1.5, (n, n)) * (mask | mask.T | np.eye(n, dtype=bool))
+    op = sinkhorn_knopp(w, tol=1e-13).operator
+    s = {"dense": op.dense(), "csr": sp.csr_array(op.dense()), "unformed": op}[storage]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        images = _images_spy(monkeypatch)
+        d = birkhoff_decompose(s)
+    full = np.array(images)
+    assert full.shape == (d.n_terms, n) and full.dtype == d.permutations.dtype
+    assert np.array_equal(d.permutations, full)
+    assert all(np.array_equal(p, q) for (_, p), q in zip(d.terms(), full, strict=True))
+    assert np.array_equal([a for a, _ in d.terms()], d.coefficients)
+    # each term stores exactly the rows whose column changed, ascending
+    assert np.array_equal(d.first, full[0]) and d.indptr[1] == 0
+    for i in range(1, d.n_terms):
+        lo, hi = d.indptr[i], d.indptr[i + 1]
+        assert np.array_equal(d.rows[lo:hi], np.flatnonzero(full[i] != full[i - 1]))
+        assert np.array_equal(d.cols[lo:hi], full[i][d.rows[lo:hi]])
+    # the (k, n) route's reconstruction: the terms added in order
+    want = np.zeros((n, n))
+    for a, image in zip(d.coefficients, full):
+        want[np.arange(n), image] += a
+    assert np.array_equal(reconstruct(d), want)
+    path = tmp_path_factory.mktemp("birkhoff") / "d.json"
+    save_birkhoff_json(path, d)
+    back = load_birkhoff_json(path)
+    assert np.array_equal(back.coefficients, d.coefficients)
+    assert np.array_equal(back.permutations, full)
+    assert np.array_equal(reconstruct(back), want)
+
+
+def _decomposition(**changes):
+    """Three terms on 3 elements: [0, 1, 2], then rows 0, 1 to [1, 0, 2], then
+    rows 1, 2 to [1, 2, 0]; ``changes`` replaces any of its arrays."""
+    arrays = dict(coefficients=np.array([0.5, 0.25, 0.25]), first=np.array([0, 1, 2]),
+                  indptr=np.array([0, 0, 2, 4]), rows=np.array([0, 1, 1, 2]),
+                  cols=np.array([1, 0, 2, 0]))
+    return BirkhoffDecomposition(**{**arrays, **{k: np.array(v) for k, v in changes.items()}})
+
+
+# Changes that break a decomposition, and the start of the message naming its
+# first bad term (shared with the JSON loader's tests).
+BAD_CHANGES = {
+    "repeated-row": (dict(rows=[0, 1, 1, 1], cols=[1, 0, 2, 0]), "term 2: row 1 listed twice"),
+    "not-vacated": (dict(cols=[1, 0, 2, 1]),
+                    "term 2: its new columns are not the ones its rows vacate"),
+    "row-out-of-range": (dict(rows=[0, 3, 1, 2]), "term 1: row 3 out of range 0..2"),
+    "column-out-of-range": (dict(cols=[1, 0, 2, -1]), "term 2: column -1 out of range 0..2"),
+    "indptr-falls": (dict(indptr=[0, 0, 5, 4]), "term 2: indptr falls from 5 to 4"),
+    "indptr-short": (dict(indptr=[0, 2, 4]), "indptr must hold 4 offsets"),
+    "cols-short": (dict(cols=[1, 0, 2]), "indptr must hold 4 offsets"),
+    "first-not-a-permutation": (dict(first=[0, 0, 2]), "first image is not a permutation"),
+}
+
+
 class TestReconstruct:
+    def test_hand_built_changes(self):
+        d = _decomposition()
+        assert d.permutations.tolist() == [[0, 1, 2], [1, 0, 2], [1, 2, 0]]
+        assert np.array_equal(reconstruct(d), [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25],
+                                               [0.25, 0.0, 0.75]])
+
+    @pytest.mark.parametrize("case", list(BAD_CHANGES))
+    def test_bad_changes_are_rejected(self, case):
+        changes, message = BAD_CHANGES[case]
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            reconstruct(_decomposition(**changes))
+
     def test_identity_single_term(self):
         d = birkhoff_decompose(np.eye(4))
         assert np.array_equal(reconstruct(d), np.eye(4))

@@ -239,8 +239,9 @@ class TestBirkhoffCommand:
         rc = run(["birkhoff", "--op", operator_file, "--output", out])
         assert rc == 0
         payload = json.loads(out.read_text())
-        assert [round(t["a"], 6) for t in payload["terms"]] == [0.333333, 0.666667]
-        assert [t["perm"] for t in payload["terms"]] == [[0, 1], [1, 0]]
+        assert [round(a, 6) for a in payload["a"]] == [0.333333, 0.666667]
+        assert (payload["first"], payload["indptr"]) == ([0, 1], [0, 0, 2])
+        assert (payload["rows"], payload["cols"]) == ([0, 1], [1, 0])  # the swap
         d = load_birkhoff_json(out)
         assert d.n_terms == 2
         record = json.loads(capsys.readouterr().out)

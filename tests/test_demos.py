@@ -1,7 +1,8 @@
-"""Every demo script, the README quickstart and the README's command-line
-block run to completion, so an API change that breaks one of them fails a
-test."""
+"""Every demo script, the README quickstart, the README's command-line
+block and its converter of the earlier decomposition layout run to
+completion, so an API change that breaks one of them fails a test."""
 
+import json
 import os
 import re
 import shlex
@@ -12,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dsshift import birkhoff_decompose, sinkhorn_knopp
 from dsshift.cli import main
-from dsshift.fileio import save_matrix_market, save_signal_csv
+from dsshift.fileio import load_birkhoff_json, save_matrix_market, save_signal_csv
 
 from conftest import demo_kernel
 
@@ -53,3 +55,19 @@ def test_readme_command_line_exits_0(tmp_path, monkeypatch):
     save_signal_csv("h.csv", [0.5, 0.3, 0.2])
     for argv in commands:
         assert main(argv[1:]) == 0, " ".join(argv)
+
+
+@pytest.mark.parametrize("n", [1, 9])
+def test_readme_converter_reads_the_earlier_layout(tmp_path, monkeypatch, n):
+    w = np.eye(n) if n == 1 else np.random.default_rng(3).uniform(0.5, 1.5, (n, n))
+    d = birkhoff_decompose(sinkhorn_knopp(w).operator)
+    terms = [{"a": float(a), "perm": p.tolist()} for a, p in d.terms()]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "old.json").write_text(json.dumps({"terms": terms}))
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"Migration: a decomposition file.*?```python\n(.*?)```", readme,
+                      re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    back = load_birkhoff_json("new.json")
+    assert np.array_equal(back.coefficients, d.coefficients)
+    assert np.array_equal(back.permutations, d.permutations)

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -819,44 +820,70 @@ class TestBirkhoffJSON:
         assert np.array_equal(d.permutations, d2.permutations)
 
     def test_schema_shape(self, tmp_path):
-        import json
-
-        d = birkhoff_decompose(np.eye(2))
         path = tmp_path / "d.json"
-        save_birkhoff_json(path, d)
-        payload = json.loads(path.read_text())
-        assert payload == {"terms": [{"a": 1.0, "perm": [0, 1]}]}
+        save_birkhoff_json(path, birkhoff_decompose(np.eye(2)))
+        assert json.loads(path.read_text()) == {"n": 2, "a": [1.0], "first": [0, 1],
+                                                "indptr": [0, 0], "rows": [], "cols": []}
+        save_birkhoff_json(path, birkhoff_decompose(np.full((2, 2), 0.5)))
+        assert json.loads(path.read_text()) == {"n": 2, "a": [0.5, 0.5], "first": [0, 1],
+                                                "indptr": [0, 0, 2], "rows": [0, 1],
+                                                "cols": [1, 0]}
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "d.json"
-        path.write_text('{"terms": [')
+        path.write_text('{"n": 2, "a": [')
         with pytest.raises(FileFormatError, match=r"d\.json:1"):
             load_birkhoff_json(path)
 
-    @pytest.mark.parametrize(
-        "terms, message",
-        [
-            ("", "no terms"),
-            ('{"a": 0.5, "perm": [0, 1]}, {"a": 0.5, "perm": [1]}', "malformed decomposition"),
-            ('{"a": 1.0, "perm": [0.5, 1]}', "list of integers"),
-            ('{"a": 1.0, "perm": ["0", "1"]}', "list of integers"),
-            ('{"a": 1.0, "perm": [0, 2]}', "term 0: perm is not a permutation of 0..1"),
-            ('{"a": 1.0, "perm": [-1, 0]}', "term 0: perm is not a permutation of 0..1"),
-            ('{"a": 0.5, "perm": [0, 1]}, {"a": 0.5, "perm": [0, 0]}',
-             "term 1: perm is not a permutation of 0..1"),
-            ('{"a": NaN, "perm": [0, 1]}', "term 0: coefficient must be finite and nonnegative"),
-            ('{"a": Infinity, "perm": [0, 1]}', "term 0: coefficient must be finite"),
-            ('{"a": 1.5, "perm": [0, 1]}, {"a": -0.5, "perm": [1, 0]}',
-             "term 1: coefficient must be finite and nonnegative"),
-        ],
-        ids=["empty", "ragged", "fractional", "strings", "beyond-n", "negative-entry",
-             "repeat", "nan-a", "inf-a", "negative-a"],
-    )
-    def test_malformed_decomposition_names_path(self, tmp_path, terms, message):
+    def test_per_term_layout_is_named(self, tmp_path):
         path = tmp_path / "d.json"
-        path.write_text(f'{{"terms": [{terms}]}}')
+        path.write_text('{"terms": [{"a": 1.0, "perm": [0, 1]}]}')
+        with pytest.raises(FileFormatError, match=r'd\.json: the per-term "terms"/"perm" layout'):
+            load_birkhoff_json(path)
+
+    _GOOD = {"n": 2, "a": [0.5, 0.5], "first": [0, 1], "indptr": [0, 0, 2], "rows": [0, 1],
+             "cols": [1, 0]}
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"a": []}, "decomposition has no terms"),
+            ({"a": 0.5}, "a must be a list of coefficients"),
+            ({"a": [[0.5], [0.5, 0.0]]}, "malformed decomposition"),
+            ({"cols": None}, "cols must be a list of integers"),
+            ({"first": [0.5, 1]}, "first must be a list of integers"),
+            ({"rows": ["0", "1"]}, "rows must be a list of integers"),
+            ({"indptr": [[0, 0, 2]]}, "indptr must be a list of integers"),
+            ({"n": 3}, "n must be a positive integer, the length of first (2), got 3"),
+            ({"n": 2.0}, "n must be a positive integer"),
+            ({"first": [0, 2]}, "first image is not a permutation of 0..1"),
+            ({"first": [-1, 0]}, "first image is not a permutation of 0..1"),
+            ({"rows": [0, 0]}, "term 1: row 0 listed twice"),
+            ({"cols": [1, 1]}, "term 1: its new columns are not the ones its rows vacate"),
+            ({"rows": [0, 2]}, "term 1: row 2 out of range 0..1"),
+            ({"cols": [1, -1]}, "term 1: column -1 out of range 0..1"),
+            ({"indptr": [0, 3, 2]}, "term 1: indptr falls from 3 to 2"),
+            ({"indptr": [0, 2]}, "indptr must hold 3 offsets"),
+            ({"a": [float("nan"), 0.5]}, "term 0: coefficient must be finite and nonnegative"),
+            ({"a": [0.5, float("inf")]}, "term 1: coefficient must be finite"),
+            ({"a": [1.5, -0.5]}, "term 1: coefficient must be finite and nonnegative"),
+        ],
+        ids=["empty", "scalar-a", "ragged-a", "null-cols", "fractional", "strings", "nested",
+             "n-mismatch", "float-n", "beyond-n", "negative-entry", "repeated-row",
+             "not-vacated", "row-beyond-n", "negative-column", "indptr-falls", "indptr-short",
+             "nan-a", "inf-a", "negative-a"],
+    )
+    def test_malformed_decomposition_names_path(self, tmp_path, fields, message):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({**self._GOOD, **fields}))  # NaN as Python writes it
         pattern = rf"^{re.escape(str(path))}: .*{re.escape(message)}"
         with pytest.raises(FileFormatError, match=pattern):
+            load_birkhoff_json(path)
+
+    def test_missing_key_names_it(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({k: v for k, v in self._GOOD.items() if k != "indptr"}))
+        with pytest.raises(FileFormatError, match="malformed decomposition \\('indptr'\\)"):
             load_birkhoff_json(path)
 
 

@@ -14,6 +14,9 @@ prints its wall time and the rise of the process's peak resident memory
     validate  validate_weights of the kernel's Graph
     balance   sinkhorn_knopp, tol 1e-10
     shift     diffuse by the balanced operator, k = 20
+    birkhoff  birkhoff_decompose of the formed S, as ``dsshift birkhoff`` does
+              (S is formed before the step); not among the default steps, as
+              its terms grow like the kernel's entries and each costs O(n)
     save      save_matrix_market of the formed S, as ``dsshift balance`` does
     load      load_matrix_market of that S.mtx
 
@@ -35,7 +38,8 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STEPS = ("build", "validate", "balance", "shift", "save", "load")
+STEPS = ("build", "validate", "balance", "shift", "birkhoff", "save", "load")
+DEFAULT_STEPS = tuple(step for step in STEPS if step != "birkhoff")
 
 
 def _peak_kib() -> int:
@@ -82,11 +86,14 @@ def _run_step(step: str, n: int, workdir: str) -> dict:
         run = lambda: load_matrix_market(s_mtx)
     else:
         graph = _kernel(workdir)
-        op = ds.sinkhorn_knopp(graph, tol=1e-10).operator if step in ("shift", "save") else None
+        op = (ds.sinkhorn_knopp(graph, tol=1e-10).operator
+              if step in ("shift", "birkhoff", "save") else None)
+        s = op.matrix if step == "birkhoff" else None
         x = np.random.default_rng(1).uniform(0.5, 1.5, n)
         run = {"validate": lambda: ds.validate_weights(graph),
                "balance": lambda: ds.sinkhorn_knopp(graph, tol=1e-10),
                "shift": lambda: ds.diffuse(op, x, 20),
+               "birkhoff": lambda: ds.birkhoff_decompose(s),
                "save": lambda: save_matrix_market(s_mtx, op.matrix)}[step]
     before = _peak_kib()
     start = time.perf_counter()
@@ -105,7 +112,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--workdir", required=True, help="directory for W's arrays and S.mtx")
-    p.add_argument("--steps", default=",".join(STEPS), help="comma-separated, in this order")
+    p.add_argument("--steps", default=",".join(DEFAULT_STEPS),
+                   help=f"comma-separated, in this order, from {','.join(STEPS)}")
     p.add_argument("--step", help=argparse.SUPPRESS)  # one step, in this process
     args = p.parse_args(argv)
     if args.step:
