@@ -39,9 +39,12 @@ __all__ = [
     "variance_upper_bound",
 ]
 
-# Trials are drawn in blocks of at most this many Gaussian values (2 MB), each from its
-# own generator, on the package's (at most 16) worker threads: 32 MB in flight at most.
+# Trials are drawn in blocks of at most _BLOCK_VALUES Gaussian values (2 MB), each from
+# its own SFC64 stream, on the package's (at most 16) worker threads; a block is drawn
+# in chunks of at most _CHUNK_VALUES (256 KB, about an L2 cache) or one row, into one
+# buffer per block: _WORKERS buffers in flight at most.
 _BLOCK_VALUES = 1 << 18
+_CHUNK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -235,11 +238,17 @@ def monte_carlo_shift_stats(
     standard errors (the variance standard error uses the Gaussian
     approximation ``s**2 * sqrt(2 / (trials - 1))``).  The trials are cut
     into blocks of at most 2 MB of normals; block k draws from its own
-    generator, ``np.random.default_rng(seed).spawn(blocks)[k]``, and the
-    blocks run on one thread per CPU, up to 16, so the working memory is
-    at most 32 MB of normals and the result is deterministic for a fixed
-    ``(seed, trials)`` pair whatever the CPU count.  (Versions that drew
-    every trial from one generator give other values for the same seed.)
+    stream, ``np.random.Generator(np.random.SFC64(s_k))`` with ``s_k =
+    np.random.default_rng(seed).bit_generator.seed_seq.spawn(blocks)[k]``
+    (``np.random.SeedSequence(seed).spawn(blocks)[k]`` for an integer
+    seed).  A block is drawn in chunks of about 256 KB of rows into one
+    buffer, each shifted before the next is drawn, which gives the numbers
+    of the block drawn whole; the blocks run on one thread per CPU, up to
+    16, so the normals held at once are at most 16 buffers of 256 KB, and
+    the result is deterministic for a fixed ``(seed, trials)`` pair
+    whatever the CPU count.  (Versions that drew the blocks from PCG64
+    streams, or every trial from one generator, give other values for the
+    same seed.)
     """
     if not np.issubdtype(type(trials), np.integer) or trials < 2:
         raise ValueError(f"trials must be an integer of at least 2, got {trials!r}")
@@ -249,18 +258,24 @@ def monte_carlo_shift_stats(
     # linear, so it is applied to the normals directly:
     # sum_n w_n x_n = mu W + sigma (sqrt(rho) W z0 + sqrt(1 - rho) z @ w),
     # with W = sum_n w_n, and no block-sized signal array is formed.
-    block = max(1, _BLOCK_VALUES // (weights.size + 1))
-    gens = np.random.default_rng(seed).spawn(-(-trials // block))
+    width = weights.size + 1
+    block, rows = max(1, _BLOCK_VALUES // width), max(1, _CHUNK_VALUES // width)
+    seeds = np.random.default_rng(seed).bit_generator.seed_seq.spawn(-(-trials // block))
     total = float(weights.sum())
     shifted = np.empty(trials)
 
     def draw(k: int) -> None:
-        z = gens[k].standard_normal((min(block, trials - k * block), weights.size + 1))
-        shifted[k * block : k * block + len(z)] = model.mu * total + model.sigma * (
-            np.sqrt(model.rho) * total * z[:, 0] + np.sqrt(1.0 - model.rho) * (z[:, 1:] @ weights)
-        )
+        gen = np.random.Generator(np.random.SFC64(seeds[k]))
+        end = min(k * block + block, trials)
+        z = np.empty((min(rows, end - k * block), width))
+        for lo in range(k * block, end, len(z)):
+            chunk = gen.standard_normal(out=z[:end - lo])
+            shifted[lo:lo + len(chunk)] = model.mu * total + model.sigma * (
+                np.sqrt(model.rho) * total * chunk[:, 0]
+                + np.sqrt(1.0 - model.rho) * (chunk[:, 1:] @ weights)
+            )
 
-    _map_blocks(draw, range(len(gens)))
+    _map_blocks(draw, range(len(seeds)))
 
     mean = float(shifted.mean())
     variance = float(shifted.var(ddof=1))
@@ -274,5 +289,5 @@ def monte_carlo_shift_stats(
         stderr_mean=float(np.sqrt(variance / trials)),
         stderr_variance=float(variance * np.sqrt(2.0 / (trials - 1))),
         stderr_power=float(squares.std(ddof=1) / np.sqrt(trials)),
-        blocks=len(gens),
+        blocks=len(seeds),
     )

@@ -480,18 +480,20 @@ def _pair_count(tree, points, cutoff: float):
     dense side.  Each site lies within ``delta`` of its nearest among every 16th
     site, so counts around those, weighted by the sites nearest each, bound it
     below at ``cutoff - delta`` (triangle inequality); the exact count, which
-    the CSR build allocates by, runs only when that bound does not decide."""
+    the CSR build allocates by, runs only when that bound does not decide.
+    Every 16th site from the 9th is queried first: their largest gap bounds
+    ``delta`` below, so when it alone leaves no radius, the exact count runs
+    without a query of every site."""
     from scipy.spatial import cKDTree  # not needed by ``import dsshift``
 
     n, sub = len(points), cKDTree(points[::16])
-    gap, nearest = sub.query(points)
-    low_r = cutoff * (1 - 1e-9) - gap.max() * (1 + 1e-9)  # 1e-9 margins for rounding
-    if low_r >= 0:  # cKDTree would square a negative radius
-        low = sub.count_neighbors(tree, low_r,
-                                  weights=(np.bincount(nearest, minlength=sub.n), None))
-        if _dense_storage((n, n), lambda: low):
-            return low
-    return tree.count_neighbors(tree, cutoff)
+    for sample in (points[8::16], points):
+        gap, nearest = sub.query(sample)
+        low_r = cutoff * (1 - 1e-9) - gap.max(initial=0.0) * (1 + 1e-9)  # rounding margins
+        if low_r < 0:  # cKDTree would square a negative radius
+            return tree.count_neighbors(tree, cutoff)
+    low = sub.count_neighbors(tree, low_r, weights=(np.bincount(nearest, minlength=sub.n), None))
+    return low if _dense_storage((n, n), lambda: low) else tree.count_neighbors(tree, cutoff)
 
 
 def _csr_kernel(tree, points, cutoff: float, count: int, scale: float, threshold: float,
@@ -547,8 +549,8 @@ def build_weight_matrix(
     a quarter) is built from a k-d tree's neighbour pairs, a block of sites at
     a time, into CSR arrays of the counted size: it never forms an N x N
     array, and a block holds about 1/16 of the pairs.  Any other is evaluated
-    as the upper triangle of its N x N buffer, an anonymous memory map advised
-    against huge pages, so the lower half takes no memory until a reader
+    as the upper triangle of its N x N buffer, a private anonymous memory map
+    advised against huge pages, so the lower half takes no memory until a reader
     other than a vector product asks for the weights (then it is mirrored in
     place, once).  Rows
     ``[i, i + 64)`` evaluate columns ``[i, N)`` in tiles (distances, then
@@ -595,7 +597,10 @@ def build_weight_matrix(
     else:
         from scipy.spatial.distance import cdist
 
-        buf = mmap.mmap(-1, 8 * n * n)  # untouched pages take no memory
+        # private, where mmap takes flags: shared anonymous memory is shmem, slower to
+        # fault in; untouched pages take no memory
+        private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+        buf = mmap.mmap(-1, 8 * n * n, **private)
         if hasattr(mmap, "MADV_NOHUGEPAGE"):  # advice for this mapping only, not the process
             buf.madvise(mmap.MADV_NOHUGEPAGE)
         w = np.frombuffer(buf).reshape(n, n)

@@ -22,11 +22,17 @@ from dsshift import (
     variance_upper_bound,
 )
 from dsshift import graphs
-from dsshift.bounds import _BLOCK_VALUES
+from dsshift.bounds import _BLOCK_VALUES, _CHUNK_VALUES
 
 from conftest import balanced_operator
 
 ROW_THIRDS = DSOperator(np.array([[1 / 3, 2 / 3], [2 / 3, 1 / 3]]))
+
+
+def one_row_operator(weights):
+    """An n x n CSR whose row 0 holds ``weights`` and every other row is empty."""
+    n = weights.size
+    return sp.csr_array((weights, (np.zeros(n, int), np.arange(n))), shape=(n, n))
 
 
 def neighborhood_of(n):
@@ -322,7 +328,7 @@ class TestMonteCarloShiftStats:
 
     def test_equals_shifting_the_sampled_signal(self):
         # The explicit path: draw the signals block by block with
-        # sample_local_signal, each block from its own spawned generator,
+        # sample_local_signal, each block from its own spawned SFC64 stream,
         # and shift them.
         s = balanced_operator(40, seed=74)
         model = RandomSignalModel(mu=1.0, sigma=1.5, rho=0.3)
@@ -331,7 +337,8 @@ class TestMonteCarloShiftStats:
         block = _BLOCK_VALUES // 41
         trials = 2 * block + 17  # two full blocks and a partial one
         starts = range(0, trials, block)
-        gens = np.random.default_rng(8).spawn(len(starts))
+        gens = [np.random.Generator(np.random.SFC64(s))
+                for s in np.random.SeedSequence(8).spawn(len(starts))]
         shifted = np.concatenate([
             sample_local_signal(model, Neighborhood(0, members, 40), gen,
                                 size=min(block, trials - done)) @ weights
@@ -354,14 +361,55 @@ class TestMonteCarloShiftStats:
     def test_worker_count_does_not_change_the_result(self, monkeypatch):
         s = np.full((2000, 2000), 1 / 2000)
         model = RandomSignalModel(mu=0.5, sigma=1.0, rho=0.3)
-        trials = 4 * (_BLOCK_VALUES // 2001) + 5
+        trials = 16 * (_BLOCK_VALUES // 2001) + 5
         runs = []
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 16):
             monkeypatch.setattr(graphs, "_WORKERS", workers)
             runs.append(monte_carlo_shift_stats(s, 0, model, trials=trials, seed=9))
-        assert runs[0].blocks == 5
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0].blocks == 17
+        assert runs[0] == runs[1] == runs[2] == runs[3]
         assert runs[0] == monte_carlo_shift_stats(s, 0, model, trials=trials, seed=9)
+
+    @pytest.mark.parametrize("size, trials", [
+        (40, 2 * (_BLOCK_VALUES // 41) + 17),  # 799-row chunks: 8 and a 1-row one a block
+        (40, 500),  # one partial chunk
+        (40_000, 15),  # a row wider than a chunk: 6-row blocks of 1-row chunks
+    ])
+    def test_chunked_draws_equal_the_block_drawn_whole(self, size, trials):
+        weights = np.random.default_rng(size).uniform(0.5, 1.5, size) / size
+        model = RandomSignalModel(mu=1.0, sigma=1.5, rho=0.3)
+        block = _BLOCK_VALUES // (size + 1)
+        one_row_chunks = size + 1 > _CHUNK_VALUES
+        assert trials % block and (one_row_chunks or trials % (_CHUNK_VALUES // (size + 1)))
+        total = weights.sum()
+        shifted = np.concatenate([
+            model.mu * total + model.sigma * (np.sqrt(model.rho) * total * z[:, 0]
+                                              + np.sqrt(1.0 - model.rho) * (z[:, 1:] @ weights))
+            for k, s in enumerate(np.random.SeedSequence(10).spawn(-(-trials // block)))
+            for z in [np.random.Generator(np.random.SFC64(s)).standard_normal(
+                (min(block, trials - k * block), size + 1))]
+        ])
+        st = monte_carlo_shift_stats(one_row_operator(weights), 0, model, trials=trials, seed=10)
+        assert st.blocks == -(-trials // block)
+        assert st.mean == pytest.approx(shifted.mean(), rel=1e-12)
+        assert st.variance == pytest.approx(shifted.var(ddof=1), rel=1e-12)
+        assert st.power == pytest.approx((shifted**2).mean(), rel=1e-12)
+
+    def test_draws_in_flight_stay_within_a_chunk_per_worker(self, monkeypatch):
+        # 2 workers: two 256 KB buffers besides the 160 KB of results and of
+        # their squares; whole 2 MB blocks took 4.5 MB
+        s = one_row_operator(np.full(2000, 1 / 2000))
+        model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.3)
+        monkeypatch.setattr(graphs, "_WORKERS", 2)
+        monte_carlo_shift_stats(s, 0, model, trials=1000)
+        tracemalloc.start()
+        try:
+            st = monte_carlo_shift_stats(s, 0, model, trials=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.blocks == 153
+        assert peak < 1.25e6
 
     def test_blocks_in_flight_stay_within_32_mb(self):
         assert 1 <= graphs._WORKERS and graphs._WORKERS * _BLOCK_VALUES * 8 <= 32 << 20

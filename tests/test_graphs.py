@@ -685,6 +685,34 @@ class TestStorageRule:
         else:
             assert np.array_equal(g.weights, ref.weights)
 
+    @pytest.mark.parametrize("scale, queried", [
+        (200.0, [250]),  # the sample decides: no bound
+        (1200.0, [250, 4000]),  # the bound is counted and does not decide
+        (2000.0, [250, 4000]),  # the bound decides: dense
+    ])
+    def test_a_sample_gap_past_the_cutoff_skips_the_full_query(self, monkeypatch, scale,
+                                                               queried):
+        # every 16th site from the 9th lies up to 955 m from the every-16th tree
+        import scipy.spatial
+
+        sizes = []
+
+        class Spy(scipy.spatial.cKDTree):
+            def query(self, x, *args, **kwargs):
+                sizes.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        tree = scipy.spatial.cKDTree(points := random_geometry(4000, 0).project())
+        cutoff = scale * np.sqrt(-np.log(1e-3)) * (1 + 1e-9)  # build_weight_matrix's
+        exact = tree.count_neighbors(tree, cutoff)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Spy)
+        count = graphs._pair_count(tree, points, cutoff)
+        assert sizes == queried
+        if scale < 2000:
+            assert count == exact
+        else:  # a lower bound, returned only when it puts the kernel dense
+            assert count < exact and 4 * count >= 4000**2
+
     def test_demo_kernel_is_routed_without_the_exact_pair_count(self, monkeypatch):
         import scipy.spatial
         from dsshift.demo import SensorFieldConfig, _sensor_geometry
