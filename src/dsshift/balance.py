@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (
-    Graph, _checked, _dense, _min_positive, _positive_row, _product, _require_square, _Scaled,
+    Graph, _checked, _dense, _min_positive, _positive_row, _require_square, _Scaled,
     _total_support_issue, _trusted,
 )
 
@@ -148,14 +148,12 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
         raise ValueError(f"tol must be positive, got {tol}")
 
     graph = weights if isinstance(weights, Graph) else Graph(weights)
-    # checked, private; a built kernel's upper triangle, which dsymv reads, until
-    # graph.weights mirrors it for the rare paths below
-    w, symmetric = graph._weights, graph.is_symmetric()
-    n = w.shape[0]
+    n, symmetric = graph.n_vertices, graph.is_symmetric()
     supported = False  # W passed the exact total-support test, which then never runs again
 
-    def matvec(z):
-        return _product(w, z, True) if symmetric else np.concatenate((w @ z[n:], w.T @ z[:n]))
+    def scaled(p):  # diag(x) A diag(x) @ p, by the operator returned: diag(r) W diag(c), (r, c) = x
+        s = _Scaled(graph, x[:n], x[-n:])
+        return s @ p if symmetric else np.concatenate((s @ p[n:], s.rmatvec(p[:n])))
 
     def require_total_support():
         nonlocal supported
@@ -165,7 +163,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
 
     # x * (A @ x) holds the row sums of S, then (embedding) its column sums.
     x = np.ones(n if symmetric else 2 * n)
-    v = matvec(x)
+    v = scaled(x)  # A @ 1
     matvecs = 1
     empty = {"row": np.flatnonzero(v[:n] == 0), "column": np.flatnonzero(v[-n:] == 0)}
     parts = [f"empty {kind}(s) {found.tolist()}" for kind, found in empty.items() if found.size]
@@ -197,7 +195,7 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
         p = z = rk / v
         rho = float(rk @ z)
         while float(rk @ rk) > max(eta**2 * rout, tol**2):
-            ap = x * matvec(x * p) + v * p
+            ap = scaled(p) + v * p
             matvecs += 1
             curvature = float(p @ ap)
             if curvature <= 0:  # p is in the null space of the system
@@ -222,12 +220,11 @@ def sinkhorn_knopp(weights, tol: float = 1e-10) -> BalanceResult:
                 spread_limit = graph.weights.max() / _min_positive(graph.weights) / _SQRT_EPS
             if x.max() > x.min() * spread_limit:
                 require_total_support()
-        v = x * matvec(x)
+        v = scaled(np.ones_like(x))
         matvecs += 1
     r, c = x[:n], x[-n:]
     # Positive scalings of checked weights: no second pass of DSOperator's checks;
     # copies, since the result's scalings are the caller's to change.
-    stored = _Scaled(w, r.copy(), c.copy(), symmetric, graph._mirror)  # the Graph's one mirror
-    operator = _trusted(DSOperator, _stored=stored,
+    operator = _trusted(DSOperator, _stored=_Scaled(graph, r.copy(), c.copy()),
                         tolerance_achieved=residual, iterations_used=iteration)
     return BalanceResult(operator, r, c, matvecs=matvecs, residual_history=np.array(history))

@@ -106,11 +106,14 @@ def save_matrix_market(path, matrix) -> None:
     its entries on and below the diagonal written; any other is ``general``.
     The text goes to the file as mmwrite makes it, never whole in memory, and
     replaces an existing file only once written whole.  Raises ValueError for
-    a NaN or infinite entry, before any file is opened."""
+    a matrix with a zero dimension, which the loader rejects, or a NaN or
+    infinite entry, before any file is opened."""
     # Imported here: scipy.io is not needed by ``import dsshift``.
     from scipy.io import mmwrite
 
     a = as_matrix(matrix)
+    if not min(a.shape):
+        raise ValueError(f"matrix must be nonempty, got shape {a.shape}")
     if not all(np.isfinite(v).all() for v in _value_blocks(a)):
         raise ValueError("matrix entries must be finite")
     symmetric = 0 < a.shape[0] == a.shape[1] and (
@@ -270,9 +273,12 @@ def _csv_array(path, dtype, header=()):
 
 
 def save_signal_csv(path, values) -> None:
-    """Write a signal as one value per line.  Raises ValueError for a NaN or
-    infinite value, before the file is opened."""
-    values = np.asarray(values, dtype=float).ravel()
+    """Write a signal as one value per line.  Raises ValueError, before the
+    file is opened, for anything but a nonempty 1-D array (the loader reads
+    one back) or for a NaN or infinite value."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or not values.size:
+        raise ValueError(f"signal must be a nonempty 1-D array, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("signal values must be finite")
     with open(path, "w", encoding="ascii") as fh:

@@ -174,9 +174,9 @@ def _product(w, x, symmetric: bool):
 class _Mirror:
     """The lower half of a dense kernel built as its upper triangle (see
     :func:`build_weight_matrix`), copied from the upper one in place, a 64 x 64
-    tile at a time, by the first call; later calls return at once.  One owner,
-    shared by the kernel's Graph and every operator made from it; threads that
-    call first at once wait for the one copy."""
+    tile at a time, by the first call; later calls return at once.  Owned by
+    the kernel's Graph alone (operators reach it through the Graph); threads
+    that call first at once wait for the one copy."""
 
     def __init__(self, w):
         self._w, self._lock = w, threading.Lock()  # w: a writable view, dropped once copied
@@ -194,60 +194,59 @@ class _Mirror:
                 w[lo:lo + _BLOCK, c:c + _BLOCK] = w[c:c + _BLOCK, lo:lo + _BLOCK].T
 
 
+def _scaled(w, r, c):
+    """``diag(r) w diag(c)``, ``(r_i w_ij) c_j``, of a dense or CSR ``w`` (sharing its pattern)."""
+    if sp.issparse(w):
+        data = np.repeat(r, np.diff(w.indptr))  # in place: one temporary
+        data *= w.data
+        data *= c[w.indices]
+        return sp.csr_array((data, w.indices, w.indptr), shape=w.shape)
+    s = r[:, None] * w
+    s *= c
+    return s
+
+
 class _Scaled:
-    """``S = diag(r) W diag(c)`` over ``W``, a Graph's checked storage, kept
+    """``S = diag(r) W diag(c)`` over ``W``, the weights of ``graph``, kept
     unformed: a product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``;
     scipy takes it as a ``LinearOperator``.  :meth:`formed` builds ``S`` and keeps it.
-    A vector product and a row (:func:`_positive_row`) read a built kernel's
-    upper triangle as it is; any other read of ``w`` runs the Graph's ``mirror`` first."""
+    Balancing multiplies by the operator it returns, ``x`` for ``r`` and ``c``.
+    ``W``, its symmetry and a built kernel's triangle are read through the Graph:
+    a vector product and a row read ``_weights`` as stored, any other reader ``weights``."""
 
-    def __init__(self, w, r, c, symmetric: bool, mirror=None):
-        self._w, self.r, self.c, self.shape, self.dtype, self._s = w, r, c, w.shape, w.dtype, None
-        self.symmetric, self._mirror = symmetric, mirror  # W's, so products may read one triangle
+    def __init__(self, graph, r, c):
+        self.graph, self.r, self.c, self._s = graph, r, c, None
+        self.shape, self.dtype = graph._weights.shape, graph._weights.dtype
 
-    @property
-    def w(self):
-        if self._mirror is not None:
-            self._mirror()
-        return self._w
-
-    def __getstate__(self):  # a pickle or a copy holds both halves, and no mirror
-        return {**self.__dict__, "_w": self.w, "_mirror": None}
-
-    def __matmul__(self, x):
+    def matvec(self, x, transpose: bool = False):
+        """``S @ x``, or ``S.T @ x`` if ``transpose``; a symmetric ``W`` serves as
+        ``W.T``, which ``dsymv`` would copy."""
+        left, right = (self.c, self.r) if transpose else (self.r, self.c)
         col = (slice(None),) + (None,) * (np.ndim(x) - 1)  # scale the rows of a 2-D x
-        w = self._w if np.ndim(x) == 1 else self.w  # only dsymv reads one triangle
-        return self.r[col] * _product(w, self.c[col] * x, self.symmetric)
+        g = self.graph
+        w = g._weights if np.ndim(x) == 1 else g.weights  # only dsymv reads one triangle
+        symmetric = g.is_symmetric()
+        return left[col] * _product(w.T if transpose and not symmetric else w,
+                                    right[col] * x, symmetric)
 
-    matvec = __matmul__
+    __matmul__ = matvec
 
     def rmatvec(self, x):
-        """``S.T @ x``; a symmetric ``W`` serves as ``W.T``, which ``dsymv`` would copy."""
-        w = self._w if self.symmetric else self._w.T
-        return _Scaled(w, self.c, self.r, self.symmetric, self._mirror) @ x
+        return self.matvec(x, True)
 
     def sum(self, axis: int) -> np.ndarray:
         """Row (``axis=1``) or column (``axis=0``) sums, ``r * (W @ c)`` or ``c * (W.T @ r)``."""
-        return (self.matvec if axis == 1 else self.rmatvec)(np.ones(self.shape[0]))
+        return self.matvec(np.ones(self.shape[0]), transpose=axis == 0)
 
     def min(self) -> float:
         """The smallest entry (an implicit zero of CSR counts), formed a row block at a time."""
-        return min(_Scaled(w, self.r[lo:lo + w.shape[0]], self.c, False).formed().min()
-                   for lo, w in _row_blocks(self.w))
+        return min(_scaled(w, self.r[lo:lo + w.shape[0]], self.c).min()
+                   for lo, w in _row_blocks(self.graph.weights))
 
     def formed(self):
         """``S`` as a read-only ndarray or a ``csr_array``, built in O(nnz) on the first call."""
-        w, r, c = self.w, self.r, self.c
-        if self._s is None and sp.issparse(w):
-            data = np.repeat(r, np.diff(w.indptr))  # (r_i w_ij) c_j in place: one temporary
-            data *= w.data
-            data *= c[w.indices]
-            # W's zero pattern: S shares W's read-only indices and indptr
-            self._s = _read_only(sp.csr_array((data, w.indices, w.indptr), shape=w.shape))
-        elif self._s is None:
-            self._s = r[:, None] * w
-            self._s *= c
-            _read_only(self._s)
+        if self._s is None:
+            self._s = _read_only(_scaled(self.graph.weights, self.r, self.c))
         return self._s
 
 
@@ -332,13 +331,11 @@ def _positive_row(a, m: int):
     if not (np.issubdtype(type(m), np.integer) and 0 <= (m := int(m)) < a.shape[0]):
         raise ValueError(f"vertex id {m!r} out of range [0, {a.shape[0]})")
     scaled = a if isinstance(a, _Scaled) else None  # W's positive entries, scaled
-    if scaled is not None:
-        a = scaled._w
+    a, triangle = (a, False) if scaled is None else (a.graph._weights, a.graph._mirror is not None)
     if sp.issparse(a):
         lo, hi = a.indptr[m], a.indptr[m + 1]
         columns, row = a.indices[lo:hi].astype(np.intp), a.data[lo:hi]
     else:
-        triangle = scaled is not None and scaled._mirror is not None
         columns = np.arange(a.shape[1])
         row = np.concatenate((a[:m, m], a[m, m:])) if triangle else np.asarray(a[m])
     _require_finite_nonnegative(row, f"row {m}")
@@ -691,14 +688,13 @@ def validate_weights(graph) -> WeightDiagnostics:
     positive diagonal (balancing needs every positive entry on one: total
     support).  Accepts a Graph, an operator or a raw matrix; CSR input is
     inspected in its stored form, never densified.  A balanced operator
-    ``diag(r) W diag(c)``, ``r, c > 0``, has W's zero pattern: it is read as
-    stored and reported on ``W``, with the symmetry W's Graph kept, unformed.
+    ``diag(r) W diag(c)``, ``r, c > 0``, has W's zero pattern: its report is
+    that of W's Graph, and ``S`` is not formed.
     """
     w, n = _require_square(graph)
     if isinstance(w, _Scaled):
-        w, symmetric = w.w, w.symmetric
-    else:
-        symmetric = graph.is_symmetric() if isinstance(graph, Graph) else _is_symmetric(w)
+        return validate_weights(w.graph)
+    symmetric = graph.is_symmetric() if isinstance(graph, Graph) else _is_symmetric(w)
     zero_rows = tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0))
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))
     negative = int(sum(np.count_nonzero(v < 0) for v in _value_blocks(w)))

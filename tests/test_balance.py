@@ -16,7 +16,7 @@ from dsshift import (
     validate_weights,
     verify_doubly_stochastic,
 )
-from dsshift import balance
+from dsshift import balance, graphs
 
 from conftest import balanced_operator, demo_kernel, random_geometry, star
 
@@ -59,6 +59,27 @@ class TestSinkhornKnopp:
         assert result.matvecs == 1 + 2 * (len(expected) - 1)
         assert history[-1] == result.operator.tolerance_achieved <= 1e-10
         np.testing.assert_allclose(history[:-1], expected[:-1], rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["dense", "csr", "kernel", "asymmetric dense",
+                                      "asymmetric csr"])
+    def test_matvecs_count_the_products_through_one_path(self, monkeypatch, kind):
+        # every Newton product is the returned operator's, through graphs._product:
+        # one call a matvec for a symmetric W, one each way (W, W.T) for the embedding
+        rng = np.random.default_rng(3)
+        a = rng.uniform(0.5, 1.5, (40, 40)) * (rng.uniform(size=(40, 40)) < 0.3) + np.eye(40)
+        if kind == "kernel":
+            w = build_weight_matrix(random_geometry(650, 4), scale=2000.0, threshold=1e-4,
+                                    self_loops=True)
+            assert w._mirror is not None  # a dense kernel kept as its upper triangle
+        else:
+            w = {"dense": a + a.T, "csr": sp.csr_array(a + a.T),
+                 "asymmetric dense": a, "asymmetric csr": sp.csr_array(a)}[kind]
+        calls = []
+        product = graphs._product
+        monkeypatch.setattr(graphs, "_product", lambda *args: calls.append(0) or product(*args))
+        result = sinkhorn_knopp(w)
+        assert result.matvecs > 1
+        assert len(calls) == result.matvecs * (2 if kind.startswith("asymmetric") else 1)
 
     @pytest.mark.parametrize("kind", ["dense-demo", "csr", "asymmetric"])
     def test_balancing_does_not_depend_on_the_units_of_w(self, kind):

@@ -373,6 +373,16 @@ class TestMatrixMarket:
             save_matrix_market(path, sp.csr_array(a) if sparse else a)
         assert not path.exists()
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0)])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_writer_refuses_a_zero_dimension(self, tmp_path, shape, sparse):
+        # the loader rejects "invalid dimensions 0 x 0"; the writer names the shape first
+        a = np.zeros(shape)
+        path = tmp_path / "a.mtx"
+        with pytest.raises(ValueError, match=re.escape(f"nonempty, got shape {shape}")):
+            save_matrix_market(path, sp.csr_array(a) if sparse else a)
+        assert not path.exists()
+
     @pytest.mark.parametrize("scale, dense", [(3000.0, True), (800.0, False)])
     def test_loaders_follow_the_storage_rule(self, tmp_path, scale, dense):
         from dsshift import build_weight_matrix
@@ -611,8 +621,16 @@ class TestSignalCSV:
         save_signal_csv(tmp_path / "x.csv", x)
         np.savetxt(tmp_path / "ref.csv", x, fmt="%.17g")
         assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        save_signal_csv(tmp_path / "empty.csv", [])
-        assert (tmp_path / "empty.csv").read_bytes() == b""
+
+    @pytest.mark.parametrize("values", [[], np.zeros((3, 2)), np.zeros((1, 4)), 2.0],
+                             ids=["empty", "3x2", "1x4", "scalar"])
+    def test_writer_refuses_what_the_reader_cannot_return(self, tmp_path, values):
+        # an empty file is rejected on reading, and a 2-D signal would read back flat
+        path = tmp_path / "x.csv"
+        shape = re.escape(str(np.shape(values)))
+        with pytest.raises(ValueError, match=f"nonempty 1-D array, got shape {shape}"):
+            save_signal_csv(path, values)
+        assert not path.exists()
 
     def test_valid_file_is_not_parsed_per_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fileio, "_parse", None)  # the per-line parse would fail

@@ -571,7 +571,7 @@ class TestBuildWeightMatrix:
             g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=True)
             op = sinkhorn_knopp(g, tol=1e-10).operator
             op2, g2 = copy(op), copy(g)  # the operator's copy mirrors the shared kernel
-            assert g2._mirror is None and op2._stored._mirror is None
+            assert g2._mirror is None and op2._stored.graph._mirror is None
             assert np.array_equal(g2.weights, ref)
             np.testing.assert_allclose(op2.dense(), op.dense(), rtol=0, atol=0)
 

@@ -14,6 +14,7 @@ prints its wall time and the rise of the process's peak resident memory
     validate  validate_weights of the kernel's Graph
     balance   sinkhorn_knopp, tol 1e-10
     shift     diffuse by the balanced operator, k = 20
+    norm      matrix_norm(op, 2) of the balanced operator, unformed
     birkhoff  birkhoff_decompose of the formed S, as ``dsshift birkhoff`` does
               (S is formed before the step); not among the default steps, as
               its terms grow like the kernel's entries and each costs O(n)
@@ -38,7 +39,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STEPS = ("build", "validate", "balance", "shift", "birkhoff", "save", "load")
+STEPS = ("build", "validate", "balance", "shift", "norm", "birkhoff", "save", "load")
 DEFAULT_STEPS = tuple(step for step in STEPS if step != "birkhoff")
 
 
@@ -87,12 +88,13 @@ def _run_step(step: str, n: int, workdir: str) -> dict:
     else:
         graph = _kernel(workdir)
         op = (ds.sinkhorn_knopp(graph, tol=1e-10).operator
-              if step in ("shift", "birkhoff", "save") else None)
+              if step in ("shift", "norm", "birkhoff", "save") else None)
         s = op.matrix if step == "birkhoff" else None
         x = np.random.default_rng(1).uniform(0.5, 1.5, n)
         run = {"validate": lambda: ds.validate_weights(graph),
                "balance": lambda: ds.sinkhorn_knopp(graph, tol=1e-10),
                "shift": lambda: ds.diffuse(op, x, 20),
+               "norm": lambda: ds.matrix_norm(op, 2),
                "birkhoff": lambda: ds.birkhoff_decompose(s),
                "save": lambda: save_matrix_market(s_mtx, op.matrix)}[step]
     before = _peak_kib()
