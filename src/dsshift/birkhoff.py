@@ -322,9 +322,7 @@ def reconstruct(decomposition: BirkhoffDecomposition, n: int | None = None) -> n
         raise ValueError(f"permutations act on {len(first)} elements, expected {n}")
     _check_terms(coeffs, first, indptr, rows, cols)
     out = np.zeros((n, n))
-    flat, at = out.reshape(-1), np.arange(n) * n + first  # each row's entry, flat
-    ends = indptr.tolist()
-    for weight, lo, hi in zip(coeffs, ends, ends[1:]):
-        at[rows[lo:hi]] = rows[lo:hi] * n + cols[lo:hi]
-        flat[at] += weight
+    flat, base = out.reshape(-1), np.arange(n) * n  # row m's entry is flat[base[m] + image[m]]
+    for a, image in decomposition._images():
+        flat[base + image] += a
     return out

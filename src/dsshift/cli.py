@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: balance, shift, filter, birkhoff, bounds, demo-sensors.
+Subcommands: balance, shift, filter, birkhoff, bounds, demo-sensors.  Each
+writes its files, then prints one JSON record: on stdout, or on stderr below a
+signal printed on stdout; a failure prints one ``error:`` line on stderr.
 Exit codes: 0 success, 2 invalid input, 3 numerical failure (including a
 floating-point overflow, division by zero or invalid operation), 4 I/O error.
 """
@@ -13,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .balance import NotConvergedError, UnbalanceableError, sinkhorn_knopp
+from .balance import NotConvergedError, sinkhorn_knopp
 from .birkhoff import DecompositionError, birkhoff_decompose
 from .bounds import (
     RandomSignalModel,
@@ -27,8 +29,8 @@ from .bounds import (
 )
 from .demo import SensorFieldConfig, run_sensor_demo
 from .fileio import (
-    FileFormatError,
     _load_graph,
+    _signal_text,
     load_matrix_market,
     load_signal_csv,
     save_birkhoff_json,
@@ -46,87 +48,66 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _signal_norms(x) -> dict:
-    v = np.asarray(x, dtype=float)
-    return {
-        "l1": float(np.abs(v).sum()),
-        "l2": float(np.sqrt((v**2).sum())),
-        "linf": float(np.abs(v).max()),
-    }
+def _signal_norms(v: np.ndarray) -> dict:
+    return {"l1": float(np.abs(v).sum()), "l2": float(np.sqrt((v**2).sum())),
+            "linf": float(np.abs(v).max())}
 
 
-def _emit_signal(values, args, record: dict) -> None:
+def _emit_signal(values, args, record: dict):
+    """Write the values to ``--output`` (the record beside them) or, when it is
+    omitted, to stdout; the record goes on stdout, or below the values on stderr."""
     if args.output is None:
-        # values on stdout, norms record on stderr
-        for v in values:
-            print(format(float(v), ".17g"))
-        print(json.dumps(record, sort_keys=True, allow_nan=False), file=sys.stderr)
-        return
+        sys.stdout.write(_signal_text(values))
+        return record, sys.stderr
     save_signal_csv(args.output, values)
     save_json(args.output + ".json", record)
-    print(json.dumps(record, sort_keys=True, allow_nan=False))
+    return record, sys.stdout
 
 
-def _cmd_balance(args) -> int:
+def _cmd_balance(args):
     op = sinkhorn_knopp(_load_graph(args.input), tol=args.tol).operator
     save_matrix_market(args.output, op.matrix)
     sidecar = {"residual": op.tolerance_achieved, "iterations": op.iterations_used}
     save_json(args.output + ".json", sidecar)
-    print(json.dumps(sidecar, sort_keys=True, allow_nan=False))
-    return EXIT_OK
+    return sidecar, sys.stdout
 
 
-def _cmd_shift(args) -> int:
+def _cmd_shift(args):
     s = load_matrix_market(args.op)
     x = load_signal_csv(args.signal)
     y = diffuse(s, x, args.k)
-    record = {
-        "shifts": args.k,
-        "norms_before": _signal_norms(x),
-        "norms_after": _signal_norms(y),
-    }
-    _emit_signal(y, args, record)
-    return EXIT_OK
+    return _emit_signal(y, args, {
+        "shifts": args.k, "norms_before": _signal_norms(x), "norms_after": _signal_norms(y)})
 
 
-def _cmd_filter(args) -> int:
+def _cmd_filter(args):
     s = load_matrix_market(args.op)
     x = load_signal_csv(args.signal)
     h = load_signal_csv(args.coeffs)
     y = apply_filter(s, h, x)
-    record = {
-        "order": int(h.size - 1),
-        "coefficient_l1": float(np.abs(h).sum()),
-        "norms_before": _signal_norms(x),
-        "norms_after": _signal_norms(y),
-    }
-    _emit_signal(y, args, record)
-    return EXIT_OK
+    return _emit_signal(y, args, {
+        "order": int(h.size - 1), "coefficient_l1": float(np.abs(h).sum()),
+        "norms_before": _signal_norms(x), "norms_after": _signal_norms(y)})
 
 
-def _cmd_birkhoff(args) -> int:
-    s = load_matrix_market(args.op)
-    d = birkhoff_decompose(s)
+def _cmd_birkhoff(args):
+    d = birkhoff_decompose(load_matrix_market(args.op))
     save_birkhoff_json(args.output, d)
-    print(json.dumps({"terms": d.n_terms, "repairs": d.repairs, "dust": d.dust,
-                      "dust_bound": d.dust_bound, "output": args.output},
-                     sort_keys=True, allow_nan=False))
-    return EXIT_OK
+    return {"terms": d.n_terms, "repairs": d.repairs, "dust": d.dust,
+            "dust_bound": d.dust_bound, "output": args.output}, sys.stdout
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     s = load_matrix_market(args.op)
     m = args.vertex
     lb = local_bounds(s, m)
     model = RandomSignalModel(mu=args.mu, sigma=args.sigma, rho=args.rho)
     stats = monte_carlo_shift_stats(s, m, model, trials=args.trials, seed=args.seed)
-    # Asymptotic formulas require entries strictly inside (0, 1).
-    if lb.upper < 1.0:
-        var_asymptotic = asymptotic_variance_bound(args.sigma, args.rho, lb.lower, lb.upper)
-        power_upper = shift_power_bounds(args.mu, args.sigma, args.rho, lb.lower, lb.upper).upper
-    else:
-        var_asymptotic = None
-        power_upper = None
+    # The asymptotic formulas require entries strictly inside (0, 1).
+    var_asymptotic = (asymptotic_variance_bound(args.sigma, args.rho, lb.lower, lb.upper)
+                      if lb.upper < 1.0 else None)
+    power_upper = (shift_power_bounds(args.mu, args.sigma, args.rho, lb.lower, lb.upper).upper
+                   if lb.upper < 1.0 else None)
     report = {
         "vertex": m,
         "L": lb.lower,
@@ -144,20 +125,17 @@ def _cmd_bounds(args) -> int:
     }
     if args.output:
         save_json(args.output, report)
-    print(json.dumps(report, sort_keys=True, allow_nan=False))
-    return EXIT_OK
+    return report, sys.stdout
 
 
-def _cmd_demo_sensors(args) -> int:
+def _cmd_demo_sensors(args):
     report = run_sensor_demo(SensorFieldConfig(
         n_sensors=args.sensors, noise_sigma=args.noise_sigma, kernel_scale=args.scale,
         threshold=args.threshold, seed=args.seed, shifts=args.k))
     payload = report.to_dict()  # JSON values: an infinite SNR is null
     if args.output:
         save_json(args.output, payload)
-    summary = {k: payload[k] for k in ("input_snr_db", "output_snr_db", "gain_db")}
-    print(json.dumps(summary, sort_keys=True, allow_nan=False))
-    return EXIT_OK
+    return {k: payload[k] for k in ("input_snr_db", "output_snr_db", "gain_db")}, sys.stdout
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,21 +200,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # Underflow stays silent: the Gaussian kernel underflows to 0 by design.
         with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-            return args.func(args)
-    except (FileFormatError, UnbalanceableError, ValueError) as exc:
+            record, stream = args.func(args)  # its files written; its record, for stream
+        print(json.dumps(record, sort_keys=True, allow_nan=False), file=stream)
+        return EXIT_OK
+    except (ValueError, NotConvergedError, DecompositionError, FloatingPointError,
+            OSError) as exc:  # FileFormatError and UnbalanceableError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (NotConvergedError, DecompositionError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return (EXIT_INVALID_INPUT if isinstance(exc, ValueError)
+                else EXIT_IO if isinstance(exc, OSError) else EXIT_NUMERICAL)
 
 
 def entrypoint() -> None:

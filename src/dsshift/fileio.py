@@ -272,17 +272,23 @@ def _csv_array(path, dtype, header=()):
         return None
 
 
-def save_signal_csv(path, values) -> None:
-    """Write a signal as one value per line.  Raises ValueError, before the
-    file is opened, for anything but a nonempty 1-D array (the loader reads
-    one back) or for a NaN or infinite value."""
+def _signal_text(values) -> str:
+    """A signal's text, a value a line at 17 significant digits.  ValueError for
+    anything but a nonempty 1-D array (the loader reads one back) or for a NaN
+    or infinite value."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or not values.size:
         raise ValueError(f"signal must be a nonempty 1-D array, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("signal values must be finite")
+    return ("%.17g\n" * values.size) % tuple(values.tolist())
+
+
+def save_signal_csv(path, values) -> None:
+    """Write a signal as :func:`_signal_text`; ValueError before the file opens."""
+    text = _signal_text(values)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(("%.17g\n" * values.size) % tuple(values.tolist()))
+        fh.write(text)
 
 
 def load_signal_csv(path) -> np.ndarray:

@@ -8,7 +8,6 @@ zero; stored weights are strictly positive.
 
 from __future__ import annotations
 
-import functools
 import math
 import mmap
 import os
@@ -120,8 +119,14 @@ def as_matrix(obj):
 
 def _require_square(obj, what: str = "matrix"):
     """``(a, n)`` for an ``n x n`` input, ``n >= 1``, else ValueError: ``a`` is
-    ``as_matrix(obj)``, or an operator's storage, such as a :class:`_Scaled`."""
-    a = obj._stored if hasattr(obj, "_stored") else as_matrix(obj)
+    ``as_matrix(obj)``, or an operator's storage, such as a :class:`_Scaled`;
+    a Graph whose triangle is pending is its unit-scaled ``_Scaled``, read as an operator's."""
+    if hasattr(obj, "_stored"):
+        a = obj._stored
+    elif isinstance(obj, Graph) and obj._upper is not None:
+        a = _Scaled(obj, ones := np.ones(obj.n_vertices), ones)
+    else:
+        a = as_matrix(obj)
     if not a.shape[0] == a.shape[1] > 0:
         raise ValueError(f"{what} must be square and nonempty, got shape {a.shape}")
     return a, a.shape[0]
@@ -171,27 +176,12 @@ def _product(w, x, symmetric: bool):
     return dsymv(1.0, w.T, x, lower=1)
 
 
-class _Mirror:
-    """The lower half of a dense kernel built as its upper triangle (see
-    :func:`build_weight_matrix`), copied from the upper one in place, a 64 x 64
-    tile at a time, by the first call; later calls return at once.  Owned by
-    the kernel's Graph alone (operators reach it through the Graph); threads
-    that call first at once wait for the one copy."""
-
-    def __init__(self, w):
-        self._w, self._lock = w, threading.Lock()  # w: a writable view, dropped once copied
-
-    def __call__(self) -> None:
-        with self._lock:
-            if self._w is not None:
-                self._fill()
-                self._w = None
-
-    def _fill(self) -> None:
-        w = self._w
-        for lo in range(_BLOCK, w.shape[0], _BLOCK):
-            for c in range(0, lo, _BLOCK):
-                w[lo:lo + _BLOCK, c:c + _BLOCK] = w[c:c + _BLOCK, lo:lo + _BLOCK].T
+def _mirror(w) -> None:
+    """Copy the upper triangle of the square ndarray ``w`` over its lower one in
+    place, a 64 x 64 tile at a time; the 64 x 64 diagonal tiles must be written whole."""
+    for lo in range(_BLOCK, w.shape[0], _BLOCK):
+        for c in range(0, lo, _BLOCK):
+            w[lo:lo + _BLOCK, c:c + _BLOCK] = w[c:c + _BLOCK, lo:lo + _BLOCK].T
 
 
 def _scaled(w, r, c):
@@ -210,9 +200,10 @@ class _Scaled:
     """``S = diag(r) W diag(c)`` over ``W``, the weights of ``graph``, kept
     unformed: a product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``;
     scipy takes it as a ``LinearOperator``.  :meth:`formed` builds ``S`` and keeps it.
-    Balancing multiplies by the operator it returns, ``x`` for ``r`` and ``c``.
-    ``W``, its symmetry and a built kernel's triangle are read through the Graph:
-    a vector product and a row read ``_weights`` as stored, any other reader ``weights``."""
+    Balancing multiplies by the operator it returns, ``x`` for ``r`` and ``c``; a Graph
+    whose triangle is pending is read as ``r = c = 1``.  ``W`` and its symmetry are read
+    through the Graph: a vector product and a row read ``_weights``, the triangle
+    alone while it is pending, any other reader ``weights``, which mirrors it."""
 
     def __init__(self, graph, r, c):
         self.graph, self.r, self.c, self._s = graph, r, c, None
@@ -220,7 +211,10 @@ class _Scaled:
 
     def matvec(self, x, transpose: bool = False):
         """``S @ x``, or ``S.T @ x`` if ``transpose``; a symmetric ``W`` serves as
-        ``W.T``, which ``dsymv`` would copy."""
+        ``W.T``, which ``dsymv`` would copy.  A column, as scipy's ``matmat`` passes
+        one (``svds`` does), is taken as a vector."""
+        if np.ndim(x) == 2 and x.shape[1] == 1:
+            return self.matvec(x[:, 0], transpose)[:, None]
         left, right = (self.c, self.r) if transpose else (self.r, self.c)
         col = (slice(None),) + (None,) * (np.ndim(x) - 1)  # scale the rows of a 2-D x
         g = self.graph
@@ -286,13 +280,12 @@ def _index_dtype(*sizes):
     return np.int32 if max(sizes) < 2**31 else np.int64
 
 
-def _dense_storage(shape, count_nonzero) -> bool:
+def _dense_storage(shape, nnz: int) -> bool:
     """The one storage rule for matrices the package builds or loads: dense
-    when at most ``DENSE_LIMIT`` on a side or at least a quarter full (where
-    a CSR matvec costs as much as a dense one), CSR otherwise.
-    ``count_nonzero()`` is called only when the size does not decide."""
+    when at most ``DENSE_LIMIT`` on a side or with ``nnz`` at least a quarter
+    of the entries (where a CSR matvec costs as much as a dense one), CSR otherwise."""
     rows, cols = shape
-    return max(rows, cols) <= DENSE_LIMIT or 4 * count_nonzero() >= rows * cols
+    return max(rows, cols) <= DENSE_LIMIT or 4 * nnz >= rows * cols
 
 
 def _stored(w):
@@ -300,7 +293,7 @@ def _stored(w):
     without explicit zeros; the storage of a CSR ``w`` may be reused."""
     w = sp.csr_array(w)
     w.eliminate_zeros()
-    return w.toarray() if _dense_storage(w.shape, lambda: w.nnz) else w
+    return w.toarray() if _dense_storage(w.shape, w.nnz) else w
 
 
 def _is_symmetric(a) -> bool:
@@ -324,14 +317,14 @@ def _positive_row(a, m: int):
     """Columns (``intp``) and values of the positive entries in row ``m`` of
     ``a``, a matrix from :func:`_require_square`; ValueError for ``m`` not an
     integer (Python or numpy; a bool is not) in range, or a row holding a NaN,
-    an infinite or a negative entry.  A CSR row is its stored slice; a built
-    kernel's (one with a ``_Mirror``) is read from its upper triangle, column
-    ``m`` down to the diagonal and row ``m`` from it, equal bit for bit to the
-    mirrored row, so no reader of one row mirrors the kernel."""
+    an infinite or a negative entry.  A CSR row is its stored slice; that of a
+    ``_Scaled`` over a Graph whose triangle is pending is read from the upper
+    triangle, column ``m`` down to the diagonal and row ``m`` from it, equal bit
+    for bit to the mirrored row, so no reader of one row mirrors the kernel."""
     if not (np.issubdtype(type(m), np.integer) and 0 <= (m := int(m)) < a.shape[0]):
         raise ValueError(f"vertex id {m!r} out of range [0, {a.shape[0]})")
     scaled = a if isinstance(a, _Scaled) else None  # W's positive entries, scaled
-    a, triangle = (a, False) if scaled is None else (a.graph._weights, a.graph._mirror is not None)
+    a, triangle = (a, False) if scaled is None else (a.graph._weights, a.graph._upper is not None)
     if sp.issparse(a):
         lo, hi = a.indptr[m], a.indptr[m + 1]
         columns, row = a.indices[lo:hi].astype(np.intp), a.data[lo:hi]
@@ -350,23 +343,30 @@ class Graph:
     Entry ``weights[m, n]`` is the strength of edge ``n -> m``; zero means
     no edge.  Immutable: the input is always copied (see :func:`_checked`),
     so whether it is symmetric is decided once, on first request, and kept.
+    A dense built kernel keeps its writable buffer in ``_upper`` while only the
+    upper triangle is written (see :func:`build_weight_matrix`), else None.
     """
 
     _symmetric = None  # set by is_symmetric(), build_weight_matrix or fileio._load_graph
-    _mirror = None  # a dense built kernel's _Mirror: _weights holds its upper triangle until run
+    _upper = None  # a dense built kernel's writable buffer while its triangle is pending
+    _lock = threading.Lock()  # one for every Graph, held while one mirrors its triangle
 
     def __init__(self, weights):
         self._weights = _checked(weights, "weights")
 
     @property
     def weights(self):
-        """Weight matrix (dense ndarray or ``csr_array``, never modified)."""
-        if self._mirror is not None:
-            self._mirror()
+        """Weight matrix (dense ndarray or ``csr_array``, never modified).  The first
+        read mirrors a pending triangle, once; later reads take no lock."""
+        if self._upper is not None:
+            with self._lock:
+                if self._upper is not None:  # no other thread mirrored it meanwhile
+                    _mirror(self._upper)
+                    self._upper = None
         return self._weights
 
-    def __getstate__(self):  # a pickle or a copy holds both halves, and no mirror
-        return {**self.__dict__, "_weights": self.weights, "_mirror": None}
+    def __getstate__(self):  # a pickle or a copy holds both halves, and no pending triangle
+        return {**self.__dict__, "_weights": self.weights, "_upper": None}
 
     @property
     def n_vertices(self) -> int:
@@ -490,7 +490,7 @@ def _pair_count(tree, points, cutoff: float):
         if low_r < 0:  # cKDTree would square a negative radius
             return tree.count_neighbors(tree, cutoff)
     low = sub.count_neighbors(tree, low_r, weights=(np.bincount(nearest, minlength=sub.n), None))
-    return low if _dense_storage((n, n), lambda: low) else tree.count_neighbors(tree, cutoff)
+    return low if _dense_storage((n, n), low) else tree.count_neighbors(tree, cutoff)
 
 
 def _csr_kernel(tree, points, cutoff: float, count: int, scale: float, threshold: float,
@@ -582,15 +582,15 @@ def build_weight_matrix(
             stacklevel=2,
         )
 
-    sparse, mirror = False, None
+    sparse, upper = False, None
     if threshold > 0:
         # Farther pairs weigh less than threshold; the relative 1e-9 widening
         # leaves ties to the ``>= threshold`` test of _kernel.
         cutoff = scale * math.sqrt(max(0.0, -math.log(threshold))) * (1 + 1e-9)
-        pairs = functools.cache(lambda: int(_pair_count(tree, points, cutoff)))
+        pairs = int(_pair_count(tree, points, cutoff))
         sparse = not _dense_storage((n, n), pairs)
     if sparse:
-        w = _csr_kernel(tree, points, cutoff, pairs(), scale, threshold, self_loops)
+        w = _csr_kernel(tree, points, cutoff, pairs, scale, threshold, self_loops)
     else:
         from scipy.spatial.distance import cdist
 
@@ -616,14 +616,14 @@ def build_weight_matrix(
             return count
 
         nnz = sum(_map_blocks(fill, range(0, n, _BLOCK)))
-        if _dense_storage((n, n), lambda: nnz):  # counted above
-            mirror, w = _Mirror(w), w.view()  # the view is made read-only, the mirror's is not
+        if _dense_storage((n, n), nnz):  # counted above
+            upper, w = w, w.view()  # the view is made read-only, the Graph's buffer is not
         else:
-            _Mirror(w)()
+            _mirror(w)
             w = sp.csr_array(w)
     # exp of a nonpositive number: every weight is in [0, 1], nothing to check;
     # and symmetric, since (a - b)**2 == (b - a)**2 exactly in IEEE arithmetic
-    return _trusted(Graph, _weights=_read_only(w), _symmetric=True, _mirror=mirror)
+    return _trusted(Graph, _weights=_read_only(w), _symmetric=True, _upper=upper)
 
 
 def incoming_neighborhood(graph, m: int) -> Neighborhood:
@@ -692,8 +692,8 @@ def validate_weights(graph) -> WeightDiagnostics:
     that of W's Graph, and ``S`` is not formed.
     """
     w, n = _require_square(graph)
-    if isinstance(w, _Scaled):
-        return validate_weights(w.graph)
+    if isinstance(w, _Scaled):  # an operator's, or a Graph's pending triangle: W read whole
+        graph, w = w.graph, w.graph.weights
     symmetric = graph.is_symmetric() if isinstance(graph, Graph) else _is_symmetric(w)
     zero_rows = tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0))
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))

@@ -70,7 +70,7 @@ class TestSinkhornKnopp:
         if kind == "kernel":
             w = build_weight_matrix(random_geometry(650, 4), scale=2000.0, threshold=1e-4,
                                     self_loops=True)
-            assert w._mirror is not None  # a dense kernel kept as its upper triangle
+            assert w._upper is not None  # a dense kernel kept as its upper triangle
         else:
             w = {"dense": a + a.T, "csr": sp.csr_array(a + a.T),
                  "asymmetric dense": a, "asymmetric csr": sp.csr_array(a)}[kind]

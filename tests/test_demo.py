@@ -96,15 +96,16 @@ class TestRunSensorDemo:
     def test_demo_reads_its_kernel_as_one_triangle(self, monkeypatch):
         # balancing and the shifts read the built kernel through dsymv alone:
         # its lower half is never mirrored
-        from dsshift import graphs
+        from dsshift import demo, graphs
 
-        made, fills = [], []
-        init, fill = graphs._Mirror.__init__, graphs._Mirror._fill
-        monkeypatch.setattr(graphs._Mirror, "__init__", lambda m, w: made.append(m) or init(m, w))
-        monkeypatch.setattr(graphs._Mirror, "_fill", lambda m: fills.append(m) or fill(m))
+        built, fills = [], []
+        build, fill = demo.build_weight_matrix, graphs._mirror
+        monkeypatch.setattr(demo, "build_weight_matrix",
+                            lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+        monkeypatch.setattr(graphs, "_mirror", lambda w: fills.append(w) or fill(w))
         report = run_sensor_demo(SensorFieldConfig(n_sensors=2000, seed=1))
         assert report.gain_db > 0
-        assert len(made) == 1 and not fills
+        assert len(built) == 1 and built[0]._upper is not None and not fills
 
     def test_gain_is_exactly_output_minus_input(self):
         report = run_sensor_demo(SensorFieldConfig(seed=2))

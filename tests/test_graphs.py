@@ -496,8 +496,8 @@ class TestBuildWeightMatrix:
     def test_products_read_the_triangle_and_other_reads_mirror_it(self, monkeypatch,
                                                                   self_loops):
         fills = []
-        fill = graphs._Mirror._fill
-        monkeypatch.setattr(graphs._Mirror, "_fill", lambda m: fills.append(m) or fill(m))
+        fill = graphs._mirror
+        monkeypatch.setattr(graphs, "_mirror", lambda w: fills.append(w) or fill(w))
         geo = random_geometry(650, 4)
         g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=self_loops)
         x = np.random.default_rng(5).uniform(0.5, 1.5, 650)
@@ -517,7 +517,7 @@ class TestBuildWeightMatrix:
         assert len(fills) == 1  # once per kernel, shared by the Graph and its operators
 
     @pytest.mark.parametrize("read", ["weights", "n_edges", "dense", "operator matrix",
-                                      "2-D product", "validate"])
+                                      "2-D product", "validate", "validate graph"])
     def test_each_reader_of_both_halves_mirrors(self, read):
         geo = random_geometry(650, 4)
         g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=True)
@@ -530,17 +530,19 @@ class TestBuildWeightMatrix:
                      "operator matrix": (lambda: op.matrix, scaled),
                      "2-D product": (lambda: op._stored @ np.eye(650), scaled),
                      "validate": (lambda: validate_weights(op).n_edges, np.count_nonzero(ref)),
+                     "validate graph": (lambda: validate_weights(g).n_edges,
+                                        np.count_nonzero(ref)),
                      }[read]
-        assert g._mirror._w is not None  # balancing read the triangle alone
+        assert g._upper is not None  # balancing read the triangle alone
         np.testing.assert_allclose(got(), want, rtol=1e-15, atol=0)
-        assert g._mirror._w is None  # mirrored
+        assert g._upper is None  # mirrored
 
     def test_row_readers_read_the_triangle(self, monkeypatch):
         # every row of an operator, its bounds, its Monte Carlo and its
         # neighbourhoods, bit for bit those of the mirrored kernel, with no mirror
         fills = []
-        fill = graphs._Mirror._fill
-        monkeypatch.setattr(graphs._Mirror, "_fill", lambda m: fills.append(m) or fill(m))
+        fill = graphs._mirror
+        monkeypatch.setattr(graphs, "_mirror", lambda w: fills.append(w) or fill(w))
         g = build_weight_matrix(random_geometry(650, 4), scale=2000.0, threshold=1e-4,
                                 self_loops=True)
         op = sinkhorn_knopp(g, tol=1e-10).operator
@@ -554,7 +556,7 @@ class TestBuildWeightMatrix:
                     [incoming_neighborhood(op, m).members for m in range(0, 650, 7)])
 
         got = reads()
-        assert not fills and g._mirror._w is not None
+        assert not fills and g._upper is not None
         g.weights  # mirror
         assert len(fills) == 1
         want = reads()
@@ -564,6 +566,45 @@ class TestBuildWeightMatrix:
         scaled = g.weights * op._stored.r[:, None] * op._stored.c
         np.testing.assert_allclose(got[0], scaled, rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("of", ["graph", "operator"])
+    def test_graph_readers_read_the_triangle(self, monkeypatch, of):
+        # the rows, bounds, Monte Carlo and neighbourhoods of a Graph (as of its
+        # operator), bit for bit those of the mirrored kernel, and its products and
+        # norms, the 2-norm's svds too, within n eps: no mirror
+        fills = []
+        fill = graphs._mirror
+        monkeypatch.setattr(graphs, "_mirror", lambda w: fills.append(w) or fill(w))
+        g = build_weight_matrix(random_geometry(650, 4), scale=2000.0, threshold=1e-4,
+                                self_loops=True)
+        s = g if of == "graph" else sinkhorn_knopp(g, tol=1e-10).operator
+        model = RandomSignalModel(mu=1.0, sigma=1.0, rho=0.3)
+        x = np.random.default_rng(5).uniform(0.5, 1.5, 650)
+
+        def rows():
+            vertices = range(0, 650, 7)
+            return ([incoming_neighborhood(s, m).members for m in vertices],
+                    [local_bounds(s, m) for m in vertices],
+                    [(kantorovich_bound(s, m), exact_shift_variance(s, m, 1.0, 0.3),
+                      variance_upper_bound(s, m, 1.0, 0.3)) for m in vertices],
+                    [monte_carlo_shift_stats(s, m, model, trials=64, seed=m)
+                     for m in (0, 64, 649)])
+
+        def products():
+            return ([apply_shift(s, x), diffuse(s, x, 3), apply_filter(s, [0.5, 0.3, 0.2], x)],
+                    [matrix_norm(s, p) for p in (1, 2, np.inf)])
+
+        got, got_products = rows(), products()
+        assert not fills and g._upper is not None
+        g.weights  # mirror
+        assert len(fills) == 1
+        want, want_products = rows(), products()
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+        assert got[1:] == want[1:]
+        n_eps = 650 * np.finfo(float).eps
+        for a, b in zip(got_products[0], want_products[0]):
+            np.testing.assert_allclose(a, b, rtol=n_eps, atol=0)
+        np.testing.assert_allclose(got_products[1], want_products[1], rtol=n_eps, atol=0)
+
     def test_pickles_and_copies_hold_the_whole_kernel(self):
         geo = random_geometry(650, 4)
         ref = reference_kernel(geo, 2000.0, 1e-4, True)
@@ -571,14 +612,14 @@ class TestBuildWeightMatrix:
             g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=True)
             op = sinkhorn_knopp(g, tol=1e-10).operator
             op2, g2 = copy(op), copy(g)  # the operator's copy mirrors the shared kernel
-            assert g2._mirror is None and op2._stored.graph._mirror is None
+            assert g2._upper is None and op2._stored.graph._upper is None
             assert np.array_equal(g2.weights, ref)
             np.testing.assert_allclose(op2.dense(), op.dense(), rtol=0, atol=0)
 
     def test_threads_that_read_first_at_once_get_the_whole_kernel(self, monkeypatch):
         fills = []
-        fill = graphs._Mirror._fill
-        monkeypatch.setattr(graphs._Mirror, "_fill", lambda m: fills.append(m) or fill(m))
+        fill = graphs._mirror
+        monkeypatch.setattr(graphs, "_mirror", lambda w: fills.append(w) or fill(w))
         geo = random_geometry(1300, 4)
         ref = reference_kernel(geo, 2000.0, 1e-4, True)
         interval = sys.getswitchinterval()
@@ -670,7 +711,7 @@ class TestStorageRule:
         tree = cKDTree(points := geo.project())
         cutoff = scale * np.sqrt(-np.log(1e-3)) * (1 + 1e-9)  # build_weight_matrix's
         exact = tree.count_neighbors(tree, cutoff)
-        route = graphs._dense_storage((n, n), lambda: graphs._pair_count(tree, points, cutoff))
+        route = graphs._dense_storage((n, n), graphs._pair_count(tree, points, cutoff))
         assert route == (4 * exact >= n * n)
 
         g = build_weight_matrix(geo, scale=scale, threshold=1e-3)
@@ -856,8 +897,6 @@ class TestValidateWeights:
         assert validate_weights(storage(w)).issues == (
             "asymmetric weight matrix", "unbalanceable: entry (397, 460) is on no positive diagonal")
 
-    def test_csr_input_is_not_densified(self):
-        n = 5000
     def test_csr_input_is_not_densified(self):
         n = 5000
         w = sp.diags([np.ones(n - 1), np.full(n, 2.0), np.ones(n - 1)], [-1, 0, 1], format="csr")

@@ -93,3 +93,40 @@ def test_every_source_file_parses_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
     with pytest.raises(SyntaxError, match="3.11"):  # the guard does reject newer grammar
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def _redefinitions(tree):
+    """``(name, first line, next line)`` for each function or class name that a
+    module or class body defines again; a ``@x.setter``, ``@x.deleter`` or
+    ``@overload`` definition is none."""
+    def exempt(node):
+        names = {d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)
+                 for d in node.decorator_list}
+        return bool(names & {"setter", "deleter", "overload"})
+
+    found = []
+    for body in [tree.body] + [c.body for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]:
+        seen = {}
+        for node in body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not exempt(node)):
+                if node.name in seen:
+                    found.append((node.name, seen[node.name], node.lineno))
+                seen[node.name] = node.lineno
+    return found
+
+
+def test_no_body_defines_a_name_twice():
+    # the later definition replaces the earlier, which then never runs (a test never collected)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = sorted(p for d in ("src", "tests", "tools", "demos") for p in (root / d).rglob("*.py"))
+    found = [f"{path.relative_to(root)}:{first} and :{again} define {name}"
+             for path in files
+             for name, first, again in _redefinitions(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, found
+    guard = ("import typing\nclass A:\n"
+             "    @property\n    def x(self): pass\n    @x.setter\n    def x(self, v): pass\n"
+             "    @typing.overload\n    def f(self): pass\n    def f(self): pass\n"
+             "    def g(self): pass\n    def g(self): pass\n"
+             "def h(): pass\nclass h: pass\n")
+    assert _redefinitions(ast.parse(guard)) == [("h", 12, 13), ("g", 10, 11)]
