@@ -48,9 +48,13 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _signal_norms(v: np.ndarray) -> dict:
-    return {"l1": float(np.abs(v).sum()), "l2": float(np.sqrt((v**2).sum())),
-            "linf": float(np.abs(v).max())}
+def _signal_norms(x) -> dict:
+    v = np.asarray(x, dtype=float)
+    return {
+        "l1": float(np.abs(v).sum()),
+        "l2": float(np.sqrt((v**2).sum())),
+        "linf": float(np.abs(v).max()),
+    }
 
 
 def _emit_signal(values, args, record: dict):
@@ -76,8 +80,12 @@ def _cmd_shift(args):
     s = load_matrix_market(args.op)
     x = load_signal_csv(args.signal)
     y = diffuse(s, x, args.k)
-    return _emit_signal(y, args, {
-        "shifts": args.k, "norms_before": _signal_norms(x), "norms_after": _signal_norms(y)})
+    record = {
+        "shifts": args.k,
+        "norms_before": _signal_norms(x),
+        "norms_after": _signal_norms(y),
+    }
+    return _emit_signal(y, args, record)
 
 
 def _cmd_filter(args):
@@ -85,13 +93,18 @@ def _cmd_filter(args):
     x = load_signal_csv(args.signal)
     h = load_signal_csv(args.coeffs)
     y = apply_filter(s, h, x)
-    return _emit_signal(y, args, {
-        "order": int(h.size - 1), "coefficient_l1": float(np.abs(h).sum()),
-        "norms_before": _signal_norms(x), "norms_after": _signal_norms(y)})
+    record = {
+        "order": int(h.size - 1),
+        "coefficient_l1": float(np.abs(h).sum()),
+        "norms_before": _signal_norms(x),
+        "norms_after": _signal_norms(y),
+    }
+    return _emit_signal(y, args, record)
 
 
 def _cmd_birkhoff(args):
-    d = birkhoff_decompose(load_matrix_market(args.op))
+    s = load_matrix_market(args.op)
+    d = birkhoff_decompose(s)
     save_birkhoff_json(args.output, d)
     return {"terms": d.n_terms, "repairs": d.repairs, "dust": d.dust,
             "dust_bound": d.dust_bound, "output": args.output}, sys.stdout
@@ -103,11 +116,13 @@ def _cmd_bounds(args):
     lb = local_bounds(s, m)
     model = RandomSignalModel(mu=args.mu, sigma=args.sigma, rho=args.rho)
     stats = monte_carlo_shift_stats(s, m, model, trials=args.trials, seed=args.seed)
-    # The asymptotic formulas require entries strictly inside (0, 1).
-    var_asymptotic = (asymptotic_variance_bound(args.sigma, args.rho, lb.lower, lb.upper)
-                      if lb.upper < 1.0 else None)
-    power_upper = (shift_power_bounds(args.mu, args.sigma, args.rho, lb.lower, lb.upper).upper
-                   if lb.upper < 1.0 else None)
+    # Asymptotic formulas require entries strictly inside (0, 1).
+    if lb.upper < 1.0:
+        var_asymptotic = asymptotic_variance_bound(args.sigma, args.rho, lb.lower, lb.upper)
+        power_upper = shift_power_bounds(args.mu, args.sigma, args.rho, lb.lower, lb.upper).upper
+    else:
+        var_asymptotic = None
+        power_upper = None
     report = {
         "vertex": m,
         "L": lb.lower,
@@ -135,7 +150,8 @@ def _cmd_demo_sensors(args):
     payload = report.to_dict()  # JSON values: an infinite SNR is null
     if args.output:
         save_json(args.output, payload)
-    return {k: payload[k] for k in ("input_snr_db", "output_snr_db", "gain_db")}, sys.stdout
+    summary = {k: payload[k] for k in ("input_snr_db", "output_snr_db", "gain_db")}
+    return summary, sys.stdout
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         # Underflow stays silent: the Gaussian kernel underflows to 0 by design.
         with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):

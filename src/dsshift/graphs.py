@@ -119,14 +119,8 @@ def as_matrix(obj):
 
 def _require_square(obj, what: str = "matrix"):
     """``(a, n)`` for an ``n x n`` input, ``n >= 1``, else ValueError: ``a`` is
-    ``as_matrix(obj)``, or an operator's storage, such as a :class:`_Scaled`;
-    a Graph whose triangle is pending is its unit-scaled ``_Scaled``, read as an operator's."""
-    if hasattr(obj, "_stored"):
-        a = obj._stored
-    elif isinstance(obj, Graph) and obj._upper is not None:
-        a = _Scaled(obj, ones := np.ones(obj.n_vertices), ones)
-    else:
-        a = as_matrix(obj)
+    ``as_matrix(obj)``, or an operator's storage, such as a :class:`_Scaled`."""
+    a = obj._stored if hasattr(obj, "_stored") else as_matrix(obj)
     if not a.shape[0] == a.shape[1] > 0:
         raise ValueError(f"{what} must be square and nonempty, got shape {a.shape}")
     return a, a.shape[0]
@@ -200,10 +194,10 @@ class _Scaled:
     """``S = diag(r) W diag(c)`` over ``W``, the weights of ``graph``, kept
     unformed: a product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``;
     scipy takes it as a ``LinearOperator``.  :meth:`formed` builds ``S`` and keeps it.
-    Balancing multiplies by the operator it returns, ``x`` for ``r`` and ``c``; a Graph
-    whose triangle is pending is read as ``r = c = 1``.  ``W`` and its symmetry are read
-    through the Graph: a vector product and a row read ``_weights``, the triangle
-    alone while it is pending, any other reader ``weights``, which mirrors it."""
+    Balancing multiplies by the operator it returns, ``x`` for ``r`` and ``c``.
+    ``W`` and its symmetry are read through the Graph: a vector product and a row
+    read ``_weights``, the triangle alone while it is pending, any other reader
+    ``weights``, which mirrors it."""
 
     def __init__(self, graph, r, c):
         self.graph, self.r, self.c, self._s = graph, r, c, None
@@ -211,10 +205,7 @@ class _Scaled:
 
     def matvec(self, x, transpose: bool = False):
         """``S @ x``, or ``S.T @ x`` if ``transpose``; a symmetric ``W`` serves as
-        ``W.T``, which ``dsymv`` would copy.  A column, as scipy's ``matmat`` passes
-        one (``svds`` does), is taken as a vector."""
-        if np.ndim(x) == 2 and x.shape[1] == 1:
-            return self.matvec(x[:, 0], transpose)[:, None]
+        ``W.T``, which ``dsymv`` would copy."""
         left, right = (self.c, self.r) if transpose else (self.r, self.c)
         col = (slice(None),) + (None,) * (np.ndim(x) - 1)  # scale the rows of a 2-D x
         g = self.graph
@@ -349,7 +340,7 @@ class Graph:
 
     _symmetric = None  # set by is_symmetric(), build_weight_matrix or fileio._load_graph
     _upper = None  # a dense built kernel's writable buffer while its triangle is pending
-    _lock = threading.Lock()  # one for every Graph, held while one mirrors its triangle
+    _lock = None  # that kernel's own lock, held while it is mirrored
 
     def __init__(self, weights):
         self._weights = _checked(weights, "weights")
@@ -366,7 +357,7 @@ class Graph:
         return self._weights
 
     def __getstate__(self):  # a pickle or a copy holds both halves, and no pending triangle
-        return {**self.__dict__, "_weights": self.weights, "_upper": None}
+        return {**self.__dict__, "_weights": self.weights, "_upper": None, "_lock": None}
 
     @property
     def n_vertices(self) -> int:
@@ -623,7 +614,8 @@ def build_weight_matrix(
             w = sp.csr_array(w)
     # exp of a nonpositive number: every weight is in [0, 1], nothing to check;
     # and symmetric, since (a - b)**2 == (b - a)**2 exactly in IEEE arithmetic
-    return _trusted(Graph, _weights=_read_only(w), _symmetric=True, _upper=upper)
+    return _trusted(Graph, _weights=_read_only(w), _symmetric=True, _upper=upper,
+                    _lock=None if upper is None else threading.Lock())
 
 
 def incoming_neighborhood(graph, m: int) -> Neighborhood:
@@ -692,8 +684,8 @@ def validate_weights(graph) -> WeightDiagnostics:
     that of W's Graph, and ``S`` is not formed.
     """
     w, n = _require_square(graph)
-    if isinstance(w, _Scaled):  # an operator's, or a Graph's pending triangle: W read whole
-        graph, w = w.graph, w.graph.weights
+    if isinstance(w, _Scaled):
+        return validate_weights(w.graph)
     symmetric = graph.is_symmetric() if isinstance(graph, Graph) else _is_symmetric(w)
     zero_rows = tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0))
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))

@@ -566,44 +566,18 @@ class TestBuildWeightMatrix:
         scaled = g.weights * op._stored.r[:, None] * op._stored.c
         np.testing.assert_allclose(got[0], scaled, rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("of", ["graph", "operator"])
-    def test_graph_readers_read_the_triangle(self, monkeypatch, of):
-        # the rows, bounds, Monte Carlo and neighbourhoods of a Graph (as of its
-        # operator), bit for bit those of the mirrored kernel, and its products and
-        # norms, the 2-norm's svds too, within n eps: no mirror
-        fills = []
-        fill = graphs._mirror
-        monkeypatch.setattr(graphs, "_mirror", lambda w: fills.append(w) or fill(w))
-        g = build_weight_matrix(random_geometry(650, 4), scale=2000.0, threshold=1e-4,
-                                self_loops=True)
-        s = g if of == "graph" else sinkhorn_knopp(g, tol=1e-10).operator
-        model = RandomSignalModel(mu=1.0, sigma=1.0, rho=0.3)
+    def test_graph_products_do_not_depend_on_earlier_reads(self):
+        # a Graph's products are those of the mirrored kernel, whether or not
+        # anything read it before
+        geo = random_geometry(650, 4)
         x = np.random.default_rng(5).uniform(0.5, 1.5, 650)
-
-        def rows():
-            vertices = range(0, 650, 7)
-            return ([incoming_neighborhood(s, m).members for m in vertices],
-                    [local_bounds(s, m) for m in vertices],
-                    [(kantorovich_bound(s, m), exact_shift_variance(s, m, 1.0, 0.3),
-                      variance_upper_bound(s, m, 1.0, 0.3)) for m in vertices],
-                    [monte_carlo_shift_stats(s, m, model, trials=64, seed=m)
-                     for m in (0, 64, 649)])
-
-        def products():
-            return ([apply_shift(s, x), diffuse(s, x, 3), apply_filter(s, [0.5, 0.3, 0.2], x)],
-                    [matrix_norm(s, p) for p in (1, 2, np.inf)])
-
-        got, got_products = rows(), products()
-        assert not fills and g._upper is not None
-        g.weights  # mirror
-        assert len(fills) == 1
-        want, want_products = rows(), products()
-        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
-        assert got[1:] == want[1:]
-        n_eps = 650 * np.finfo(float).eps
-        for a, b in zip(got_products[0], want_products[0]):
-            np.testing.assert_allclose(a, b, rtol=n_eps, atol=0)
-        np.testing.assert_allclose(got_products[1], want_products[1], rtol=n_eps, atol=0)
+        fresh = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=True)
+        read = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=True)
+        assert fresh._upper is not None and read._upper is not None
+        repr(read)
+        for f in (lambda g: diffuse(g, x, 20), lambda g: apply_filter(g, [0.5, 0.3, 0.2], x),
+                  lambda g: matrix_norm(g, 2)):
+            assert np.array_equal(f(fresh), f(read))
 
     def test_pickles_and_copies_hold_the_whole_kernel(self):
         geo = random_geometry(650, 4)
@@ -647,6 +621,18 @@ class TestBuildWeightMatrix:
         finally:
             sys.setswitchinterval(interval)
         assert len(fills) == 3  # one copy per kernel
+
+    def test_each_kernel_mirrors_under_its_own_lock(self):
+        # a kernel being mirrored does not hold up the first read of another
+        geo = random_geometry(650, 4)
+        busy, other = (build_weight_matrix(geo, scale=2000.0, threshold=1e-4) for _ in range(2))
+        assert busy._upper is not None and other._upper is not None
+        t = threading.Thread(target=lambda: other.weights)
+        with busy._lock:  # as while busy is mirrored
+            t.start()
+            t.join(timeout=30)
+            assert not t.is_alive() and other._upper is None
+        assert busy._upper is not None
 
 
 class TestWorkerCount:
