@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .balance import verify_doubly_stochastic
-from .graphs import _require_square, as_matrix
+from .graphs import _index_dtype, _require_square, as_matrix
 
 __all__ = [
     "BirkhoffDecomposition",
@@ -288,7 +288,8 @@ def _check_terms(coefficients, first, indptr, rows, cols) -> None:
     if (fall := np.flatnonzero(np.diff(indptr) < 0)).size:
         t = fall[0]
         raise ValueError(f"term {t}: indptr falls from {indptr[t]} to {indptr[t + 1]}")
-    term = np.repeat(np.arange(k), np.diff(indptr))
+    # Each changes-sized temporary is freed once read: a few of them at a time.
+    term = np.repeat(np.arange(k, dtype=_index_dtype(k)), np.diff(indptr))
     for what, v in (("row", rows), ("column", cols)):
         if (bad := np.flatnonzero((v < 0) | (v >= n))).size:
             raise ValueError(f"term {term[bad[0]]}: {what} {v[bad[0]]} out of range 0..{n - 1}")
@@ -298,10 +299,16 @@ def _check_terms(coefficients, first, indptr, rows, cols) -> None:
     if (twice := np.flatnonzero(same & (t[1:] == t[:-1]))).size:
         i = twice[np.argmin(t[twice])]
         raise ValueError(f"term {t[i]}: row {row[i]} listed twice")
-    vacated = np.empty_like(cols)
-    vacated[order] = first[row]
-    vacated[order[1:][same]] = cols[order[:-1][same]]
-    new, old = cols[np.lexsort((cols, term))], vacated[np.lexsort((vacated, term))]
+    del row, t
+    # the column each change vacates: its row's in the first image, or the one its row's
+    # previous change moved it to
+    vacated = first[rows]
+    moved = cols[order[:-1][same]]
+    vacated[order[1:][same]] = moved
+    del order, same, moved
+    new = cols[np.lexsort((cols, term))]
+    old = vacated[np.lexsort((vacated, term))]
+    del vacated
     if (bad := np.flatnonzero(new != old)).size:
         raise ValueError(f"term {term[bad[0]]}: its new columns are not the ones its rows vacate")
 

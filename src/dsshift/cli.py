@@ -70,7 +70,7 @@ def _emit_signal(values, args, record: dict):
 
 def _cmd_balance(args):
     op = sinkhorn_knopp(_load_graph(args.input), tol=args.tol).operator
-    save_matrix_market(args.output, op.matrix)
+    save_matrix_market(args.output, op)
     sidecar = {"residual": op.tolerance_achieved, "iterations": op.iterations_used}
     save_json(args.output + ".json", sidecar)
     return sidecar, sys.stdout

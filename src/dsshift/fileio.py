@@ -6,10 +6,11 @@ geometry CSV, and JSON for Birkhoff decompositions and reports.
 Matrix Market values are written in their shortest round-trip form and
 signal values at 17 significant digits, so every save/load round-trips bit
 for bit; the writers refuse NaN and infinite values, which the readers
-would reject.  numpy parses the matrices and CSV files.  Only to name the
-first bad line, one line walker (``_lines``, which skips Matrix Market's ``%``
-comments) feeds the tokens of every format to one parser (``_parse``), so each
-reader raises FileFormatError with the line number, also for NaN and infinity.
+would reject.  numpy parses the matrices, the CSV files and the arrays of a
+decomposition in the writer's layout.  Only to name the first bad line, one
+line walker (``_lines``, which skips Matrix Market's ``%`` comments) feeds the
+tokens of every format to one parser (``_parse``), so each reader raises
+FileFormatError with the line number, also for NaN and infinity.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ import math
 import os
 import re
 import warnings
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 import scipy.sparse as sp
 
 from .birkhoff import BirkhoffDecomposition, _check_terms
-from .graphs import (DENSE_LIMIT, Graph, VertexGeometry, _index_dtype, _is_symmetric, _row_blocks,
-                     _stored, _value_blocks, as_matrix)
+from .graphs import (DENSE_LIMIT, Graph, VertexGeometry, _index_dtype, _is_symmetric, _scaled,
+                     _Scaled, _stored, as_matrix)
 
 __all__ = [
     "FileFormatError",
@@ -76,59 +77,145 @@ def _lines(path, comment=None, start: int = 1):
                 yield lineno, line
 
 
-def _lower_triangle(a):
-    """A square ndarray's entries on and below the diagonal as CSR, a row block at a time."""
-    return sp.vstack([sp.csr_array(np.tril(rows, lo)) for lo, rows in _row_blocks(a)], format="csr")
+# Entries handed to mmwrite in one call: a block of whole rows holding at most this many
+# (a CSR's stored ones), or one row that holds more.
+_BLOCK_ENTRIES = 1 << 20
 
 
-class _Uncommented:
-    """A binary file's ``write`` that drops the second line: the ``%`` line
-    mmwrite writes even for an empty comment.  Everything else goes through."""
+def _spans(a):
+    """``(lo, hi)`` for each block of rows ``[lo, hi)`` of a dense or CSR ``a`` (see ``_BLOCK_ENTRIES``)."""
+    n, lo = a.shape[0], 0
+    while lo < n:
+        if sp.issparse(a):
+            hi = np.searchsorted(a.indptr, a.indptr[lo] + _BLOCK_ENTRIES, "right") - 1
+        else:
+            hi = lo + _BLOCK_ENTRIES // a.shape[1]
+        hi = min(max(int(hi), lo + 1), n)
+        yield lo, hi
+        lo = hi
+
+
+def _rows(a, lo: int, hi: int):
+    """Rows ``[lo, hi)`` of a dense or CSR ``a``, sharing its values (and a CSR's indices)."""
+    if not sp.issparse(a):
+        return a[lo:hi]
+    p = a.indptr
+    return sp.csr_array((a.data[p[lo]:p[hi]], a.indices[p[lo]:p[hi]], p[lo:hi + 1] - p[lo]),
+                        shape=(hi - lo, a.shape[1]))
+
+
+def _lower_count(a, lo: int, hi: int) -> int:
+    """The stored entries of a CSR ``a``'s rows ``[lo, hi)`` on and below the diagonal."""
+    p = a.indptr
+    return int(np.count_nonzero(a.indices[p[lo]:p[hi]] <= np.repeat(np.arange(lo, hi),
+                                                                      np.diff(p[lo:hi + 1]))))
+
+
+def _kept(rows, lo: int, lower: bool):
+    """The entries written of a dense block of rows from row ``lo``: its nonzeros,
+    and only those on and below the diagonal if ``lower``."""
+    keep = rows != 0
+    if lower:
+        keep &= np.tri(*rows.shape, lo, dtype=bool)
+    return keep
+
+
+def _entries(rows, lo: int, shape, lower: bool):
+    """A block of rows from row ``lo`` of a ``shape`` matrix, dense or CSR, as the COO
+    of the entries written, in row-major order: a dense block's nonzeros or a CSR's
+    stored entries, and only those on and below the diagonal if ``lower``.
+    ValueError for a NaN or an infinite one."""
+    if sp.issparse(rows):
+        i = np.repeat(np.arange(lo, lo + rows.shape[0], dtype=rows.indices.dtype),
+                      np.diff(rows.indptr))
+        j, v = rows.indices, rows.data
+        if lower:
+            keep = j <= i
+            i, j, v = i[keep], j[keep], v[keep]
+    else:
+        i, j = np.nonzero(_kept(rows, lo, lower))
+        v = rows[i, j]
+        i += lo
+    if not np.isfinite(v).all():
+        raise ValueError("matrix entries must be finite")
+    return sp.coo_array((v, (i, j)), shape=shape)
+
+
+class _Body:
+    """The entry lines of a Matrix Market file open for binary writing.  :meth:`add`
+    hands a COO block to mmwrite, whose ``write`` calls come here; the three header
+    lines of each call (banner, ``%`` comment, size line) are dropped."""
 
     def __init__(self, fh):
-        self._fh, self._newlines = fh, 0
+        self._fh, self._header = fh, 0
+
+    def add(self, block) -> None:
+        from scipy.io import mmwrite  # not needed by ``import dsshift``
+
+        self._header = 3
+        mmwrite(self, block, field="real", symmetry="general")
 
     def write(self, chunk) -> int:
+        if not self._header:  # every call but a few: about 512 bytes of entries each
+            return self._fh.write(chunk)
         size = len(chunk)
-        while self._newlines < 2 and chunk:  # the banner is kept, the comment dropped
-            line, newline, chunk = bytes(chunk).partition(b"\n")
-            if self._newlines == 0:
-                self._fh.write(line + newline)
-            self._newlines += len(newline)
+        while self._header and chunk:
+            _, newline, chunk = bytes(chunk).partition(b"\n")
+            self._header -= len(newline)
         self._fh.write(chunk)
         return size
 
 
 def save_matrix_market(path, matrix) -> None:
     """Write a matrix in Matrix Market coordinate real format: two header lines,
-    then one ``row col value`` line per entry in row-major order.  A square
-    matrix equal to its transpose (a Graph's cached verdict) is ``symmetric``,
-    its entries on and below the diagonal written; any other is ``general``.
-    The text goes to the file as mmwrite makes it, never whole in memory, and
-    replaces an existing file only once written whole.  Raises ValueError for
-    a matrix with a zero dimension, which the loader rejects, or a NaN or
-    infinite entry, before any file is opened."""
-    # Imported here: scipy.io is not needed by ``import dsshift``.
-    from scipy.io import mmwrite
-
-    a = as_matrix(matrix)
-    if not min(a.shape):
-        raise ValueError(f"matrix must be nonempty, got shape {a.shape}")
-    if not all(np.isfinite(v).all() for v in _value_blocks(a)):
-        raise ValueError("matrix entries must be finite")
-    symmetric = 0 < a.shape[0] == a.shape[1] and (
-        matrix.is_symmetric() if isinstance(matrix, Graph) else _is_symmetric(a))
-    # mmwrite writes 1 KiB at a time: the 1 MiB buffer saves a system call for each 8 of them.
-    # mmwrite keeps the entries on and below the diagonal of a symmetric sparse input; a
-    # dense one is cut to them first, passed inline: mmwrite frees it once masked.  The text
-    # goes to a sibling file that replaces ``path`` only once whole: a failed write leaves
-    # the old file.
-    cut = symmetric and not sp.issparse(a)
+    then one ``row col value`` line per entry in row-major order (a dense
+    matrix's nonzeros, a sparse one's stored entries, a position stored twice
+    summed).  A square matrix equal to its transpose is ``symmetric``, its
+    entries on and below the diagonal written; any other is ``general``.  The
+    verdict of a Graph is its cached one; that of a balanced operator
+    ``diag(r) W diag(c)`` over a ``W`` known symmetric compares its entries with
+    their mirrors on W's pattern (``_Scaled.is_symmetric``); any other matrix is
+    compared with its transpose.  The header is written here, then mmwrite
+    writes the entries a block of whole rows at a time (at most about 2^20
+    entries; a balanced operator's formed from ``W``'s rows, with the float
+    operations of ``op.matrix``, which is neither formed nor kept), so neither
+    the text nor a coordinate list of the whole matrix is held.  The file
+    replaces an existing one only once written whole.  Raises ValueError for a
+    matrix with a zero dimension, which the loader rejects, before any file is
+    opened, and for a NaN or infinite entry, leaving ``path`` as it was."""
+    stored = getattr(matrix, "_stored", None)
+    if isinstance(stored, _Scaled):  # a balanced operator, written as stored
+        w, r, c = stored.graph.weights, stored.r, stored.c
+        rows = lambda lo, hi: _scaled(_rows(w, lo, hi), r[lo:hi], c)
+        symmetric = stored.is_symmetric()
+    else:
+        w = as_matrix(matrix)
+        rows = lambda lo, hi: _rows(w, lo, hi)
+        if not min(w.shape):
+            raise ValueError(f"matrix must be nonempty, got shape {w.shape}")
+        symmetric = w.shape[0] == w.shape[1] and (
+            matrix.is_symmetric() if isinstance(matrix, Graph) else _is_symmetric(w))
+    # The count line from W's pattern (a CSR's stored entries are all written) or,
+    # for a dense matrix, from the nonzeros of its formed row blocks.
+    if sp.issparse(w):
+        count = sum(_lower_count(w, lo, hi) for lo, hi in _spans(w)) if symmetric else w.nnz
+    else:
+        count = sum(np.count_nonzero(_kept(rows(lo, hi), lo, symmetric)) for lo, hi in _spans(w))
+    blocks = (_entries(rows(lo, hi), lo, w.shape, symmetric) for lo, hi in _spans(w))
+    # The first block is formed before the file and its 1 MiB buffer (mmwrite writes
+    # 1 KiB at a time: one system call for each 8 of them).  The text goes to a
+    # sibling file that replaces ``path`` only once whole: a failed write leaves the old file.
+    blocks = chain([next(blocks)], blocks)
     part = os.fspath(path) + ".part"
     try:
         with open(part, "wb", buffering=1 << 20) as fh:
-            mmwrite(_Uncommented(fh), sp.coo_array(_lower_triangle(a) if cut else a),
-                    field="real", symmetry="symmetric" if symmetric else "general")
+            fh.write(f"%%MatrixMarket matrix coordinate real "
+                     f"{'symmetric' if symmetric else 'general'}\n"
+                     f"{w.shape[0]} {w.shape[1]} {count}\n".encode("ascii"))
+            body = _Body(fh)
+            for block in blocks:
+                body.add(block)
+                del block  # freed before the next block is formed
         os.replace(part, path)
     finally:
         if os.path.exists(part):
@@ -374,32 +461,120 @@ def save_birkhoff_json(path, decomposition: BirkhoffDecomposition) -> None:
         fh.write("\n}\n")
 
 
-def load_birkhoff_json(path) -> BirkhoffDecomposition:
-    """Read a decomposition written by :func:`save_birkhoff_json`.  Raises
-    FileFormatError naming the path for invalid JSON, the per-term
-    ``"terms"`` layout of earlier versions (README shows how to convert it),
-    a missing key, an ``n`` that is not a positive integer or not the
-    length of ``first``, an array that is not a list of integers, no terms,
-    a NaN, infinite or negative coefficient, and changes that do not keep
-    each image a permutation of 0..n-1 (see ``birkhoff.reconstruct``),
-    naming the first bad term where there is one."""
-    with open(path, encoding="ascii") as fh:
+# The bytes of a JSON array's numbers and ", " separators: digits and "-" for an
+# integer array; also ".", "e" and "+" for the coefficients.
+_NUMBER_BYTES = {int: b"0123456789-, ", float: b"0123456789-, .e+"}
+
+
+def _numbers(inside: bytes, kind):
+    """The numbers inside a JSON array in the writer's form, ``", "``-separated
+    tokens of JSON's number grammar, parsed by numpy as int64 (``kind`` int,
+    below 10^18 in size) or float64 (as ``json`` would: correctly rounded); None
+    for any other text, which is left to ``json``.  The checks are passes over
+    the bytes: the largest temporaries are a flag per byte and an offset per token."""
+    dtype = np.int64 if kind is int else np.float64
+    if not inside:
+        return np.empty(0, dtype)
+    if inside.translate(None, _NUMBER_BYTES[kind]):  # a byte no number or separator has
+        return None
+    b = np.frombuffer(inside, np.uint8)
+    digit = np.zeros(b.size + 2, bool)  # False past the end
+    np.less(b - np.uint8(ord("0")), 10, out=digit[:b.size])  # b - "0" wraps below "0"
+    start = np.empty(b.size, bool)  # a token's first byte: the first, or one after a space
+    start[0] = True
+    np.equal(b[:-1], ord(" "), out=start[1:])
+    first = np.flatnonzero(start)
+    del start
+    # as many commas as spaces, each space after a comma: ", " between tokens, nowhere else
+    if (np.count_nonzero(b == ord(",")) != first.size - 1 or b[-1] == ord(" ")
+            or (b[first[1:] - 2] != ord(",")).any()):
+        return None
+    e = np.flatnonzero(b == ord("e"))
+    if e.size and e[-1] == b.size - 1:
+        return None
+    signed, e_signed = b[first] == ord("-"), (b[e + 1] == ord("-")) | (b[e + 1] == ord("+"))
+    # a sign only first in a token or an exponent; a digit after it, around "." and before "e"
+    if inside.count(b"-") + inside.count(b"+") != signed.sum() + e_signed.sum():
+        return None
+    first += signed
+    dot = np.flatnonzero(b == ord("."))
+    if not (digit[first].all() and digit[e + 1 + e_signed].all() and digit[e - 1].all()
+            and digit[dot - 1].all() and digit[dot + 1].all()):
+        return None
+    if (digit[first + 1] & (b[first] == ord("0"))).any():  # a leading zero
+        return None
+    tokens = first.size
+    del digit, first, signed, e, e_signed, dot
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # a token numpy reads only in part
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}:{exc.lineno}: {exc.msg}") from None
+            v = np.fromstring(inside, dtype, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if v.size != tokens or (kind is int and (np.abs(v) >= 10**18).any()):
+        return None
+    return v
+
+
+def _columnar(path):
+    """A decomposition file in exactly the layout :func:`save_birkhoff_json`
+    writes, as ``{key: value}`` with each array's line parsed by numpy
+    (:func:`_numbers`) rather than into Python lists; None for any other text."""
+    keys = sorted(("n", "a", *_BIRKHOFF_ARRAYS))
+    payload = {}
+    with open(path, "rb") as fh:
+        if fh.readline() != b"{\n":
+            return None
+        for key in keys:
+            line, head = fh.readline(), f'  "{key}": '.encode("ascii")
+            tail = b"\n" if key == keys[-1] else b",\n"
+            if not (line.startswith(head) and line.endswith(tail)):
+                return None
+            if key == "n":
+                try:
+                    payload[key] = json.loads(line[len(head):-len(tail)])
+                except ValueError:
+                    return None
+            elif line[len(head):len(head) + 1] == b"[" and line[-len(tail) - 1:-len(tail)] == b"]":
+                inside = line[len(head) + 1:-len(tail) - 1]
+                del line  # one copy of the text at a time
+                payload[key] = _numbers(inside, float if key == "a" else int)
+                if payload[key] is None:
+                    return None
+            else:
+                return None
+        return payload if fh.read() == b"}\n" else None
+
+
+def load_birkhoff_json(path) -> BirkhoffDecomposition:
+    """Read a decomposition written by :func:`save_birkhoff_json`: numpy parses
+    the writer's layout a line at a time (:func:`_columnar`), ``json.load`` any
+    other JSON, with the same errors.  Raises FileFormatError naming the path
+    for invalid JSON, the per-term ``"terms"`` layout of earlier versions
+    (README shows how to convert it), a missing key, an ``n`` that is not a
+    positive integer or not the length of ``first``, an array that is not a
+    list of integers, no terms, a NaN, infinite or negative coefficient, and
+    changes that do not keep each image a permutation of 0..n-1 (see
+    ``birkhoff.reconstruct``), naming the first bad term where there is one."""
+    payload = _columnar(path)
+    if payload is None:  # any other JSON, or none: parsed whole into Python objects
+        with open(path, encoding="ascii") as fh:
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FileFormatError(f"{path}:{exc.lineno}: {exc.msg}") from None
     if isinstance(payload, dict) and "terms" in payload:
         raise FileFormatError(f'{path}: the per-term "terms"/"perm" layout of earlier versions '
                               'is not read; convert it to the columnar layout (see README)')
     try:
-        n, coeffs = payload["n"], np.array(payload["a"], dtype=float)
-        arrays = [np.array(payload[k]) for k in _BIRKHOFF_ARRAYS]
+        n, coeffs = payload["n"], np.asarray(payload["a"], dtype=float)
+        arrays = [np.asarray(payload[k]) for k in _BIRKHOFF_ARRAYS]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed decomposition ({exc})") from None
     for k, v in zip(_BIRKHOFF_ARRAYS, arrays):
         if v.ndim != 1 or (v.size and v.dtype.kind not in "iu"):
             raise FileFormatError(f"{path}: {k} must be a list of integers")
-    first, indptr, rows, cols = (v.astype(np.int64) for v in arrays)
+    first, indptr, rows, cols = (v.astype(np.int64, copy=False) for v in arrays)
     if type(n) is not int or n < 1 or n != first.size:
         raise FileFormatError(f"{path}: n must be a positive integer, the length of first "
                               f"({first.size}), got {n!r}")

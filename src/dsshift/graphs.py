@@ -178,6 +178,13 @@ def _mirror(w) -> None:
             w[lo:lo + _BLOCK, c:c + _BLOCK] = w[c:c + _BLOCK, lo:lo + _BLOCK].T
 
 
+def _times(a, b, c):
+    """``(a * b) * c``, broadcast, with one temporary."""
+    out = a * b
+    out *= c
+    return out
+
+
 def _scaled(w, r, c):
     """``diag(r) w diag(c)``, ``(r_i w_ij) c_j``, of a dense or CSR ``w`` (sharing its pattern)."""
     if sp.issparse(w):
@@ -185,9 +192,7 @@ def _scaled(w, r, c):
         data *= w.data
         data *= c[w.indices]
         return sp.csr_array((data, w.indices, w.indptr), shape=w.shape)
-    s = r[:, None] * w
-    s *= c
-    return s
+    return _times(r[:, None], w, c)
 
 
 class _Scaled:
@@ -195,9 +200,9 @@ class _Scaled:
     unformed: a product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``;
     scipy takes it as a ``LinearOperator``.  :meth:`formed` builds ``S`` and keeps it.
     Balancing multiplies by the operator it returns, ``x`` for ``r`` and ``c``.
-    ``W`` and its symmetry are read through the Graph: a vector product and a row
-    read ``_weights``, the triangle alone while it is pending, any other reader
-    ``weights``, which mirrors it."""
+    ``W`` and its symmetry are read through the Graph: a vector product, a row, the
+    smallest entry and the symmetry of ``S`` read ``_weights``, the triangle alone
+    while it is pending, any other reader ``weights``, which mirrors it."""
 
     def __init__(self, graph, r, c):
         self.graph, self.r, self.c, self._s = graph, r, c, None
@@ -224,9 +229,48 @@ class _Scaled:
         return self.matvec(np.ones(self.shape[0]), transpose=axis == 0)
 
     def min(self) -> float:
-        """The smallest entry (an implicit zero of CSR counts), formed a row block at a time."""
-        return min(_scaled(w, self.r[lo:lo + w.shape[0]], self.c).min()
-                   for lo, w in _row_blocks(self.graph.weights))
+        """The smallest entry (an implicit zero of CSR counts), formed a row block at a
+        time; over a dense ``W`` known symmetric, from the rows of its triangle (see
+        :meth:`_mirrored`), so a pending triangle is not mirrored."""
+        g = self.graph
+        if sp.issparse(g._weights) or not g._symmetric:
+            return min(_scaled(w, self.r[lo:lo + w.shape[0]], self.c).min()
+                       for lo, w in _row_blocks(g.weights))
+
+        def least(s, t):  # not below the diagonal of the block's first hi - lo columns
+            read = ~np.tri(*s.shape, k=-1, dtype=bool)
+            return min(s.min(where=read, initial=np.inf), t.min(where=read, initial=np.inf))
+
+        return min(self._mirrored(least))
+
+    def is_symmetric(self) -> bool:
+        """Whether ``S`` equals its transpose exactly.  Over a ``W`` known symmetric,
+        ``(r_i w_ij) c_j`` is compared with ``(r_j w_ij) c_i`` at W's stored entries,
+        a row block at a time (:meth:`_mirrored`): no transposed copy, and ``S`` is
+        neither formed nor kept.  Over any other ``W``, ``S`` is formed, compared by
+        :func:`_is_symmetric` and dropped."""
+        g = self.graph
+        if not g.is_symmetric():
+            return _is_symmetric(_scaled(g.weights, self.r, self.c))
+        return all(self._mirrored(np.array_equal))
+
+    def _mirrored(self, reduce):
+        """``reduce(s, t)`` for each row block of a symmetric ``W``, lazily, with the
+        float operations of :func:`_scaled`: ``s`` holds ``S``'s entries at W's stored
+        positions ``(i, j)`` in the block, ``(r_i w_ij) c_j``, and ``t`` those of
+        ``S.T``, ``(r_j w_ij) c_i`` (``w_ji = w_ij``).  A dense block is rows
+        ``[lo, hi)`` from column ``lo`` on, the rows of the upper triangle, which with
+        ``t`` cover ``S``; below the diagonal of its first ``hi - lo`` columns a pending
+        triangle holds zeros.  ``s`` and ``t`` are freed before the next block."""
+        w, r, c = self.graph._weights, self.r, self.c
+        for lo, rows in _row_blocks(w):
+            hi = lo + rows.shape[0]
+            if sp.issparse(rows):
+                i, j, v = np.repeat(np.arange(lo, hi), np.diff(rows.indptr)), rows.indices, rows.data
+                yield reduce(_times(r[i], v, c[j]), _times(r[j], v, c[i]))
+            else:
+                v = rows[:, lo:]
+                yield reduce(_times(r[lo:hi, None], v, c[lo:]), _times(r[lo:], v, c[lo:hi, None]))
 
     def formed(self):
         """``S`` as a read-only ndarray or a ``csr_array``, built in O(nnz) on the first call."""

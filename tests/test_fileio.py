@@ -7,7 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dsshift import VertexGeometry, as_matrix, birkhoff_decompose, fileio
+from dsshift import (Graph, VertexGeometry, as_matrix, birkhoff_decompose,
+                     build_weight_matrix, fileio, sinkhorn_knopp)
 from dsshift.fileio import (
     FileFormatError,
     load_birkhoff_json,
@@ -545,6 +546,141 @@ class TestMatrixMarket:
         assert peak - path.stat().st_size < 0.75 * full
 
 
+
+def _circulant(n, storage):
+    """A symmetric matrix with every row sum 4, so balancing returns r = c = 1/2
+    and an exactly symmetric S; dense or CSR."""
+    w = sum(np.roll(np.eye(n), k, axis=1) * v for k, v in ((0, 2.0), (1, 0.75), (-1, 0.75),
+                                                             (3, 0.25), (-3, 0.25)))
+    return sp.csr_array(w) if storage == "csr" else w
+
+
+def _asymmetric(n, storage, seed):
+    """Asymmetric weights on a symmetric pattern with a positive diagonal: total support."""
+    rng = np.random.default_rng(seed)
+    pattern = rng.random((n, n)) < 0.3
+    w = (pattern | pattern.T) * rng.uniform(0.5, 1.5, (n, n)) + np.eye(n)
+    return sp.csr_array(w) if storage == "csr" else w
+
+
+def _symmetric(n, storage, seed):
+    rng = np.random.default_rng(seed)
+    w = np.triu((rng.random((n, n)) < 0.3) * rng.uniform(0.5, 1.5, (n, n)))
+    w += np.triu(w, 1).T + np.eye(n)
+    return sp.csr_array(w) if storage == "csr" else w
+
+
+# Every kind of input the writer takes, each made afresh by its function.
+_WRITER_INPUTS = {
+    "dense-general": lambda: _asymmetric(12, "dense", 1),
+    "csr-general": lambda: _asymmetric(40, "csr", 2),
+    "rectangular": lambda: sp.csr_array(sp.random_array((7, 11), density=0.4,
+                                                        random_state=np.random.default_rng(3))),
+    "csr-repeat": lambda: sp.csr_matrix((np.array([1.0, 2.0, 4.0, 0.5]), np.array([0, 0, 1, 2]),
+                                         np.array([0, 2, 3, 4])), shape=(3, 3)),
+    "dense-graph": lambda: Graph(_symmetric(12, "dense", 4)),
+    "csr-graph": lambda: Graph(_symmetric(40, "csr", 5)),
+    "pending-kernel": lambda: build_weight_matrix(random_geometry(40, 6), scale=3000.0,
+                                                  threshold=1e-3, self_loops=True),
+    "dense-symmetric-op": lambda: sinkhorn_knopp(_symmetric(12, "dense", 7)).operator,
+    "csr-symmetric-op": lambda: sinkhorn_knopp(_symmetric(40, "csr", 8)).operator,
+    "dense-asymmetric-op": lambda: sinkhorn_knopp(_asymmetric(12, "dense", 9)).operator,
+    "csr-asymmetric-op": lambda: sinkhorn_knopp(_asymmetric(40, "csr", 10)).operator,
+    "dense-exact-op": lambda: sinkhorn_knopp(_circulant(12, "dense")).operator,
+    "csr-exact-op": lambda: sinkhorn_knopp(_circulant(40, "csr")).operator,
+}
+
+
+class TestBlockedWriter:
+    @pytest.mark.parametrize("name", _WRITER_INPUTS)
+    def test_blocks_of_any_size_write_the_same_bytes(self, tmp_path, monkeypatch, name):
+        # mmwrite is called once per block of rows; its header lines are dropped
+        path = tmp_path / "a.mtx"
+        save_matrix_market(path, _WRITER_INPUTS[name]())
+        text = path.read_bytes()
+        for entries in (1, 3, 7):
+            monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", entries)
+            save_matrix_market(path, _WRITER_INPUTS[name]())
+            assert path.read_bytes() == text, entries
+        header, size, *lines = text.decode().splitlines()
+        assert int(size.split()[2]) == len(lines)
+
+    @pytest.mark.parametrize("name", [name for name in _WRITER_INPUTS if "op" in name])
+    def test_an_operator_is_written_as_its_formed_matrix(self, tmp_path, name):
+        formed, stored = tmp_path / "formed.mtx", tmp_path / "stored.mtx"
+        op = _WRITER_INPUTS[name]()
+        save_matrix_market(stored, op)
+        assert op._stored._s is None  # written as stored: S is not kept
+        save_matrix_market(formed, op.matrix)
+        assert stored.read_bytes() == formed.read_bytes()
+        kind = "symmetric" if "exact" in name else "general"
+        assert stored.read_text().startswith(f"%%MatrixMarket matrix coordinate real {kind}\n")
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_operator_over_a_symmetric_graph_is_judged_without_a_transpose(
+            self, tmp_path, monkeypatch, storage):
+        from dsshift import graphs
+
+        checks = []
+        compare = graphs._is_symmetric
+        for module in (graphs, fileio):
+            monkeypatch.setattr(module, "_is_symmetric", lambda a: checks.append(a) or compare(a))
+        for w in (_symmetric(40, storage, 11), _circulant(40, storage)):
+            op = sinkhorn_knopp(Graph(w)).operator
+            checks.clear()  # balancing judged W once
+            save_matrix_market(tmp_path / "s.mtx", op)
+            assert not checks and op._stored._s is None
+
+    def test_writer_holds_a_block_of_a_balanced_operator(self, tmp_path, monkeypatch):
+        # a CSR operator written in blocks of 2^14 entries holds the file's 1 MiB
+        # buffer and about two blocks (0.22 of W's CSR), where forming S took 0.67
+        # of W's CSR and its transposed copy as much again
+        import tracemalloc
+
+        g = build_weight_matrix(random_geometry(3000, 9), scale=600.0, threshold=1e-3,
+                                self_loops=True)
+        op = sinkhorn_knopp(g).operator
+        w, path = g.weights, tmp_path / "s.mtx"
+        monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", 1 << 14)
+        save_matrix_market(path, op)  # imports scipy.io before tracing starts
+        tracemalloc.start()
+        try:
+            save_matrix_market(path, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op._stored._s is None
+        assert peak < 0.25 * (w.data.nbytes + w.indices.nbytes + w.indptr.nbytes)
+
+
+@given(
+    w=hnp.arrays(float, st.integers(1, 6).map(lambda n: (n, n)),
+                 elements=st.sampled_from([0.0, 0.5, 1.0, 3.0, 0.1, 1 / 3, 5e-324])),
+    scale=st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 0.1, 3.0]), min_size=12, max_size=12),
+    same=st.booleans(),
+    mirrored=st.booleans(),
+    sparse=st.booleans(),
+)
+@settings(max_examples=80)
+def test_writer_judges_an_operator_as_its_formed_matrix(tmp_path_factory, w, scale, same,
+                                                        mirrored, sparse):
+    # powers of two scale exactly, so r = c of those and a symmetric W give a symmetric S
+    from dsshift.balance import DSOperator
+    from dsshift.graphs import _is_symmetric, _Scaled, _trusted
+
+    n = len(w)
+    if mirrored:
+        w = np.tril(w) + np.tril(w, -1).T
+    r, c = np.array(scale[:n]), np.array(scale[:n] if same else scale[-n:])
+    op = _trusted(DSOperator, _stored=_Scaled(Graph(sp.csr_array(w) if sparse else w), r, c))
+    path = tmp_path_factory.mktemp("mtx") / "s.mtx"
+    save_matrix_market(path, op)
+    kind = "symmetric" if _is_symmetric(op.matrix) else "general"
+    assert path.read_text().startswith(f"%%MatrixMarket matrix coordinate real {kind}\n")
+    b = load_matrix_market(path)
+    assert np.array_equal(b.toarray() if sp.issparse(b) else b, as_matrix(op.matrix).toarray()
+                          if sparse else op.matrix)
+
 # Extremes of float64 and values whose shortest round-trip form has 17 digits.
 _awkward = st.sampled_from(
     [5e-324, 1.7976931348623157e308, -2.2250738585072014e-308, 0.1, 0.1 + 0.2, 1 / 3, 0.0]
@@ -862,35 +998,35 @@ class TestBirkhoffJSON:
     _GOOD = {"n": 2, "a": [0.5, 0.5], "first": [0, 1], "indptr": [0, 0, 2], "rows": [0, 1],
              "cols": [1, 0]}
 
-    @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ({"a": []}, "decomposition has no terms"),
-            ({"a": 0.5}, "a must be a list of coefficients"),
-            ({"a": [[0.5], [0.5, 0.0]]}, "malformed decomposition"),
-            ({"cols": None}, "cols must be a list of integers"),
-            ({"first": [0.5, 1]}, "first must be a list of integers"),
-            ({"rows": ["0", "1"]}, "rows must be a list of integers"),
-            ({"indptr": [[0, 0, 2]]}, "indptr must be a list of integers"),
-            ({"n": 3}, "n must be a positive integer, the length of first (2), got 3"),
-            ({"n": 2.0}, "n must be a positive integer"),
-            ({"first": [0, 2]}, "first image is not a permutation of 0..1"),
-            ({"first": [-1, 0]}, "first image is not a permutation of 0..1"),
-            ({"rows": [0, 0]}, "term 1: row 0 listed twice"),
-            ({"cols": [1, 1]}, "term 1: its new columns are not the ones its rows vacate"),
-            ({"rows": [0, 2]}, "term 1: row 2 out of range 0..1"),
-            ({"cols": [1, -1]}, "term 1: column -1 out of range 0..1"),
-            ({"indptr": [0, 3, 2]}, "term 1: indptr falls from 3 to 2"),
-            ({"indptr": [0, 2]}, "indptr must hold 3 offsets"),
-            ({"a": [float("nan"), 0.5]}, "term 0: coefficient must be finite and nonnegative"),
-            ({"a": [0.5, float("inf")]}, "term 1: coefficient must be finite"),
-            ({"a": [1.5, -0.5]}, "term 1: coefficient must be finite and nonnegative"),
-        ],
-        ids=["empty", "scalar-a", "ragged-a", "null-cols", "fractional", "strings", "nested",
-             "n-mismatch", "float-n", "beyond-n", "negative-entry", "repeated-row",
-             "not-vacated", "row-beyond-n", "negative-column", "indptr-falls", "indptr-short",
-             "nan-a", "inf-a", "negative-a"],
-    )
+    # Decompositions that the loader rejects, each a change of _GOOD, and its message.
+    _MALFORMED = [
+        ({"a": []}, "decomposition has no terms"),
+        ({"a": 0.5}, "a must be a list of coefficients"),
+        ({"a": [[0.5], [0.5, 0.0]]}, "malformed decomposition"),
+        ({"cols": None}, "cols must be a list of integers"),
+        ({"first": [0.5, 1]}, "first must be a list of integers"),
+        ({"rows": ["0", "1"]}, "rows must be a list of integers"),
+        ({"indptr": [[0, 0, 2]]}, "indptr must be a list of integers"),
+        ({"n": 3}, "n must be a positive integer, the length of first (2), got 3"),
+        ({"n": 2.0}, "n must be a positive integer"),
+        ({"first": [0, 2]}, "first image is not a permutation of 0..1"),
+        ({"first": [-1, 0]}, "first image is not a permutation of 0..1"),
+        ({"rows": [0, 0]}, "term 1: row 0 listed twice"),
+        ({"cols": [1, 1]}, "term 1: its new columns are not the ones its rows vacate"),
+        ({"rows": [0, 2]}, "term 1: row 2 out of range 0..1"),
+        ({"cols": [1, -1]}, "term 1: column -1 out of range 0..1"),
+        ({"indptr": [0, 3, 2]}, "term 1: indptr falls from 3 to 2"),
+        ({"indptr": [0, 2]}, "indptr must hold 3 offsets"),
+        ({"a": [float("nan"), 0.5]}, "term 0: coefficient must be finite and nonnegative"),
+        ({"a": [0.5, float("inf")]}, "term 1: coefficient must be finite"),
+        ({"a": [1.5, -0.5]}, "term 1: coefficient must be finite and nonnegative"),
+    ]
+    _MALFORMED_IDS = ["empty", "scalar-a", "ragged-a", "null-cols", "fractional", "strings",
+                      "nested", "n-mismatch", "float-n", "beyond-n", "negative-entry",
+                      "repeated-row", "not-vacated", "row-beyond-n", "negative-column",
+                      "indptr-falls", "indptr-short", "nan-a", "inf-a", "negative-a"]
+
+    @pytest.mark.parametrize("fields, message", _MALFORMED, ids=_MALFORMED_IDS)
     def test_malformed_decomposition_names_path(self, tmp_path, fields, message):
         path = tmp_path / "d.json"
         path.write_text(json.dumps({**self._GOOD, **fields}))  # NaN as Python writes it
@@ -898,12 +1034,110 @@ class TestBirkhoffJSON:
         with pytest.raises(FileFormatError, match=pattern):
             load_birkhoff_json(path)
 
+    @staticmethod
+    def _writer_layout(payload) -> str:
+        """``payload`` in the layout save_birkhoff_json writes: keys sorted, one a line."""
+        return "{\n" + ",\n".join(f'  "{k}": {json.dumps(payload[k])}'
+                                  for k in sorted(payload)) + "\n}\n"
+
+    @pytest.mark.parametrize("fields, message", _MALFORMED, ids=_MALFORMED_IDS)
+    def test_malformed_decomposition_in_the_writer_layout(self, tmp_path, fields, message):
+        # the arrays numpy parses fail with the texts of the json parse
+        path = tmp_path / "d.json"
+        path.write_text(self._writer_layout({**self._GOOD, **fields}))
+        pattern = rf"^{re.escape(str(path))}: .*{re.escape(message)}"
+        with pytest.raises(FileFormatError, match=pattern):
+            load_birkhoff_json(path)
+
+    def test_writer_layout_is_read_without_python_lists(self, tmp_path, monkeypatch):
+        d = birkhoff_decompose(np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]))
+        path = tmp_path / "d.json"
+        save_birkhoff_json(path, d)
+        want = json.loads(path.read_text())
+
+        def no_json(*args, **kwargs):
+            raise AssertionError("the writer's layout went through json")
+
+        monkeypatch.setattr(fileio.json, "load", no_json)
+        got = load_birkhoff_json(path)
+        for key, name in (("a", "coefficients"), ("first", "first"), ("indptr", "indptr"),
+                          ("rows", "rows"), ("cols", "cols")):
+            assert np.array_equal(getattr(got, name), want[key])
+            assert getattr(got, name).dtype == (float if key == "a" else np.int64)
+
+    @pytest.mark.parametrize("dump", [
+        lambda p: json.dumps(p), lambda p: json.dumps(p, indent=4),
+        lambda p: json.dumps(p, separators=(",", ":")),
+        lambda p: "{\n" + ",\n".join(f'  "{k}": {json.dumps(p[k])}' for k in p) + "\n}\n",
+        lambda p: TestBirkhoffJSON._writer_layout(p).replace("0.25", "2.5E-1"),
+        lambda p: TestBirkhoffJSON._writer_layout(p).replace('"n": 3', '"n": 3 '),
+    ], ids=["one-line", "indented", "compact", "unsorted", "capital-exponent", "spaced-n"])
+    def test_any_other_json_layout_loads_the_same(self, tmp_path, dump):
+        payload = {"n": 3, "a": [0.5, 0.25, 0.25], "first": [0, 1, 2], "indptr": [0, 0, 2, 4],
+                   "rows": [0, 1, 1, 2], "cols": [1, 0, 2, 0]}
+        want, other = tmp_path / "want.json", tmp_path / "other.json"
+        want.write_text(self._writer_layout(payload))
+        other.write_text(dump(payload))
+        a, b = load_birkhoff_json(want), load_birkhoff_json(other)
+        for name in ("coefficients", "first", "indptr", "rows", "cols"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_loader_peaks_below_three_times_the_arrays(self, tmp_path):
+        # json's Python lists took about 9 times the arrays
+        import tracemalloc
+
+        from dsshift import BirkhoffDecomposition
+
+        n, k = 1000, 50_000
+        rng = np.random.default_rng(2)
+        a = rng.integers(0, n, k - 1)
+        rows = np.sort([a, (a + rng.integers(1, n, k - 1)) % n], axis=0).T  # two rows a term
+        image, cols = np.arange(n), np.empty_like(rows)
+        for t, pair in enumerate(rows):  # each later term swaps the columns of its two rows
+            cols[t] = image[pair[::-1]]
+            image[pair] = cols[t]
+        rows, cols = rows.ravel(), cols.ravel()
+        d = BirkhoffDecomposition(coefficients=np.full(k, 1 / k), first=np.arange(n),
+                                  indptr=np.r_[0, 0, np.cumsum(np.full(k - 1, 2))],
+                                  rows=rows, cols=cols)
+        path = tmp_path / "d.json"
+        save_birkhoff_json(path, d)
+        load_birkhoff_json(path)  # imports and warms everything first
+        tracemalloc.start()
+        try:
+            got = load_birkhoff_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(getattr(got, name).nbytes
+                     for name in ("coefficients", "first", "indptr", "rows", "cols"))
+        assert np.array_equal(got.cols, d.cols)
+        assert peak < 3 * arrays
+
     def test_missing_key_names_it(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(json.dumps({k: v for k, v in self._GOOD.items() if k != "indptr"}))
         with pytest.raises(FileFormatError, match="malformed decomposition \\('indptr'\\)"):
             load_birkhoff_json(path)
 
+
+
+@given(text=st.text("0123456789-, .e+E", max_size=12) | st.lists(_finite, max_size=4).map(
+    lambda v: ", ".join(map(repr, v))), kind=st.sampled_from([int, float]))
+@settings(max_examples=300)
+def test_numbers_numpy_reads_are_those_json_reads(text, kind):
+    # numpy parses only what json reads as the same numbers; the rest is left to json
+    from dsshift.fileio import _numbers
+
+    got = _numbers(text.encode("ascii"), kind)
+    if got is None:
+        return
+    want = json.loads(f"[{text}]")
+    assert got.dtype == (np.int64 if kind is int else np.float64)
+    if kind is int:
+        assert all(type(v) is int for v in want)
+    assert np.array_equal(got, np.array(want, dtype=got.dtype))
+    assert np.array_equal(np.signbit(got), np.signbit(np.array(want, dtype=float)))
 
 def test_save_json_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -566,6 +566,27 @@ class TestBuildWeightMatrix:
         scaled = g.weights * op._stored.r[:, None] * op._stored.c
         np.testing.assert_allclose(got[0], scaled, rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1e-4], ids=["positive", "with-zeros"])
+    def test_smallest_entry_reads_the_triangle(self, monkeypatch, threshold):
+        # verify_doubly_stochastic's min_entry takes S's smallest entry from the
+        # triangle's rows, (r_i w_ij) c_j and (r_j w_ij) c_i: bit for bit the
+        # smallest entry of the formed S, and no mirror
+        fills = []
+        fill = graphs._mirror
+        monkeypatch.setattr(graphs, "_mirror", lambda w: fills.append(w) or fill(w))
+        g = build_weight_matrix(random_geometry(650, 4), scale=2000.0, threshold=threshold,
+                                self_loops=True)
+        op = sinkhorn_knopp(g, tol=1e-10).operator
+        r, c = np.random.default_rng(5).uniform(0.5, 2.0, (2, 650))
+        skewed = graphs._Scaled(g, r, c)  # r != c: S is not symmetric
+        got, got_skewed = verify_doubly_stochastic(op, 1e-9), skewed.min()
+        assert not fills and g._upper is not None
+        want = op.matrix.min()  # the mirrored kernel's operator, formed
+        assert len(fills) == 1
+        assert got.min_entry == want and (want > 0) == (threshold == 0.0)
+        assert got_skewed == skewed.formed().min()
+        assert verify_doubly_stochastic(op, 1e-9) == got  # read from the mirrored kernel
+
     def test_graph_products_do_not_depend_on_earlier_reads(self):
         # a Graph's products are those of the mirrored kernel, whether or not
         # anything read it before

@@ -18,7 +18,8 @@ prints its wall time and the rise of the process's peak resident memory
     birkhoff  birkhoff_decompose of the formed S, as ``dsshift birkhoff`` does
               (S is formed before the step); not among the default steps, as
               its terms grow like the kernel's entries and each costs O(n)
-    save      save_matrix_market of the formed S, as ``dsshift balance`` does
+    save      save_matrix_market of the balanced operator, as ``dsshift balance``
+              does: written as stored, a block of rows at a time, S never formed
     load      load_matrix_market of that S.mtx
 
 The build step stores the kernel's CSR arrays as .npy files in the work
@@ -96,7 +97,7 @@ def _run_step(step: str, n: int, workdir: str) -> dict:
                "shift": lambda: ds.diffuse(op, x, 20),
                "norm": lambda: ds.matrix_norm(op, 2),
                "birkhoff": lambda: ds.birkhoff_decompose(s),
-               "save": lambda: save_matrix_market(s_mtx, op.matrix)}[step]
+               "save": lambda: save_matrix_market(s_mtx, op)}[step]
     before = _peak_kib()
     start = time.perf_counter()
     result = run()
