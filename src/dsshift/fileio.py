@@ -6,15 +6,17 @@ geometry CSV, and JSON for Birkhoff decompositions and reports.
 Matrix Market values are written in their shortest round-trip form and
 signal values at 17 significant digits, so every save/load round-trips bit
 for bit; the writers refuse NaN and infinite values, which the readers
-would reject.  numpy parses the matrices, the CSV files and the arrays of a
-decomposition in the writer's layout.  Only to name the first bad line, one
-line walker (``_lines``, which skips Matrix Market's ``%`` comments) feeds the
-tokens of every format to one parser (``_parse``), so each reader raises
-FileFormatError with the line number, also for NaN and infinity.
+would reject.  numpy parses the matrices and CSV files, json a decomposition
+(in the writer's layout, a slice of each array's line at a time).  Only to name
+the first bad line, one line walker (``_lines``, which skips Matrix Market's
+``%`` comments) feeds the tokens of every format to one parser (``_parse``), so
+each reader raises FileFormatError with the line number, also for NaN, infinity
+and (``_ascii``) a byte outside ASCII.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -65,6 +67,24 @@ def _parse(token: str, kind, path, lineno: int, what: str):
     if kind is float and not math.isfinite(value):
         _fail(path, lineno, f"non-finite {what} {token!r}")
     return value
+
+
+def _ascii(reader):
+    """``reader(path)``, whose UnicodeDecodeError, a byte outside ASCII, is raised as
+    FileFormatError at the line of the file's first such byte, found only then."""
+    @functools.wraps(reader)
+    def read(path):
+        try:
+            return reader(path)
+        except UnicodeDecodeError:
+            with open(path, "rb") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    if not line.isascii():
+                        byte = next(b for b in line if b >= 0x80)
+                        _fail(path, lineno, f"non-ASCII byte 0x{byte:02x}")
+            raise
+
+    return read
 
 
 def _lines(path, comment=None, start: int = 1):
@@ -261,6 +281,7 @@ def _symmetric_file(path) -> bool:
     return symmetry == "symmetric"
 
 
+@_ascii
 def load_matrix_market(path):
     """Read a Matrix Market coordinate (real) matrix.
 
@@ -378,6 +399,7 @@ def save_signal_csv(path, values) -> None:
         fh.write(text)
 
 
+@_ascii
 def load_signal_csv(path) -> np.ndarray:
     """Read a single-column CSV of signal values."""
     rows = _csv_array(path, [("v", "f8")])
@@ -388,6 +410,7 @@ def load_signal_csv(path) -> np.ndarray:
     raise FileFormatError(f"{path}:1: empty signal file")  # numpy reads every line float() does
 
 
+@_ascii
 def load_geometry_csv(path) -> VertexGeometry:
     """Read vertex geometry from ``id,lat,lon,alt`` rows.
 
@@ -461,65 +484,36 @@ def save_birkhoff_json(path, decomposition: BirkhoffDecomposition) -> None:
         fh.write("\n}\n")
 
 
-# The bytes of a JSON array's numbers and ", " separators: digits and "-" for an
-# integer array; also ".", "e" and "+" for the coefficients.
-_NUMBER_BYTES = {int: b"0123456789-, ", float: b"0123456789-, .e+"}
+_SLICE_BYTES = 1 << 19
 
 
 def _numbers(inside: bytes, kind):
-    """The numbers inside a JSON array in the writer's form, ``", "``-separated
-    tokens of JSON's number grammar, parsed by numpy as int64 (``kind`` int,
-    below 10^18 in size) or float64 (as ``json`` would: correctly rounded); None
-    for any other text, which is left to ``json``.  The checks are passes over
-    the bytes: the largest temporaries are a flag per byte and an offset per token."""
-    dtype = np.int64 if kind is int else np.float64
-    if not inside:
-        return np.empty(0, dtype)
-    if inside.translate(None, _NUMBER_BYTES[kind]):  # a byte no number or separator has
-        return None
-    b = np.frombuffer(inside, np.uint8)
-    digit = np.zeros(b.size + 2, bool)  # False past the end
-    np.less(b - np.uint8(ord("0")), 10, out=digit[:b.size])  # b - "0" wraps below "0"
-    start = np.empty(b.size, bool)  # a token's first byte: the first, or one after a space
-    start[0] = True
-    np.equal(b[:-1], ord(" "), out=start[1:])
-    first = np.flatnonzero(start)
-    del start
-    # as many commas as spaces, each space after a comma: ", " between tokens, nowhere else
-    if (np.count_nonzero(b == ord(",")) != first.size - 1 or b[-1] == ord(" ")
-            or (b[first[1:] - 2] != ord(",")).any()):
-        return None
-    e = np.flatnonzero(b == ord("e"))
-    if e.size and e[-1] == b.size - 1:
-        return None
-    signed, e_signed = b[first] == ord("-"), (b[e + 1] == ord("-")) | (b[e + 1] == ord("+"))
-    # a sign only first in a token or an exponent; a digit after it, around "." and before "e"
-    if inside.count(b"-") + inside.count(b"+") != signed.sum() + e_signed.sum():
-        return None
-    first += signed
-    dot = np.flatnonzero(b == ord("."))
-    if not (digit[first].all() and digit[e + 1 + e_signed].all() and digit[e - 1].all()
-            and digit[dot - 1].all() and digit[dot + 1].all()):
-        return None
-    if (digit[first + 1] & (b[first] == ord("0"))).any():  # a leading zero
-        return None
-    tokens = first.size
-    del digit, first, signed, e, e_signed, dot
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # a token numpy reads only in part
+    """The numbers inside a JSON array as one int64 (``kind`` int) or float64 array, read by
+    json a slice at a time, each ending at the first comma (no number has one) ``_SLICE_BYTES``
+    on.  None, which leaves the text to the whole-file parse, if json rejects a slice, numpy
+    makes of one no 1-D array of ``kind``, or a nonempty array has an empty one (``[1,]``)."""
+    out = np.empty(inside.count(b",") + bool(inside), np.int64 if kind is int else np.float64)
+    at = lo = 0
+    while lo <= len(inside):
+        hi = inside.find(b",", lo + _SLICE_BYTES)
+        hi = len(inside) if hi < 0 else hi
         try:
-            v = np.fromstring(inside, dtype, sep=",")
-        except (ValueError, DeprecationWarning):
+            v = np.asarray(json.loads(b"[%b]" % inside[lo:hi]))
+        except ValueError:  # json's, or numpy's for a ragged list
             return None
-    if v.size != tokens or (kind is int and (np.abs(v) >= 10**18).any()):
-        return None
-    return v
+        if v.ndim != 1 or v.size and v.dtype.kind not in ("i" if kind is int else "if"):
+            return None
+        out[at:at + v.size] = v
+        at += v.size
+        lo = hi + 1
+    return out if at == out.size else None  # short by each empty slice
 
 
 def _columnar(path):
     """A decomposition file in exactly the layout :func:`save_birkhoff_json`
-    writes, as ``{key: value}`` with each array's line parsed by numpy
-    (:func:`_numbers`) rather than into Python lists; None for any other text."""
+    writes, as ``{key: value}`` with each array's line parsed a slice at a time
+    into one numpy array (:func:`_numbers`), not into one Python list; None for
+    any other text."""
     keys = sorted(("n", "a", *_BIRKHOFF_ARRAYS))
     payload = {}
     with open(path, "rb") as fh:
@@ -546,9 +540,10 @@ def _columnar(path):
         return payload if fh.read() == b"}\n" else None
 
 
+@_ascii
 def load_birkhoff_json(path) -> BirkhoffDecomposition:
-    """Read a decomposition written by :func:`save_birkhoff_json`: numpy parses
-    the writer's layout a line at a time (:func:`_columnar`), ``json.load`` any
+    """Read a decomposition written by :func:`save_birkhoff_json`: the writer's
+    layout a line at a time into numpy arrays (:func:`_columnar`), ``json.load`` any
     other JSON, with the same errors.  Raises FileFormatError naming the path
     for invalid JSON, the per-term ``"terms"`` layout of earlier versions
     (README shows how to convert it), a missing key, an ``n`` that is not a

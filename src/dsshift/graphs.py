@@ -200,9 +200,9 @@ class _Scaled:
     unformed: a product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``;
     scipy takes it as a ``LinearOperator``.  :meth:`formed` builds ``S`` and keeps it.
     Balancing multiplies by the operator it returns, ``x`` for ``r`` and ``c``.
-    ``W`` and its symmetry are read through the Graph: a vector product, a row, the
-    smallest entry and the symmetry of ``S`` read ``_weights``, the triangle alone
-    while it is pending, any other reader ``weights``, which mirrors it."""
+    ``W`` and its symmetry are read through the Graph: a product by a vector or one column
+    (``svds``'s), a row, the smallest entry and the symmetry of ``S`` read ``_weights``, the
+    triangle alone while it is pending, any other reader ``weights``, which mirrors it."""
 
     def __init__(self, graph, r, c):
         self.graph, self.r, self.c, self._s = graph, r, c, None
@@ -211,6 +211,8 @@ class _Scaled:
     def matvec(self, x, transpose: bool = False):
         """``S @ x``, or ``S.T @ x`` if ``transpose``; a symmetric ``W`` serves as
         ``W.T``, which ``dsymv`` would copy."""
+        if np.ndim(x) == 2 and np.shape(x)[1] == 1:  # a vector's product, by dsymv
+            return self.matvec(x[:, 0], transpose)[:, None]
         left, right = (self.c, self.r) if transpose else (self.r, self.c)
         col = (slice(None),) + (None,) * (np.ndim(x) - 1)  # scale the rows of a 2-D x
         g = self.graph

@@ -194,6 +194,13 @@ class TestShiftCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {op}:2: symmetric matrix must be square")
 
+    def test_non_ascii_signal_exits_2_naming_its_line(self, tmp_path, operator_file, capsys):
+        x = tmp_path / "x.csv"
+        x.write_bytes(b"\xef\xbb\xbf3.0\n0.0\n")  # a UTF-8 byte order mark
+        rc = run(["shift", "--op", operator_file, "--signal", x])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {x}:1: non-ASCII byte 0xef\n"
+
     def test_overflow_exits_3_without_a_record(self, tmp_path, capsys):
         op, x = tmp_path / "I.mtx", tmp_path / "x.csv"
         save_matrix_market(op, np.eye(2))

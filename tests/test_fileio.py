@@ -1,5 +1,6 @@
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1114,6 +1115,41 @@ class TestBirkhoffJSON:
         assert np.array_equal(got.cols, d.cols)
         assert peak < 3 * arrays
 
+    @pytest.mark.parametrize("text", ["1, 2,", "1,,2", "[1], [2]", "1, 2, , 3"],
+                             ids=["trailing-comma", "empty-value", "nested", "blank-slice"])
+    def test_a_cut_array_json_would_reject_is_left_to_it(self, monkeypatch, text):
+        monkeypatch.setattr(fileio, "_SLICE_BYTES", 1)  # a slice ends at each comma
+        for kind in (int, float):
+            assert fileio._numbers(text.encode("ascii"), kind) is None
+
+    # Decompositions of every kind the loader reads, each made afresh by its function.
+    _DECOMPOSITIONS = {
+        "one-vertex": lambda: birkhoff_decompose(np.eye(1)),
+        "no-changes": lambda: birkhoff_decompose(np.eye(3)),
+        "half": lambda: birkhoff_decompose(np.full((2, 2), 0.5)),
+        "tiny-coefficients": lambda: birkhoff_decompose(
+            np.array([[1 - 1e-20, 1e-20], [1e-20, 1 - 1e-20]])),
+        "balanced": lambda: birkhoff_decompose(
+            sinkhorn_knopp(np.random.default_rng(4).uniform(0.5, 1.5, (30, 30))).operator),
+    }
+
+    @pytest.mark.parametrize("name", _DECOMPOSITIONS)
+    def test_slices_of_any_size_load_the_same(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "d.json"
+        save_birkhoff_json(path, self._DECOMPOSITIONS[name]())
+        want = load_birkhoff_json(path)
+
+        def no_json(*args, **kwargs):
+            raise AssertionError("the writer's layout went through json.load")
+
+        monkeypatch.setattr(fileio.json, "load", no_json)
+        for slice_bytes in (1, 2, 7, 64):
+            monkeypatch.setattr(fileio, "_SLICE_BYTES", slice_bytes)
+            got = load_birkhoff_json(path)
+            for field in ("coefficients", "first", "indptr", "rows", "cols"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert np.array_equal(a, b) and a.dtype == b.dtype, (slice_bytes, field)
+
     def test_missing_key_names_it(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(json.dumps({k: v for k, v in self._GOOD.items() if k != "indptr"}))
@@ -1123,13 +1159,16 @@ class TestBirkhoffJSON:
 
 
 @given(text=st.text("0123456789-, .e+E", max_size=12) | st.lists(_finite, max_size=4).map(
-    lambda v: ", ".join(map(repr, v))), kind=st.sampled_from([int, float]))
+    lambda v: ", ".join(map(repr, v))), kind=st.sampled_from([int, float]),
+    slice_bytes=st.sampled_from([fileio._SLICE_BYTES, 1, 2, 5]))
 @settings(max_examples=300)
-def test_numbers_numpy_reads_are_those_json_reads(text, kind):
-    # numpy parses only what json reads as the same numbers; the rest is left to json
+def test_numbers_numpy_reads_are_those_json_reads(text, kind, slice_bytes):
+    # an array is made, at any slice size, only of what json reads of the whole text
+    # as the same numbers; the rest is left to the whole-file parse
     from dsshift.fileio import _numbers
 
-    got = _numbers(text.encode("ascii"), kind)
+    with mock.patch.object(fileio, "_SLICE_BYTES", slice_bytes):  # cut at each comma on
+        got = _numbers(text.encode("ascii"), kind)
     if got is None:
         return
     want = json.loads(f"[{text}]")
@@ -1138,6 +1177,24 @@ def test_numbers_numpy_reads_are_those_json_reads(text, kind):
         assert all(type(v) is int for v in want)
     assert np.array_equal(got, np.array(want, dtype=got.dtype))
     assert np.array_equal(np.signbit(got), np.signbit(np.array(want, dtype=float)))
+
+
+@pytest.mark.parametrize("reader, text, line", [
+    (load_signal_csv, b"\xef\xbb\xbf1.0\n2.0\n", 1),  # a UTF-8 byte order mark
+    (load_matrix_market, b"%%MatrixMarket matrix coordinate real general\n% caf\xc3\xa9\n"
+                         b"1 1 1\n1 1 1.0\n", 2),
+    (load_geometry_csv, b"id,lat,lon,alt\n0,1,2,3\n1,1,2,3\xe9\n", 3),
+    (load_birkhoff_json, b'{"n": 1, "a": [1.0], "first": [0], "indptr": [0], "rows": [],\n'
+                         b' "cols": [], "note": "\xc3\xa9"}', 2),
+], ids=["signal", "matrix-market", "geometry", "decomposition"])
+def test_a_non_ascii_byte_names_its_line(tmp_path, reader, text, line):
+    path = tmp_path / "f"
+    path.write_bytes(text)
+    byte = next(b for b in text if b >= 0x80)
+    with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}:{line}: non-ASCII "
+                                              rf"byte 0x{byte:02x}$"):
+        reader(path)
+
 
 def test_save_json_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

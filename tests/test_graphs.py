@@ -503,7 +503,8 @@ class TestBuildWeightMatrix:
         x = np.random.default_rng(5).uniform(0.5, 1.5, 650)
         result = sinkhorn_knopp(g, tol=1e-10)
         shifted = apply_shift(result.operator, x)
-        assert not fills
+        norm = matrix_norm(result.operator, 2)  # svds passes one-column operands
+        assert not fills and g._upper is not None
         ref = reference_kernel(geo, 2000.0, 1e-4, self_loops)
         block = np.arange(650) // 64
         below = block[:, None] > block  # below the 64 x 64 diagonal blocks: not yet filled
@@ -511,6 +512,7 @@ class TestBuildWeightMatrix:
         full = sinkhorn_knopp(Graph(ref), tol=1e-10)  # a full copy: the same triangle read
         assert np.array_equal(result.row_scaling, full.row_scaling)
         assert np.array_equal(shifted, apply_shift(full.operator, x))
+        assert norm == matrix_norm(full.operator, 2)
         assert np.array_equal(result.operator.row(3), full.operator.row(3))  # from the triangle
         assert not fills
         assert np.array_equal(g.weights, ref) and g.n_edges == np.count_nonzero(ref)
