@@ -39,6 +39,9 @@ DENSE_LIMIT = 512
 # Rows in every pass over a matrix by rows (_row_blocks), the kernel fill too: 2.5 MB at N = 5000.
 _BLOCK = 64
 
+# The widest tile of the dense kernel fill (_BLOCK rows), chosen from a sweep at N = 5000.
+_TILE = 1024
+
 # The fewest site pairs a block of the CSR kernel build queries (the query lists 24 B a pair).
 _MIN_BLOCK_PAIRS = 1 << 16
 
@@ -497,15 +500,15 @@ class WeightDiagnostics:
     issues: tuple = field(default=())
 
 
-def _kernel(d, scale: float, threshold: float) -> None:
-    """Distances ``d`` to weights ``exp(-(d / scale)**2)`` in place, with the
-    weights below ``threshold`` set to exact zeros."""
+def _kernel(d, scale: float, threshold: float, mask=None) -> np.ndarray:
+    """Distances ``d`` to weights ``exp(-(d / scale)**2)`` in place; returns the mask
+    (written into ``mask`` if given) of the weights kept: at least ``threshold``, and
+    positive, so that a weight ``exp`` took to 0 is pruned at ``threshold`` 0 too.
+    A distance of 0, the diagonal's, weighs ``exp(-0) = 1`` exactly."""
     with np.errstate(over="ignore"):  # a distance past the float range weighs exp(-inf) = 0
         d /= scale
         np.exp(np.negative(np.square(d, out=d), out=d), out=d)
-    # the threshold mask 16 KB at a time, on views: d is 1-D or whole rows of C-ordered storage
-    for piece in np.split(d.reshape(-1), range(1 << 14, d.size, 1 << 14)):
-        np.multiply(piece, piece >= threshold, out=piece)
+    return np.greater_equal(d, max(threshold, math.ulp(0.0)), out=mask)
 
 
 def _pair_count(tree, points, cutoff: float):
@@ -552,9 +555,8 @@ def _csr_kernel(tree, points, cutoff: float, count: int, scale: float, threshold
         order = (pairs["i"] * n + pairs["j"]).argsort()  # row-major; each pair is listed once
         d, i, j = (pairs[f][order] for f in "vij")
         del pairs, order
-        _kernel(d, scale, threshold)
-        d[i + lo == j] = 1.0 if self_loops else 0.0  # the diagonal's distance-0 pairs
-        kept = d != 0
+        kept = _kernel(d, scale, threshold)
+        kept[i + lo == j] = self_loops  # the diagonal's distance-0 pairs, weighing 1
         size = np.count_nonzero(kept)
         data[nnz:nnz + size], indices[nnz:nnz + size] = d[kept], j[kept]
         counts = np.bincount(i[kept], minlength=min(step, n - lo))
@@ -587,13 +589,15 @@ def build_weight_matrix(
     advised against huge pages, so the lower half takes no memory until a reader
     other than a vector product asks for the weights (then it is mirrored in
     place, once).  Rows
-    ``[i, i + 64)`` evaluate columns ``[i, N)`` in tiles (distances, then
-    weights, while the tile is in cache; the tiles in flight hold at most
-    1/64 of the kernel) on up to 16 threads, one per usable CPU, under the
-    caller's ``np.errstate``.  Each tile writes only its own entries, so the
-    entries are the same for any thread count.  Both paths apply the same
-    float operations to the same distances.  The graph is marked symmetric
-    without a check.
+    ``[i, i + 64)`` evaluate columns ``[i, N)`` in tiles of at most 64 x 1024
+    on up to 16 threads, one per usable CPU, under the caller's ``np.errstate``.
+    A thread weighs each tile in one scratch array and marks its kept weights
+    in one mask, both its own for the whole build (those of all threads hold at
+    most 1/64 of the kernel), then writes weight times mask into the buffer,
+    its one write there, and counts the nonzeros from the mask.  Each tile
+    writes only its own entries, so the entries are the same for any thread
+    count.  Both paths apply the same float operations to the same distances.
+    The graph is marked symmetric without a check.
 
     Raises ValueError for fewer than 2 vertices, a nonpositive or
     non-finite scale, or a negative or NaN threshold.  Distinct vertices at
@@ -639,17 +643,22 @@ def build_weight_matrix(
             buf.madvise(mmap.MADV_NOHUGEPAGE)
         w = np.frombuffer(buf).reshape(n, n)
         # tiles of _BLOCK x width: those of all threads hold at most 1/64 of the kernel
-        width = min(256, max(16, n * n // (64 * _BLOCK * _WORKERS)))
+        width = min(_TILE, max(16, n * n // (64 * _BLOCK * _WORKERS)))
+        scratch = threading.local()  # a worker's tile and mask, cut to each tile (cdist's out=)
 
         def fill(i: int) -> int:  # columns [i, n) of rows [i, hi): the upper triangle's rows
+            if not hasattr(scratch, "d"):
+                scratch.d, scratch.mask = np.empty(_BLOCK * width), np.empty(_BLOCK * width, bool)
             hi, count = min(i + _BLOCK, n), 0
             for j in range(i, n, width):
-                tile = cdist(points[i:hi], points[j:j + width])
-                _kernel(tile, scale, threshold)
-                np.fill_diagonal(tile[j - i:], 1.0 if self_loops else 0.0)
-                w[i:hi, j:j + width] = tile
-                # an entry right of the diagonal block [i, hi)^2 stands for two
-                count += 2 * np.count_nonzero(tile) - np.count_nonzero(tile[:, :max(hi - j, 0)])
+                rows, cols = hi - i, min(width, n - j)
+                d, mask = (a[:rows * cols].reshape(rows, cols) for a in (scratch.d, scratch.mask))
+                _kernel(cdist(points[i:hi], points[j:j + cols], out=d), scale, threshold, mask)
+                if j < hi:  # the tile meets the diagonal block [i, hi)^2, whose entries count once
+                    np.fill_diagonal(mask[j - i:], self_loops)  # d's diagonal weighs 1 already
+                    count -= np.count_nonzero(mask[:, :hi - j])
+                count += 2 * np.count_nonzero(mask)  # an entry right of the block stands for two
+                np.multiply(d, mask, out=w[i:hi, j:j + cols])
             return count
 
         nnz = sum(_map_blocks(fill, range(0, n, _BLOCK)))

@@ -320,6 +320,22 @@ class TestMonteCarloShiftStats:
         gap = abs(st.power - (st.mean**2 + st.variance))
         assert gap <= 4 * (st.stderr_power + st.stderr_variance)
 
+    def test_standard_errors_are_calibrated(self):
+        # z = (estimate - closed form) / stderr is about standard normal over seeds: of
+        # 200, the count with |z| < 1.96 is Binomial(200, 0.95), and it lies in
+        # [179, 198] but with probability 8.9e-4; the sample variance of z is
+        # chi2(199) / 199, in [0.703, 1.363] but with probability 1e-3.  So a right
+        # stderr fails each of the four checks with probability about 1e-3, and one
+        # three times too large puts every |z| below 1.96 and their variance near 1/9.
+        s = np.full((3, 3), 1 / 3)
+        model = RandomSignalModel(mu=1.0, sigma=2.0, rho=0.3)
+        exact = exact_shift_variance(s, 0, model.sigma, model.rho)
+        stats = [monte_carlo_shift_stats(s, 0, model, trials=400, seed=k) for k in range(200)]
+        for z in (np.array([(st.mean - model.mu) / st.stderr_mean for st in stats]),
+                  np.array([(st.variance - exact) / st.stderr_variance for st in stats])):
+            assert 179 <= np.count_nonzero(np.abs(z) < 1.96) <= 198
+            assert 0.703 <= z.var(ddof=1) <= 1.363
+
     def test_deterministic_for_fixed_seed(self):
         model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.3)
         a = monte_carlo_shift_stats(ROW_THIRDS, 0, model, trials=5_000, seed=7)

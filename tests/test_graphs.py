@@ -436,9 +436,9 @@ class TestBuildWeightMatrix:
         assert float(out[1]) < 2.5  # 1.3 in blocks
 
     def test_dense_kernel_is_pruned_without_a_mask_of_its_size(self):
-        # the threshold mask is taken 16 KB of a tile at a time: an N x N bool
-        # mask would add an eighth of the kernel's bytes to the peak; the
-        # kernel's own buffer is a memory map, which tracemalloc does not see
+        # each worker's threshold mask holds one tile: an N x N bool mask would
+        # add an eighth of the kernel's bytes to the peak; the kernel's own
+        # buffer is a memory map, which tracemalloc does not see
         geo = random_geometry(1500, 3)
         build_weight_matrix(random_geometry(600, 3), scale=2000.0, threshold=1e-4)
         tracemalloc.start()
@@ -463,6 +463,40 @@ class TestBuildWeightMatrix:
         g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=self_loops)
         assert isinstance(g.weights, np.ndarray)
         assert np.array_equal(g.weights, reference_kernel(geo, 2000.0, 1e-4, self_loops))
+
+    @pytest.mark.parametrize("width, n", [(16, 650), (100, 1000), (graphs._TILE, 3000)])
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_dense_kernel_is_the_same_for_any_tile_width(self, monkeypatch, width, n, self_loops):
+        # each n leaves tiles of the width on 2 workers within the 1/64 budget, and
+        # partial last tiles; each tile's columns are those cdist writes
+        import scipy.spatial.distance
+
+        geo, cdist, columns = random_geometry(n, 5), scipy.spatial.distance.cdist, []
+        ref = reference_kernel(geo, 2000.0, 1e-4, self_loops)
+        monkeypatch.setattr(graphs, "_TILE", width)
+        monkeypatch.setattr(scipy.spatial.distance, "cdist",
+                            lambda a, b, **kw: columns.append(len(b)) or cdist(a, b, **kw))
+        for workers in (1, 2):
+            monkeypatch.setattr(graphs, "_WORKERS", workers)
+            columns.clear()
+            g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=self_loops)
+            assert max(columns) == width > min(columns)
+            assert isinstance(g.weights, np.ndarray)
+            assert np.array_equal(g.weights, ref)
+
+    def test_weights_that_underflow_are_pruned_at_threshold_zero(self):
+        # five clusters 1 degree of latitude apart, 120 sites each within about 550 m:
+        # at scale 100 m a pair in two clusters weighs exp(-(1.1e5 / 100)**2) = 0, one in
+        # a cluster exp(-30) or more, so the kernel keeps the 5 * 120 * 119 pairs within
+        # clusters, a fill of 0.198, and is stored as CSR
+        rng = np.random.default_rng(11)
+        geo = VertexGeometry(lat=np.repeat(45.0 + np.arange(5), 120) + rng.uniform(-2e-3, 2e-3, 600),
+                             lon=7.0 + rng.uniform(-2e-3, 2e-3, 600), alt=rng.uniform(0, 100, 600))
+        g = build_weight_matrix(geo, scale=100.0)
+        ref = reference_kernel(geo, 100.0, 0.0, False)
+        assert isinstance(g.weights, sp.csr_array)
+        assert g.n_edges == np.count_nonzero(ref) == 71_400
+        assert np.array_equal(g.dense(), ref)
 
     def test_dense_kernel_leaves_no_thread_running(self):
         before = threading.active_count()

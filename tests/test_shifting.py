@@ -201,6 +201,8 @@ class TestDiffusionConvergence:
         r = diffusion_convergence(p, [1.0, 0.0, 0.0], tol=1e-8)
         assert not r.converged
         assert r.status == "non-convergent diffusion"
+        # the residual is 2/3 from step 1 on: the rule fires _STALE_STEPS = 10 steps later
+        assert r.steps == 11
 
     def test_residual_non_increasing_for_positive_operator(self):
         s = balanced_operator(10, seed=27)

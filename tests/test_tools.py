@@ -22,3 +22,14 @@ def test_scale_probe_runs_its_default_steps(tmp_path):
     assert [row[0] for row in rows] == list(probe.DEFAULT_STEPS)
     assert all(len(row) == 4 and float(row[1]) >= 0 for row in rows)
     assert lines[-1].startswith("kernel CSR ")
+
+
+def test_every_mutant_names_one_text_of_src():
+    # tools/mutants.py is not run here; its list must not rot as src/ changes
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len(mutants.MUTANTS) == len({m.name for m in mutants.MUTANTS})
+    for m in mutants.MUTANTS:
+        assert m.file.startswith("src/") and m.old != m.new, m.name
+        assert (ROOT / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.name
