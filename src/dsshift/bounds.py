@@ -252,6 +252,8 @@ def monte_carlo_shift_stats(
     """
     if not np.issubdtype(type(trials), np.integer) or trials < 2:
         raise ValueError(f"trials must be an integer of at least 2, got {trials!r}")
+    if np.issubdtype(type(seed), np.integer) and seed < 0:  # numpy's own error names no seed
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     weights = _row_weights(S, m)
 
     # The draws of sample_local_signal, block by block, but the shift is

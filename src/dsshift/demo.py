@@ -115,8 +115,9 @@ class SensorFieldConfig:
             raise ValueError(f"n_sensors must be an integer of at least 2, got {self.n_sensors!r}")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
-        if not np.issubdtype(type(self.shifts), np.integer) or self.shifts < 0:
-            raise ValueError(f"shifts must be a nonnegative integer, got {self.shifts!r}")
+        for name in ("shifts", "seed"):
+            if not np.issubdtype(type(value := getattr(self, name)), np.integer) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         for name in ("n_sensors", "shifts", "seed"):  # stored as the int that JSON can write
             if isinstance(getattr(self, name), np.integer):
                 object.__setattr__(self, name, int(getattr(self, name)))

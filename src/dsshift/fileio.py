@@ -6,12 +6,13 @@ geometry CSV, and JSON for Birkhoff decompositions and reports.
 Matrix Market values are written in their shortest round-trip form and
 signal values at 17 significant digits, so every save/load round-trips bit
 for bit; the writers refuse NaN and infinite values, which the readers
-would reject.  numpy parses the matrices and CSV files, json a decomposition
-(in the writer's layout, a slice of each array's line at a time).  Only to name
-the first bad line, one line walker (``_lines``, which skips Matrix Market's
-``%`` comments) feeds the tokens of every format to one parser (``_parse``), so
-each reader raises FileFormatError with the line number, also for NaN, infinity
-and (``_ascii``) a byte outside ASCII.
+would reject.  The Matrix Market writer reads rows through ``graphs._row_blocks``,
+the one row walker, which reads a dense symmetric W through its triangle.  numpy
+parses the matrices and CSV files, json a decomposition (in the writer's layout, a
+slice of each array's line at a time).  Only to name the first bad line, one line
+walker (``_lines``, which skips Matrix Market's ``%`` comments) feeds the tokens of
+every format to one parser (``_parse``), so each reader raises FileFormatError with
+the line number, also for NaN, infinity and (``_ascii``) a byte outside ASCII.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .birkhoff import BirkhoffDecomposition, _check_terms
-from .graphs import (DENSE_LIMIT, Graph, VertexGeometry, _index_dtype, _is_symmetric, _scaled,
-                     _Scaled, _stored, as_matrix)
+from .graphs import (DENSE_LIMIT, Graph, VertexGeometry, _index_dtype, _is_symmetric,
+                     _row_blocks, _scaled, _Scaled, _stored, as_matrix)
 
 __all__ = [
     "FileFormatError",
@@ -98,46 +99,8 @@ def _lines(path, comment=None, start: int = 1):
 
 
 # Entries handed to mmwrite in one call: a block of whole rows holding at most this many
-# (a CSR's stored ones), or one row that holds more.
+# (a CSR's stored ones), or one row that holds more (graphs._row_blocks).
 _BLOCK_ENTRIES = 1 << 20
-
-
-def _spans(a):
-    """``(lo, hi)`` for each block of rows ``[lo, hi)`` of a dense or CSR ``a`` (see ``_BLOCK_ENTRIES``)."""
-    n, lo = a.shape[0], 0
-    while lo < n:
-        if sp.issparse(a):
-            hi = np.searchsorted(a.indptr, a.indptr[lo] + _BLOCK_ENTRIES, "right") - 1
-        else:
-            hi = lo + _BLOCK_ENTRIES // a.shape[1]
-        hi = min(max(int(hi), lo + 1), n)
-        yield lo, hi
-        lo = hi
-
-
-def _rows(a, lo: int, hi: int):
-    """Rows ``[lo, hi)`` of a dense or CSR ``a``, sharing its values (and a CSR's indices)."""
-    if not sp.issparse(a):
-        return a[lo:hi]
-    p = a.indptr
-    return sp.csr_array((a.data[p[lo]:p[hi]], a.indices[p[lo]:p[hi]], p[lo:hi + 1] - p[lo]),
-                        shape=(hi - lo, a.shape[1]))
-
-
-def _lower_count(a, lo: int, hi: int) -> int:
-    """The stored entries of a CSR ``a``'s rows ``[lo, hi)`` on and below the diagonal."""
-    p = a.indptr
-    return int(np.count_nonzero(a.indices[p[lo]:p[hi]] <= np.repeat(np.arange(lo, hi),
-                                                                      np.diff(p[lo:hi + 1]))))
-
-
-def _kept(rows, lo: int, lower: bool):
-    """The entries written of a dense block of rows from row ``lo``: its nonzeros,
-    and only those on and below the diagonal if ``lower``."""
-    keep = rows != 0
-    if lower:
-        keep &= np.tri(*rows.shape, lo, dtype=bool)
-    return keep
 
 
 def _entries(rows, lo: int, shape, lower: bool):
@@ -153,7 +116,7 @@ def _entries(rows, lo: int, shape, lower: bool):
             keep = j <= i
             i, j, v = i[keep], j[keep], v[keep]
     else:
-        i, j = np.nonzero(_kept(rows, lo, lower))
+        i, j = np.nonzero((rows != 0) & np.tri(*rows.shape, lo, dtype=bool) if lower else rows)
         v = rows[i, j]
         i += lo
     if not np.isfinite(v).all():
@@ -195,33 +158,41 @@ def save_matrix_market(path, matrix) -> None:
     verdict of a Graph is its cached one; that of a balanced operator
     ``diag(r) W diag(c)`` over a ``W`` known symmetric compares its entries with
     their mirrors on W's pattern (``_Scaled.is_symmetric``); any other matrix is
-    compared with its transpose.  The header is written here, then mmwrite
-    writes the entries a block of whole rows at a time (at most about 2^20
-    entries; a balanced operator's formed from ``W``'s rows, with the float
-    operations of ``op.matrix``, which is neither formed nor kept), so neither
-    the text nor a coordinate list of the whole matrix is held.  The file
-    replaces an existing one only once written whole.  Raises ValueError for a
-    matrix with a zero dimension, which the loader rejects, before any file is
-    opened, and for a NaN or infinite entry, leaving ``path`` as it was."""
+    compared with its transpose.  The header is written here, then mmwrite writes
+    the entries a block of whole rows at a time, at most about 2^20 entries, read by
+    ``graphs._row_blocks``: a Graph's, or a balanced operator's W through its Graph
+    (a dense symmetric W from its triangle, unmirrored) scaled with the float
+    operations of ``op.matrix``, which is neither formed nor kept.  So neither the
+    text nor a coordinate list of the whole matrix is held.  The file replaces an
+    existing one only once written whole.  Raises ValueError for a matrix with a
+    zero dimension, which the loader rejects, before any file is opened, and for
+    a NaN or infinite entry, leaving ``path`` as it was."""
     stored = getattr(matrix, "_stored", None)
-    if isinstance(stored, _Scaled):  # a balanced operator, written as stored
-        w, r, c = stored.graph.weights, stored.r, stored.c
-        rows = lambda lo, hi: _scaled(_rows(w, lo, hi), r[lo:hi], c)
-        symmetric = stored.is_symmetric()
+    if isinstance(stored, _Scaled):  # a balanced operator, written as stored: W's rows, scaled
+        source, shape, symmetric = stored.graph, stored.shape, stored.is_symmetric()
+        form = lambda lo, rows: _scaled(rows, stored.r[lo:lo + rows.shape[0]], stored.c)
     else:
-        w = as_matrix(matrix)
-        rows = lambda lo, hi: _rows(w, lo, hi)
-        if not min(w.shape):
-            raise ValueError(f"matrix must be nonempty, got shape {w.shape}")
-        symmetric = w.shape[0] == w.shape[1] and (
-            matrix.is_symmetric() if isinstance(matrix, Graph) else _is_symmetric(w))
-    # The count line from W's pattern (a CSR's stored entries are all written) or,
-    # for a dense matrix, from the nonzeros of its formed row blocks.
-    if sp.issparse(w):
-        count = sum(_lower_count(w, lo, hi) for lo, hi in _spans(w)) if symmetric else w.nnz
-    else:
-        count = sum(np.count_nonzero(_kept(rows(lo, hi), lo, symmetric)) for lo, hi in _spans(w))
-    blocks = (_entries(rows(lo, hi), lo, w.shape, symmetric) for lo, hi in _spans(w))
+        graph = isinstance(matrix, Graph)
+        source = matrix if graph else as_matrix(matrix)
+        shape = (matrix.n_vertices,) * 2 if graph else source.shape
+        if not min(shape):
+            raise ValueError(f"matrix must be nonempty, got shape {shape}")
+        symmetric = shape[0] == shape[1] and (
+            matrix.is_symmetric() if graph else _is_symmetric(source))
+        form = lambda lo, rows: rows
+
+    def written(lo: int, rows) -> int:  # a dense block's formed nonzeros; a CSR block's
+        if not sp.issparse(rows):  # stored entries, all written, from W's pattern
+            keep = form(lo, rows) != 0
+            return np.count_nonzero(keep & np.tri(*keep.shape, lo, dtype=bool) if symmetric else keep)
+        if not symmetric:
+            return rows.nnz
+        i = np.repeat(np.arange(lo, lo + rows.shape[0]), np.diff(rows.indptr))
+        return int(np.count_nonzero(rows.indices <= i))
+
+    count = sum(written(lo, rows) for lo, rows in _row_blocks(source, _BLOCK_ENTRIES))
+    blocks = (_entries(form(lo, rows), lo, shape, symmetric)
+              for lo, rows in _row_blocks(source, _BLOCK_ENTRIES))
     # The first block is formed before the file and its 1 MiB buffer (mmwrite writes
     # 1 KiB at a time: one system call for each 8 of them).  The text goes to a
     # sibling file that replaces ``path`` only once whole: a failed write leaves the old file.
@@ -231,7 +202,7 @@ def save_matrix_market(path, matrix) -> None:
         with open(part, "wb", buffering=1 << 20) as fh:
             fh.write(f"%%MatrixMarket matrix coordinate real "
                      f"{'symmetric' if symmetric else 'general'}\n"
-                     f"{w.shape[0]} {w.shape[1]} {count}\n".encode("ascii"))
+                     f"{shape[0]} {shape[1]} {count}\n".encode("ascii"))
             body = _Body(fh)
             for block in blocks:
                 body.add(block)

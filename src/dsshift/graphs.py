@@ -36,7 +36,7 @@ EARTH_RADIUS_M = 6_371_000.0
 # Matrices up to this size are always stored dense (see _stored).
 DENSE_LIMIT = 512
 
-# Rows in every pass over a matrix by rows (_row_blocks), the kernel fill too: 2.5 MB at N = 5000.
+# Rows in a _row_blocks pass given no entry count, the kernel fill too: 2.5 MB at N = 5000.
 _BLOCK = 64
 
 # The widest tile of the dense kernel fill (_BLOCK rows), chosen from a sweep at N = 5000.
@@ -121,17 +121,53 @@ def as_matrix(obj):
 
 
 def _require_square(obj, what: str = "matrix"):
-    """``(a, n)`` for an ``n x n`` input, ``n >= 1``, else ValueError: ``a`` is
-    ``as_matrix(obj)``, or an operator's storage, such as a :class:`_Scaled`."""
-    a = obj._stored if hasattr(obj, "_stored") else as_matrix(obj)
+    """``(a, n)`` for an ``n x n`` input, ``n >= 1``, else ValueError: ``a`` is an operator's
+    storage, such as a :class:`_Scaled`, ``_Scaled(g, 1, 1)`` for a Graph read through its
+    triangle (exact: it reads as a balanced operator does), else ``as_matrix(obj)``."""
+    if hasattr(obj, "_stored"):
+        a = obj._stored
+    elif isinstance(obj, Graph) and _triangle(obj):
+        a = _Scaled(obj, ones := np.ones(obj.n_vertices), ones)
+    else:
+        a = as_matrix(obj)
     if not a.shape[0] == a.shape[1] > 0:
         raise ValueError(f"{what} must be square and nonempty, got shape {a.shape}")
     return a, a.shape[0]
 
 
-def _row_blocks(a):
-    """``(lo, a[lo:lo + _BLOCK])`` for each run of ``_BLOCK`` rows of a dense or CSR matrix."""
-    return ((lo, a[lo:lo + _BLOCK]) for lo in range(0, a.shape[0], _BLOCK))
+def _triangle(g) -> bool:
+    """Whether every reader takes ``g``'s W through its triangle: dense, symmetric, pending or not."""
+    return not sp.issparse(g._weights) and g.is_symmetric()
+
+
+def _rows(a, lo: int, hi: int):
+    """Rows ``[lo, hi)`` of a dense or CSR matrix, sharing its values (a CSR's indices too),
+    or of a Graph's W: through :func:`_triangle`, built from the upper triangle's column
+    strip above them, their diagonal block's upper half and the rest of their own rows."""
+    if isinstance(a, Graph):
+        if not _triangle(a):
+            return _rows(a.weights, lo, hi)
+        w, d = a._weights, a._weights[lo:hi, lo:hi]
+        return np.concatenate((w[:lo, lo:hi].T, np.triu(d) + np.triu(d, 1).T, w[lo:hi, hi:]), 1)
+    if not sp.issparse(a):
+        return a[lo:hi]
+    p = a.indptr
+    return sp.csr_array((a.data[p[lo]:p[hi]], a.indices[p[lo]:p[hi]], p[lo:hi + 1] - p[lo]),
+                        shape=(hi - lo, a.shape[1]))
+
+
+def _row_blocks(a, entries=None):
+    """``(lo, _rows(a, lo, hi))`` for each block of ``_BLOCK`` rows, or of as many whole rows
+    as hold at most ``entries`` (a CSR's stored ones; one row at least)."""
+    w = a._weights if isinstance(a, Graph) else a
+    n, lo = w.shape[0], 0
+    while lo < n:
+        hi = (lo + _BLOCK if entries is None
+              else np.searchsorted(w.indptr, w.indptr[lo] + entries, "right") - 1 if sp.issparse(w)
+              else lo + entries // w.shape[1])
+        hi = min(max(int(hi), lo + 1), n)
+        yield lo, _rows(a, lo, hi)
+        lo = hi
 
 
 def _value_blocks(a):
@@ -199,13 +235,13 @@ def _scaled(w, r, c):
 
 
 class _Scaled:
-    """``S = diag(r) W diag(c)`` over ``W``, the weights of ``graph``, kept
-    unformed: a product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``;
-    scipy takes it as a ``LinearOperator``.  :meth:`formed` builds ``S`` and keeps it.
-    Balancing multiplies by the operator it returns, ``x`` for ``r`` and ``c``.
-    ``W`` and its symmetry are read through the Graph: a product by a vector or one column
-    (``svds``'s), a row, the smallest entry and the symmetry of ``S`` read ``_weights``, the
-    triangle alone while it is pending, any other reader ``weights``, which mirrors it."""
+    """``S = diag(r) W diag(c)`` over ``W``, the weights of ``graph``, kept unformed: a
+    product is ``r * (W @ (c * x))`` and a row ``r[m] * W[m] * c``; scipy takes it as a
+    ``LinearOperator``, and balancing multiplies by the one it returns.  Over a W read
+    through its triangle (:func:`_triangle`), a product by a vector or one column
+    (``svds``'s) is ``dsymv``'s and a row, the smallest entry and the symmetry of ``S``
+    are read from the triangle's rows; 2-D products and :meth:`formed` (which builds
+    ``S`` and keeps it) read ``weights``."""
 
     def __init__(self, graph, r, c):
         self.graph, self.r, self.c, self._s = graph, r, c, None
@@ -235,12 +271,11 @@ class _Scaled:
 
     def min(self) -> float:
         """The smallest entry (an implicit zero of CSR counts), formed a row block at a
-        time; over a dense ``W`` known symmetric, from the rows of its triangle (see
-        :meth:`_mirrored`), so a pending triangle is not mirrored."""
+        time; through :func:`_triangle`, from the rows of the triangle (:meth:`_mirrored`)."""
         g = self.graph
-        if sp.issparse(g._weights) or not g._symmetric:
+        if not _triangle(g):
             return min(_scaled(w, self.r[lo:lo + w.shape[0]], self.c).min()
-                       for lo, w in _row_blocks(g.weights))
+                       for lo, w in _row_blocks(g))
 
         def least(s, t):  # not below the diagonal of the block's first hi - lo columns
             read = ~np.tri(*s.shape, k=-1, dtype=bool)
@@ -354,27 +389,18 @@ def _is_symmetric(a) -> bool:
 
 
 def _positive_row(a, m: int):
-    """Columns (``intp``) and values of the positive entries in row ``m`` of
-    ``a``, a matrix from :func:`_require_square`; ValueError for ``m`` not an
-    integer (Python or numpy; a bool is not) in range, or a row holding a NaN,
-    an infinite or a negative entry.  A CSR row is its stored slice; that of a
-    ``_Scaled`` over a Graph whose triangle is pending is read from the upper
-    triangle, column ``m`` down to the diagonal and row ``m`` from it, equal bit
-    for bit to the mirrored row, so no reader of one row mirrors the kernel."""
+    """Columns (``intp``) and values of the positive entries in row ``m`` of ``a``, a matrix
+    from :func:`_require_square` (a ``_Scaled``'s row is W's, read through its Graph by
+    :func:`_rows`, then scaled); ValueError for ``m`` not an integer (Python or numpy; a
+    bool is not) in range, or a row holding a NaN, an infinite or a negative entry."""
     if not (np.issubdtype(type(m), np.integer) and 0 <= (m := int(m)) < a.shape[0]):
         raise ValueError(f"vertex id {m!r} out of range [0, {a.shape[0]})")
-    scaled = a if isinstance(a, _Scaled) else None  # W's positive entries, scaled
-    a, triangle = (a, False) if scaled is None else (a.graph._weights, a.graph._upper is not None)
-    if sp.issparse(a):
-        lo, hi = a.indptr[m], a.indptr[m + 1]
-        columns, row = a.indices[lo:hi].astype(np.intp), a.data[lo:hi]
-    else:
-        columns = np.arange(a.shape[1])
-        row = np.concatenate((a[:m, m], a[m, m:])) if triangle else np.asarray(a[m])
+    w = _rows(a.graph if isinstance(a, _Scaled) else a, m, m + 1)  # a _Scaled's W, scaled below
+    columns, row = (w.indices, w.data) if sp.issparse(w) else (np.arange(w.shape[1]), w[0])
     _require_finite_nonnegative(row, f"row {m}")
     members = np.flatnonzero(row)
-    columns, row = columns[members], row[members]
-    return (columns, row) if scaled is None else (columns, scaled.r[m] * row * scaled.c[columns])
+    columns, row = columns[members].astype(np.intp), row[members]
+    return (columns, a.r[m] * row * a.c[columns]) if isinstance(a, _Scaled) else (columns, row)
 
 
 class Graph:
@@ -586,18 +612,14 @@ def build_weight_matrix(
     a time, into CSR arrays of the counted size: it never forms an N x N
     array, and a block holds about 1/16 of the pairs.  Any other is evaluated
     as the upper triangle of its N x N buffer, a private anonymous memory map
-    advised against huge pages, so the lower half takes no memory until a reader
-    other than a vector product asks for the weights (then it is mirrored in
-    place, once).  Rows
-    ``[i, i + 64)`` evaluate columns ``[i, N)`` in tiles of at most 64 x 1024
-    on up to 16 threads, one per usable CPU, under the caller's ``np.errstate``.
-    A thread weighs each tile in one scratch array and marks its kept weights
-    in one mask, both its own for the whole build (those of all threads hold at
-    most 1/64 of the kernel), then writes weight times mask into the buffer,
-    its one write there, and counts the nonzeros from the mask.  Each tile
-    writes only its own entries, so the entries are the same for any thread
-    count.  Both paths apply the same float operations to the same distances.
-    The graph is marked symmetric without a check.
+    advised against huge pages; the lower half takes no memory until ``weights``
+    is read (it is then mirrored in place, once), as every other reader reads the
+    triangle (:func:`_triangle`).  Rows ``[i, i + 64)`` evaluate columns ``[i, N)``
+    in tiles of at most 64 x 1024 on up to 16 threads, one per usable CPU, under
+    the caller's ``np.errstate``, each in one pass through a scratch array and a
+    mask of the thread's own (README); a tile writes only its own entries, so they
+    are the same for any thread count.  Both paths apply the same float operations
+    to the same distances.  The graph is marked symmetric without a check.
 
     Raises ValueError for fewer than 2 vertices, a nonpositive or
     non-finite scale, or a negative or NaN threshold.  Distinct vertices at
@@ -739,8 +761,8 @@ def validate_weights(graph) -> WeightDiagnostics:
     that of W's Graph, and ``S`` is not formed.
     """
     w, n = _require_square(graph)
-    if isinstance(w, _Scaled):
-        return validate_weights(w.graph)
+    if isinstance(w, _Scaled):  # a Graph's or a balanced operator's W, whole
+        graph, w = w.graph, w.graph.weights
     symmetric = graph.is_symmetric() if isinstance(graph, Graph) else _is_symmetric(w)
     zero_rows = tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0))
     zero_cols = tuple(int(j) for j in np.flatnonzero(w.sum(axis=0) == 0))

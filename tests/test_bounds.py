@@ -327,14 +327,24 @@ class TestMonteCarloShiftStats:
         # chi2(199) / 199, in [0.703, 1.363] but with probability 1e-3.  So a right
         # stderr fails each of the four checks with probability about 1e-3, and one
         # three times too large puts every |z| below 1.96 and their variance near 1/9.
+        # The power's z is the studentized mean of y**2, y ~ N(1, 32/15) here, whose
+        # skew (2.52) leaves it skewed at 400 trials: 4e5 simulated z gave
+        # P(|z| < 1.96) = 0.946 and Var z = 1.033 (skew -0.26, kurtosis 3.17).  So its
+        # count lies in [178, 198] but with probability 7.5e-4 (Binomial(200, 0.946)),
+        # and its variance in [0.714, 1.424] but with probability 1e-3 (the scaled
+        # chi2 with the sample variance's mean and variance at that kurtosis).
         s = np.full((3, 3), 1 / 3)
         model = RandomSignalModel(mu=1.0, sigma=2.0, rho=0.3)
         exact = exact_shift_variance(s, 0, model.sigma, model.rho)
+        power = model.mu**2 * s[0].sum()**2 + exact
         stats = [monte_carlo_shift_stats(s, 0, model, trials=400, seed=k) for k in range(200)]
         for z in (np.array([(st.mean - model.mu) / st.stderr_mean for st in stats]),
                   np.array([(st.variance - exact) / st.stderr_variance for st in stats])):
             assert 179 <= np.count_nonzero(np.abs(z) < 1.96) <= 198
             assert 0.703 <= z.var(ddof=1) <= 1.363
+        z = np.array([(st.power - power) / st.stderr_power for st in stats])
+        assert 178 <= np.count_nonzero(np.abs(z) < 1.96) <= 198
+        assert 0.714 <= z.var(ddof=1) <= 1.424
 
     def test_deterministic_for_fixed_seed(self):
         model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.3)
@@ -450,6 +460,12 @@ class TestMonteCarloShiftStats:
         model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.0)
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_shift_stats(ROW_THIRDS, 0, model, trials=1)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)], ids=repr)
+    def test_negative_seed_is_named(self, seed):
+        model = RandomSignalModel(mu=0.0, sigma=1.0, rho=0.0)
+        with pytest.raises(ValueError, match="^seed must be nonnegative"):
+            monte_carlo_shift_stats(ROW_THIRDS, 0, model, trials=10, seed=seed)
 
     @pytest.mark.parametrize("trials", [2.5, 3.0, np.float64(10.0), True, "10", None], ids=repr)
     def test_non_integer_trials(self, trials):

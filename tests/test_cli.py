@@ -308,6 +308,13 @@ class TestBoundsCommand:
         assert captured.out == ""
         assert f"{flag[2:]} must be finite" in captured.err
 
+    def test_negative_seed_exits_2_naming_it(self, operator_file, capsys):
+        args = ["bounds", "--op", operator_file, "--vertex", 0, "--sigma", 1.0, "--rho", 0.5,
+                "--trials", 100, "--seed", -1]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed" in captured.err
+
 
     def test_overflow_in_the_monte_carlo_exits_3_without_a_warning(self, operator_file):
         # the Monte Carlo's worker threads run under the CLI's errstate, so the
@@ -347,6 +354,11 @@ class TestDemoCommand:
 
     def test_invalid_sensor_count_exits_2(self):
         assert run(["demo-sensors", "--sensors", 1]) == 2
+
+    def test_negative_seed_exits_2_naming_it(self, capsys):
+        assert run(["demo-sensors", "--sensors", 8, "--seed", -1]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed must be a nonnegative integer" in captured.err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_noise_sigma_exits_2(self, capsys, value):

@@ -61,6 +61,7 @@ class TestSensorFieldConfig:
     @pytest.mark.parametrize("field, bad", [
         ("n_sensors", 2.5), ("n_sensors", 64.0), ("n_sensors", True), ("n_sensors", "64"),
         ("shifts", 1.5), ("shifts", 1.0), ("shifts", "1"),
+        ("seed", -1), ("seed", 1.5), ("seed", "3"), ("seed", True),
     ])
     def test_non_integer_counts_rejected(self, field, bad):
         # rejected on construction, before a kernel is built or balanced

@@ -636,6 +636,51 @@ class TestBuildWeightMatrix:
                   lambda g: matrix_norm(g, 2)):
             assert np.array_equal(f(fresh), f(read))
 
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_readers_of_a_graph_read_its_triangle(self, monkeypatch, tmp_path, self_loops):
+        # every reader below of a built kernel's Graph, and the writer of its operator,
+        # leaves the lower half unwritten, with results bit for bit (files byte for
+        # byte) those of the same reads of a kernel mirrored first
+        geo = random_geometry(650, 4)
+        x = np.random.default_rng(5).uniform(0.5, 1.5, 650)
+        model = RandomSignalModel(mu=1.0, sigma=1.0, rho=0.3)
+
+        def save(path, a):
+            save_matrix_market(path, a)
+            return path.read_bytes()
+
+        reads = {
+            "neighborhood": lambda g, op: [incoming_neighborhood(g, m).members
+                                           for m in (0, 70, 649)],
+            "local bounds": lambda g, op: [local_bounds(g, m) for m in (0, 70, 649)],
+            "monte carlo": lambda g, op: monte_carlo_shift_stats(g, 70, model, trials=64, seed=1),
+            "apply_shift": lambda g, op: apply_shift(g, x),
+            "diffuse": lambda g, op: diffuse(g, x, 5),
+            "apply_filter": lambda g, op: apply_filter(g, [0.5, 0.3, 0.2], x),
+            **{f"norm {p}": lambda g, op, p=p: matrix_norm(g, p) for p in (1, 2, np.inf)},
+            "verify": lambda g, op: verify_doubly_stochastic(g),
+            "save graph": lambda g, op: save(tmp_path / "g.mtx", g),
+            "save operator": lambda g, op: save(tmp_path / "s.mtx", op),
+        }
+        mirrored = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=self_loops)
+        mirrored.weights  # mirror
+        fills = []
+        fill = graphs._mirror
+        monkeypatch.setattr(graphs, "_mirror", lambda w: fills.append(w) or fill(w))
+        g = build_weight_matrix(geo, scale=2000.0, threshold=1e-4, self_loops=self_loops)
+        pending = (g, sinkhorn_knopp(g, tol=1e-10).operator)
+        whole = (mirrored, sinkhorn_knopp(mirrored, tol=1e-10).operator)
+        for name, read in reads.items():
+            got = read(*pending)
+            assert not fills and g._upper is not None, name
+            want = read(*whole)
+            if isinstance(got, list) and isinstance(got[0], np.ndarray):
+                got, want = np.concatenate(got), np.concatenate(want)
+            if isinstance(got, np.ndarray):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            else:
+                assert got == want, name
+
     def test_pickles_and_copies_hold_the_whole_kernel(self):
         geo = random_geometry(650, 4)
         ref = reference_kernel(geo, 2000.0, 1e-4, True)

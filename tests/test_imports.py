@@ -130,3 +130,41 @@ def test_no_body_defines_a_name_twice():
              "    def g(self): pass\n    def g(self): pass\n"
              "def h(): pass\nclass h: pass\n")
     assert _redefinitions(ast.parse(guard)) == [("h", 12, 13), ("g", 10, 11)]
+
+
+_STORAGE = {"_weights", "_upper", "_lock", "_mirror"}
+
+
+def _storage_reads(tree):
+    """``(line, name)`` for each use of a Graph's storage in a module: a name in
+    ``_STORAGE`` as an attribute, a variable, an import or a ``getattr`` string,
+    and a read of ``<x>.graph.weights``, a balanced operator's whole W."""
+    found = []
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias)
+                else node.value if isinstance(node, ast.Constant) else None)
+        if name in _STORAGE:
+            found.append((node.lineno, name))
+        elif (name == "weights" and isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "graph"):
+            found.append((node.lineno, "graph.weights"))
+    return found
+
+
+def test_only_graphs_reads_a_graphs_storage():
+    # W, its pending triangle, the lock and the mirror are graphs.py's: every other
+    # module reads W through a Graph's public reads, _require_square or _row_blocks
+    package = pathlib.Path(dsshift.__file__).resolve().parent
+    found = [f"{path.name}:{line} {name}"
+             for path in sorted(package.glob("*.py")) if path.name != "graphs.py"
+             for line, name in _storage_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, found
+    guard = ("from .graphs import _mirror\n"
+             "w = op._stored.graph.weights\n"
+             "g._upper = None\n"
+             "v = getattr(g, '_weights')\n"
+             "x = g.weights\n")
+    assert sorted(_storage_reads(ast.parse(guard))) == [
+        (1, "_mirror"), (2, "graph.weights"), (3, "_upper"), (4, "_weights")]

@@ -42,6 +42,9 @@ MUTANTS = (
     Mutant("stderr_mean three times too large", "src/dsshift/bounds.py",
            "stderr_mean=float(np.sqrt(variance / trials)),",
            "stderr_mean=float(3 * np.sqrt(variance / trials)),"),
+    Mutant("stderr_power three times too large", "src/dsshift/bounds.py",
+           "stderr_power=float(squares.std(ddof=1) / np.sqrt(trials)),",
+           "stderr_power=float(3 * squares.std(ddof=1) / np.sqrt(trials)),"),
     Mutant("kantorovich_bound's check of the inequality off", "src/dsshift/bounds.py",
            "assert lb.sum_sq <= bound * lb.total**2 * (1 + 1e-9), (lb.sum_sq, bound)",
            "pass"),
@@ -64,6 +67,10 @@ MUTANTS = (
            "np.greater_equal(d, threshold, out=mask)"),
     Mutant("dense kernel count's diagonal-block correction dropped", "src/dsshift/graphs.py",
            "count -= np.count_nonzero(mask[:, :hi - j])", "pass"),
+    Mutant("triangle's row read takes the diagonal entry twice", "src/dsshift/graphs.py",
+           "np.triu(d) + np.triu(d, 1).T", "np.triu(d) + np.triu(d).T"),
+    Mutant("triangle's row read takes the column strip from the lower half",
+           "src/dsshift/graphs.py", "(w[:lo, lo:hi].T, ", "(w[lo:hi, :lo], "),
 )
 
 
